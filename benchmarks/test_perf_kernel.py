@@ -225,9 +225,9 @@ def test_disabled_obs_probe_under_ceiling():
 
 
 def test_disabled_obs_keeps_kernel_throughput():
-    """Observability wiring must not tax the disabled hot loop: the
-    observed-run variant lives in a separate ``_run_observed`` body, so
-    the only disabled-mode cost is one ``enabled()`` check per
+    """Observability wiring must not tax the disabled hot loop: with
+    recording off ``env.run()`` binds plain ``heappop`` as the loop's
+    pop, so the only disabled-mode cost is one ``enabled()`` check per
     ``env.run()`` call.  Reuses the delay-path floor as the budget."""
     from repro.obs import bus
 

@@ -2,7 +2,7 @@
 """In-network DDoS mitigation on the datapath (§7).
 
 A volumetric attacker floods a server through a Trio PFE running the
-:class:`~repro.apps.security.DDoSMitigator` application: per-source
+:class:`~repro.nf.firewall.DDoSMitigator` application: per-source
 policers absorb the first burst, timer threads review offenders and move
 the attacker onto the blocklist, and once the attack subsides, the
 REF-flag quiet-interval analysis rehabilitates the source — §5's
@@ -11,7 +11,7 @@ temporary-vs-permanent straggler analysis, applied to attackers.
 Run:  python examples/ddos_mitigation.py
 """
 
-from repro.apps import DDoSMitigator
+from repro.nf import DDoSMitigator
 from repro.net import Host, IPv4Address, MACAddress, Topology
 from repro.sim import Environment
 from repro.trio import PFE

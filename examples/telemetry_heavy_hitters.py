@@ -4,7 +4,7 @@
 §7 proposes telemetry as a future Trio use case: "service providers can
 leverage Trio's large memory to keep track of incoming packets" and
 "Trio's timer threads are suitable for periodic monitoring".  The
-:class:`~repro.apps.telemetry.TelemetryMonitor` application implements
+:class:`~repro.nf.telemetry.TelemetryMonitor` application implements
 exactly that: per-flow Packet/Byte Counters updated at line rate (no
 sampling), timer-thread sweeps that export flows above a rate threshold,
 and REF-flag-based retirement of idle flow state.
@@ -12,7 +12,7 @@ and REF-flag-based retirement of idle flow state.
 Run:  python examples/telemetry_heavy_hitters.py
 """
 
-from repro.apps import TelemetryMonitor
+from repro.nf import TelemetryMonitor
 from repro.net import Host, IPv4Address, MACAddress, Topology
 from repro.sim import Environment
 from repro.trio import PFE

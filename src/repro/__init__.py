@@ -16,7 +16,6 @@ Subpackages, bottom-up:
 * :mod:`repro.trioml` — the Trio-ML in-network aggregation application
   with timer-thread straggler mitigation.
 * :mod:`repro.ml` — DNN training workload models.
-* :mod:`repro.apps` — the §7 telemetry and security use cases.
 * :mod:`repro.harness` — experiment drivers for every table and figure.
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for

@@ -1,27 +1,18 @@
 """Name-keyed registry of collective backends.
 
-The registry is the single source of truth for which aggregation systems
-exist: :class:`repro.ml.training.TrainingConfig` resolves its ``system``
-string here, the harness enumerates sweep series from here, and error
-messages report whatever is registered *right now* — adding a backend
-never requires touching the training loop again.
-
-Lookups are case-insensitive; canonical keys are lowercase.
+A :class:`repro.registry.Registry` binding:
+:class:`repro.ml.training.TrainingConfig` resolves its ``system`` string
+here and the harness enumerates sweep series from here, so adding a
+backend never requires touching the training loop again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.collectives.base import CollectiveBackend
+from repro.registry import Registry
 
-__all__ = [
-    "UnknownBackendError",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "unregister_backend",
-]
+__all__ = ["UnknownBackendError", "available_backends", "get_backend",
+           "register_backend", "unregister_backend"]
 
 
 class UnknownBackendError(ValueError):
@@ -32,55 +23,10 @@ class UnknownBackendError(ValueError):
     """
 
 
-_REGISTRY: Dict[str, CollectiveBackend] = {}
+_BACKENDS: Registry[CollectiveBackend] = Registry(
+    "collective backend", UnknownBackendError)
 
-
-def register_backend(backend: CollectiveBackend,
-                     replace: bool = False) -> CollectiveBackend:
-    """Add ``backend`` under ``backend.name`` (lowercased).
-
-    Registering a name twice is an error unless ``replace=True`` —
-    silent shadowing would make figure provenance ambiguous.  Returns
-    the backend so calls can be used as expressions.
-    """
-    name = str(backend.name).strip().lower()
-    if not name:
-        raise ValueError("backend must have a non-empty name")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"backend {name!r} is already registered; pass replace=True "
-            "to override it"
-        )
-    backend.name = name
-    _REGISTRY[name] = backend
-    return backend
-
-
-def unregister_backend(name: str) -> CollectiveBackend:
-    """Remove and return a backend (mainly for tests and calibration
-    experiments that register temporary variants)."""
-    key = str(name).strip().lower()
-    try:
-        return _REGISTRY.pop(key)
-    except KeyError:
-        raise UnknownBackendError(
-            f"unknown collective backend {name!r}; available: "
-            f"{', '.join(available_backends())}"
-        ) from None
-
-
-def get_backend(name: str) -> CollectiveBackend:
-    """Resolve a backend by name, case-insensitively."""
-    key = str(name).strip().lower()
-    try:
-        return _REGISTRY[key]
-    except KeyError:
-        raise UnknownBackendError(
-            f"unknown collective backend {name!r}; available: "
-            f"{', '.join(available_backends())}"
-        ) from None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Canonical names of every registered backend, sorted."""
-    return tuple(sorted(_REGISTRY))
+register_backend = _BACKENDS.register
+unregister_backend = _BACKENDS.unregister
+get_backend = _BACKENDS.get
+available_backends = _BACKENDS.names

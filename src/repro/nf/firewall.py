@@ -3,8 +3,7 @@
 This module owns both realisations of the §7 DDoS defence:
 
 * :class:`DDoSMitigator` — the Trio data-path application (policers in
-  the Shared Memory System, timer-thread reviews), moved here from
-  ``repro.apps.security`` (which is now a thin shim over this module);
+  the Shared Memory System, timer-thread reviews);
 * :class:`FirewallNF` — the backend-independent network function used
   by the chain compiler, whose periodic review runs in packet-count
   epochs so verdicts are identical on every placement.

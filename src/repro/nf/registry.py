@@ -1,76 +1,25 @@
 """Name-keyed registry of network functions.
 
-Mirrors :mod:`repro.collectives.registry`: the registry is the single
-source of truth for which NFs exist — chain specs resolve their names
-here, the harness enumerates placements from here, and error messages
-report whatever is registered *right now*.  Lookups are
-case-insensitive; canonical keys are lowercase.
+A :class:`repro.registry.Registry` binding: chain specs resolve their
+NF names here and the harness enumerates placements from here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.nf.base import NF
+from repro.registry import Registry
 
-__all__ = [
-    "UnknownNFError",
-    "available_nfs",
-    "get_nf",
-    "register_nf",
-    "unregister_nf",
-]
+__all__ = ["UnknownNFError", "available_nfs", "get_nf", "register_nf",
+           "unregister_nf"]
 
 
 class UnknownNFError(ValueError):
     """Raised when an NF name is not in the registry."""
 
 
-_REGISTRY: Dict[str, NF] = {}
+_NFS: Registry[NF] = Registry("NF", UnknownNFError)
 
-
-def register_nf(nf: NF, replace: bool = False) -> NF:
-    """Add ``nf`` under ``nf.name`` (lowercased).
-
-    Registering a name twice is an error unless ``replace=True`` —
-    silent shadowing would make chain provenance ambiguous.  Returns
-    the NF so calls can be used as expressions.
-    """
-    name = str(nf.name).strip().lower()
-    if not name:
-        raise ValueError("NF must have a non-empty name")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"NF {name!r} is already registered; pass replace=True to "
-            "override it"
-        )
-    nf.name = name
-    _REGISTRY[name] = nf
-    return nf
-
-
-def unregister_nf(name: str) -> NF:
-    """Remove and return an NF (mainly for tests registering variants)."""
-    key = str(name).strip().lower()
-    try:
-        return _REGISTRY.pop(key)
-    except KeyError:
-        raise UnknownNFError(
-            f"unknown NF {name!r}; available: {', '.join(available_nfs())}"
-        ) from None
-
-
-def get_nf(name: str) -> NF:
-    """Resolve an NF by name, case-insensitively."""
-    key = str(name).strip().lower()
-    try:
-        return _REGISTRY[key]
-    except KeyError:
-        raise UnknownNFError(
-            f"unknown NF {name!r}; available: {', '.join(available_nfs())}"
-        ) from None
-
-
-def available_nfs() -> Tuple[str, ...]:
-    """Canonical names of every registered NF, sorted."""
-    return tuple(sorted(_REGISTRY))
+register_nf = _NFS.register
+unregister_nf = _NFS.unregister
+get_nf = _NFS.get
+available_nfs = _NFS.names

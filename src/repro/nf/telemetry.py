@@ -4,7 +4,7 @@ This module owns both realisations of the §7 telemetry design:
 
 * :class:`TelemetryMonitor` — the Trio data-path application (per-flow
   Packet/Byte Counters in the Shared Memory System, timer-thread
-  sweeps), moved here from ``repro.apps.telemetry`` (now a thin shim);
+  sweeps);
 * :class:`TelemetryNF` — the backend-independent network function used
   by the chain compiler, sweeping in packet-count epochs.
 

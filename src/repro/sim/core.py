@@ -31,7 +31,10 @@ loop for that dominant case:
 * :class:`Process` reuses one internal *bounce* event for start-up and for
   resuming after a yield on an already-processed event, instead of
   allocating a fresh event each time.
-* :meth:`Environment.run` inlines the step loop with local bindings.
+* :meth:`Environment.run` is the one event loop: it checks ``until``
+  before every pop, except for a check-free copy serving unobserved
+  unbounded runs.  Its ``pop`` is ``heappop`` itself unless
+  :mod:`repro.obs` records, when :meth:`Environment._observed_pop` wraps it.
 
 The fast path is timing-equivalent to the general path: same timestamps,
 same tie-breaking (schedule order), same failure semantics.
@@ -192,7 +195,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(env)
         self.delay = delay
@@ -334,6 +337,9 @@ class AllOf(Event):
 
 
 ProcessGenerator = Generator[Event, Any, Any]
+
+#: One event-queue entry: ``(time, priority, schedule seq, event)``.
+_QueueEntry = Tuple[float, int, int, Event]
 
 
 class Process(Event):
@@ -482,7 +488,7 @@ class Environment:
     def __init__(self, initial_time: float = 0.0,
                  seed: Optional[Any] = None):
         self._now = float(initial_time)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[_QueueEntry] = []
         self._scheduled = 0
         self._cancelled = 0
         self._active_process: Optional[Process] = None
@@ -554,7 +560,7 @@ class Environment:
         single immediate ``yield`` and never retained, combined, or passed
         to ``run(until=...)``.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         pool = self._delay_pool
         if pool:
@@ -578,7 +584,7 @@ class Environment:
         would cost; use it for deferred plain calls that nobody waits on.
         Returns the scheduled event; ``.cancel()`` suppresses the call.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         self._scheduled = seq = self._scheduled + 1
         event = _Callback(self, fn, args)
@@ -601,7 +607,7 @@ class Environment:
         than letting a dead wake-up fire through an epoch guard, and it
         keeps the event heap free of work that will be discarded.
         """
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError(
                 f"call_at({when}) is in the past (now={self._now})"
             )
@@ -627,43 +633,19 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def step(self) -> None:
-        """Process the single next event."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        self._now, _, _, event = heappop(self._queue)
-        callbacks = event.callbacks
-        event.callbacks = None
-        if event.__class__ is _Delay:
-            for callback in callbacks:
-                callback(event)
-            event.callbacks = callbacks
-            callbacks.clear()
-            event._value = _PENDING
-            self._delay_pool.append(event)
-            return
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused and not callbacks:
-            # A failed event that nobody was waiting on: surface the error
-            # rather than letting it pass silently.
-            raise event._value
-
     def run(self, until: Optional[float] = None) -> Any:
         """Run until the queue drains, ``until`` time passes, or an event.
 
         ``until`` may be a number (run until that simulated time) or an
         :class:`Event` (run until it fires, returning its value).
         """
-        if _obs.enabled():
-            return self._run_observed(until)
         stop_event: Optional[Event] = None
         stop_time = float("inf")
         if isinstance(until, Event):
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if not stop_time >= self._now:
                 raise SimulationError(
                     f"until={stop_time} is in the past (now={self._now})"
                 )
@@ -671,10 +653,10 @@ class Environment:
         queue = self._queue
         pool = self._delay_pool
         pending = _PENDING
-        pop = heappop
-        if stop_event is None and stop_time == float("inf"):
-            # Unbounded run: the common benchmark/drain shape — no
-            # per-event stop checks.
+        pop = self._observed_pop() if _obs.enabled() else heappop
+        if pop is heappop and stop_event is None and stop_time == float("inf"):
+            # Unbounded, unobserved run: the common benchmark/drain shape
+            # — no per-event stop checks.
             while queue:
                 self._now, _, _, event = pop(queue)
                 callbacks = event.callbacks
@@ -697,8 +679,7 @@ class Environment:
                 if not stop_event._ok:
                     raise stop_event._value
                 return stop_event._value
-            entry = queue[0]
-            if entry[0] > stop_time:
+            if queue[0][0] > stop_time:
                 self._now = stop_time
                 return None
             self._now, _, _, event = pop(queue)
@@ -715,6 +696,8 @@ class Environment:
             for callback in callbacks:
                 callback(event)
             if not event._ok and not event._defused and not callbacks:
+                # A failed event that nobody was waiting on: surface the
+                # error rather than letting it pass silently.
                 raise event._value
 
         if stop_event is not None:
@@ -729,26 +712,10 @@ class Environment:
             self._now = stop_time
         return None
 
-    def _run_observed(self, until: Optional[float] = None) -> Any:
-        """Instrumented twin of :meth:`run`, used while ``repro.obs`` records.
-
-        Identical semantics — same timestamps, tie-breaking, stop handling,
-        failure propagation, and ``_Delay`` recycling — plus per-event
-        metrics: event counts by class, queue-depth distribution, and each
-        process's share of elapsed simulated time.  Kept as a separate loop
-        so the disabled-mode fast paths in :meth:`run` pay nothing.
-        """
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise SimulationError(
-                    f"until={stop_time} is in the past (now={self._now})"
-                )
-
+    def _observed_pop(self) -> Callable[[List[_QueueEntry]], _QueueEntry]:
+        """``heappop`` that also records, per popped event, the queue
+        depth, the event's class, and the simulated time elapsed since
+        the previous pop, charged to :func:`_event_owner`."""
         registry = _obs.session().registry
         events_by_kind = registry.counter(
             "sim.events", "events processed, by event class", ("kind",))
@@ -759,56 +726,26 @@ class Environment:
             "sim.process_share_s",
             "elapsed simulated time attributed to the resumed process",
             ("process",))
-
-        queue = self._queue
-        pool = self._delay_pool
-        pending = _PENDING
-        pop = heappop
         prev_now = self._now
-        while queue:
-            if stop_event is not None and stop_event.callbacks is None:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
-            if queue[0][0] > stop_time:
-                self._now = stop_time
-                return None
+
+        def pop(queue: List[_QueueEntry]) -> _QueueEntry:
+            nonlocal prev_now
             queue_depth.observe(len(queue))
-            self._now, _, _, event = pop(queue)
-            callbacks = event.callbacks
-            event.callbacks = None
+            entry = heappop(queue)
+            now, _, _, event = entry
             events_by_kind.inc(1.0, kind=event.__class__.__name__)
-            dt = self._now - prev_now
+            dt = now - prev_now
             if dt > 0.0:
-                process_share.inc(dt, process=_event_owner(event, callbacks))
-            prev_now = self._now
-            if event.__class__ is _Delay:
-                for callback in callbacks:
-                    callback(event)
-                event.callbacks = callbacks
-                callbacks.clear()
-                event._value = pending
-                pool.append(event)
-                continue
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused and not callbacks:
-                raise event._value
+                process_share.inc(
+                    dt, process=_event_owner(event, event.callbacks or ()))
+            prev_now = now
+            return entry
 
-        if stop_event is not None:
-            if stop_event.callbacks is None:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
-            raise SimulationError(
-                "run(until=event) exhausted the queue before the event fired"
-            )
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return None
+        return pop
 
 
-def _event_owner(event: Event, callbacks: List[Callable]) -> str:
+def _event_owner(event: Event,
+                 callbacks: Iterable[Callable[..., Any]]) -> str:
     """Attribute an event to a process for sim-time-share accounting.
 
     A firing :class:`Process` owns itself; otherwise the event belongs to

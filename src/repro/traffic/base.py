@@ -11,8 +11,8 @@ the NF-chain executor (the separation RouteNet-Gauss argues for,
 PAPERS.md: workload generation decoupled from the simulation backend).
 
 Concrete scenarios live in :mod:`repro.traffic.scenarios` and are
-looked up by name through :mod:`repro.traffic.registry`, mirroring the
-``repro.collectives`` / ``repro.nf`` registries.
+looked up by name through :mod:`repro.traffic.registry`, a binding of
+the one :class:`repro.registry.Registry` type.
 """
 
 from __future__ import annotations

@@ -1,80 +1,26 @@
 """Name-keyed registry of traffic scenarios.
 
-Mirrors :mod:`repro.nf.registry` / :mod:`repro.collectives.registry`:
-the registry is the single source of truth for which scenarios exist —
-the ``harness traffic`` sweep enumerates it, adapters resolve names
-here, and error messages report whatever is registered *right now*.
-Lookups are case-insensitive; canonical keys are lowercase.
+A :class:`repro.registry.Registry` binding: the ``harness traffic``
+sweep enumerates it and the adapters resolve scenario names here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
+from repro.registry import Registry
 from repro.traffic.base import TrafficScenario
 
-__all__ = [
-    "UnknownScenarioError",
-    "available_scenarios",
-    "get_scenario",
-    "register_scenario",
-    "unregister_scenario",
-]
+__all__ = ["UnknownScenarioError", "available_scenarios", "get_scenario",
+           "register_scenario", "unregister_scenario"]
 
 
 class UnknownScenarioError(ValueError):
     """Raised when a scenario name is not in the registry."""
 
 
-_REGISTRY: Dict[str, TrafficScenario] = {}
+_SCENARIOS: Registry[TrafficScenario] = Registry(
+    "scenario", UnknownScenarioError)
 
-
-def register_scenario(scenario: TrafficScenario,
-                      replace: bool = False) -> TrafficScenario:
-    """Add ``scenario`` under ``scenario.name`` (lowercased).
-
-    Registering a name twice is an error unless ``replace=True`` —
-    silent shadowing would make a sweep's provenance ambiguous.
-    Returns the scenario so calls can be used as expressions.
-    """
-    name = str(scenario.name).strip().lower()
-    if not name:
-        raise ValueError("scenario must have a non-empty name")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"scenario {name!r} is already registered; pass replace=True "
-            "to override it"
-        )
-    scenario.name = name
-    _REGISTRY[name] = scenario
-    return scenario
-
-
-def unregister_scenario(name: str) -> TrafficScenario:
-    """Remove and return a scenario (mainly for tests registering
-    variants)."""
-    key = str(name).strip().lower()
-    try:
-        return _REGISTRY.pop(key)
-    except KeyError:
-        raise UnknownScenarioError(
-            f"unknown scenario {name!r}; available: "
-            f"{', '.join(available_scenarios())}"
-        ) from None
-
-
-def get_scenario(name: str) -> TrafficScenario:
-    """Resolve a scenario by name, case-insensitively."""
-    key = str(name).strip().lower()
-    try:
-        return _REGISTRY[key]
-    except KeyError:
-        raise UnknownScenarioError(
-            f"unknown scenario {name!r}; available: "
-            f"{', '.join(available_scenarios())}"
-        ) from None
-
-
-def available_scenarios() -> Tuple[str, ...]:
-    """Canonical names of every registered scenario, sorted."""
-    return tuple(sorted(_REGISTRY))
+register_scenario = _SCENARIOS.register
+unregister_scenario = _SCENARIOS.unregister
+get_scenario = _SCENARIOS.get
+available_scenarios = _SCENARIOS.names

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import DDoSMitigator, TelemetryMonitor
+from repro.nf import DDoSMitigator, TelemetryMonitor
 from repro.net import Host, IPv4Address, MACAddress, Topology
 from repro.sim import Environment
 from repro.trio import PFE

@@ -6,7 +6,7 @@ whole, using multiple subsystems together.
 
 import pytest
 
-from repro.apps import TelemetryMonitor
+from repro.nf import TelemetryMonitor
 from repro.harness import build_single_pfe_testbed
 from repro.ml import GradientQuantizer
 from repro.net import Host, IPv4Address, MACAddress, Topology

@@ -279,19 +279,3 @@ class TestAggregateNF:
         # Without timers the sweep spec disappears (the data-path-only
         # deployment of §4).
         assert len(TrioMLAggregator.nf_state_resources(8, 4)) == 3
-
-
-class TestAppShims:
-    def test_security_shim_reexports(self):
-        from repro.apps import security
-        from repro.nf import firewall
-
-        assert security.DDoSMitigator is firewall.DDoSMitigator
-        assert security.StrikePolicy is firewall.StrikePolicy
-
-    def test_telemetry_shim_reexports(self):
-        from repro.apps import telemetry as shim
-        from repro.nf import telemetry
-
-        assert shim.TelemetryMonitor is telemetry.TelemetryMonitor
-        assert shim.sweep_decision is telemetry.sweep_decision

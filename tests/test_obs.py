@@ -330,6 +330,48 @@ class TestObservedKernel:
         assert observed.scheduled_events == plain.scheduled_events
         assert observed.now == plain.now
 
+    @staticmethod
+    def run_until(shape):
+        """Drive a mixed workload with ``run`` stopped by ``shape``.
+
+        Returns ``(env, results)``; ``results`` holds what each ``run``
+        call returned.
+        """
+        env = Environment()
+
+        def proc(n, dt):
+            for _ in range(n):
+                yield env.delay(dt)
+            return n
+
+        first = env.process(proc(10, 1.0))
+        env.process(proc(6, 2.5))
+        env.call_later(3.0, lambda: None)
+        if shape == "none":
+            results = [env.run()]
+        elif shape == "time":
+            results = [env.run(until=4.0)]
+            assert env._queue, "until=<time> must stop with events queued"
+            results.append(env.run())
+        else:
+            results = [env.run(until=first)]
+            assert env._queue, "until=<process> must stop with events queued"
+        return env, results
+
+    @pytest.mark.parametrize("shape", ["none", "time", "process"])
+    def test_observed_run_matches_plain_for_every_until(self, shape):
+        plain, plain_results = self.run_until(shape)
+        bus.enable()
+        observed, observed_results = self.run_until(shape)
+        session = bus.disable()
+        assert observed_results == plain_results
+        assert observed.now == plain.now
+        assert observed.scheduled_events == plain.scheduled_events
+        assert len(observed._queue) == len(plain._queue)
+        popped = observed.scheduled_events - len(observed._queue)
+        events = session.registry.get("sim.events")
+        assert sum(events._series.values()) == popped
+
 
 # ---------------------------------------------------------------------------
 # Sweep capture: serial == parallel, results unchanged by recording

@@ -7,7 +7,7 @@ exported series agree with the counts the apps keep themselves.
 
 import pytest
 
-from repro.apps import DDoSMitigator, TelemetryMonitor
+from repro.nf import DDoSMitigator, TelemetryMonitor
 from repro.net import Host, IPv4Address, MACAddress, Topology
 from repro.obs import bus
 from repro.sim import Environment

@@ -20,15 +20,13 @@ class TestEnvironment:
 
     def test_run_until_past_time_rejected(self):
         env = Environment(initial_time=10.0)
-        with pytest.raises(SimulationError):
-            env.run(until=5.0)
+        for until in (5.0, float("nan")):
+            with pytest.raises(SimulationError):
+                env.run(until=until)
+        assert env.now == 10.0
 
     def test_peek_empty_queue_is_inf(self):
         assert Environment().peek() == float("inf")
-
-    def test_step_empty_queue_raises(self):
-        with pytest.raises(SimulationError):
-            Environment().step()
 
     def test_events_fire_in_timestamp_order(self):
         env = Environment()
@@ -97,8 +95,9 @@ class TestDeferredCallCancel:
 class TestTimeout:
     def test_negative_delay_rejected(self):
         env = Environment()
-        with pytest.raises(SimulationError):
-            Timeout(env, -1.0)
+        for delay in (-1.0, float("nan")):
+            with pytest.raises(SimulationError):
+                Timeout(env, delay)
 
     def test_timeout_value_delivered(self):
         env = Environment()

@@ -83,8 +83,9 @@ class TestDelayPool:
 
     def test_negative_delay_rejected(self):
         env = Environment()
-        with pytest.raises(SimulationError):
-            env.delay(-0.5)
+        for delay in (-0.5, float("nan")):
+            with pytest.raises(SimulationError):
+                env.delay(delay)
 
 
 class TestCallLater:
@@ -115,8 +116,16 @@ class TestCallLater:
 
     def test_negative_delay_rejected(self):
         env = Environment()
-        with pytest.raises(SimulationError):
-            env.call_later(-1.0, lambda: None)
+        for delay in (-1.0, float("nan")):
+            with pytest.raises(SimulationError):
+                env.call_later(delay, lambda: None)
+
+    def test_call_at_past_or_nan_time_rejected(self):
+        env = Environment(initial_time=5.0)
+        for when in (4.0, float("nan")):
+            with pytest.raises(SimulationError):
+                env.call_at(when, lambda: None)
+        assert env.scheduled_events == 0
 
     def test_counts_one_scheduled_event(self):
         env = Environment()
