@@ -4,13 +4,16 @@ Each benchmark runs one experiment driver exactly once under
 pytest-benchmark (the drivers are deterministic discrete-event
 simulations, so repeated rounds would measure the same thing), records
 the reproduced rows/series in ``benchmark.extra_info``, and prints the
-rendered table so ``pytest benchmarks/ --benchmark-only -s`` regenerates
-the paper's evaluation output.
+table the harness CLI prints for it (its entry in
+:data:`repro.harness.figures.SWEEPS`) so ``pytest benchmarks/
+--benchmark-only -s`` regenerates the paper's evaluation output.
 """
 
 from __future__ import annotations
 
 import pytest
+
+from repro.harness.figures import SWEEPS
 
 
 def run_once(benchmark, fn, *args, **kwargs):
@@ -23,9 +26,9 @@ def run_once(benchmark, fn, *args, **kwargs):
 def record(benchmark, capsys):
     """Helper: run a driver once, render it, stash it in extra_info."""
 
-    def _record(fn, renderer, *args, **kwargs):
-        result = run_once(benchmark, fn, *args, **kwargs)
-        rendered = renderer(result)
+    def _record(fn, **kwargs):
+        result = run_once(benchmark, fn, **kwargs)
+        rendered = SWEEPS[fn].render(result, **kwargs)
         benchmark.extra_info["rendered"] = rendered
         with capsys.disabled():
             print()

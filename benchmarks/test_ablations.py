@@ -7,17 +7,11 @@
 * 64-byte tail chunks (Figure 10) — the chunk-size latency trade-off.
 """
 
-from functools import partial
-
-from repro.harness import experiments as exp, figures
+from repro.harness import experiments as exp
 
 
 def test_ablation_rmw_offload(record):
-    rows = record(
-        exp.ablation_rmw_offload,
-        partial(figures.render_ablation,
-                "Ablation: RMW engine offload vs thread-ownership locking"),
-    )
+    rows = record(exp.ablation_rmw_offload)
     rmw_us, lock_us = rows[0].value, rows[1].value
     # Offloading the update to the engine next to memory wins clearly:
     # the lock path pays two full memory round trips per update while
@@ -26,11 +20,7 @@ def test_ablation_rmw_offload(record):
 
 
 def test_ablation_scan_threads(record):
-    rows = record(
-        exp.ablation_scan_threads,
-        partial(figures.render_ablation,
-                "Ablation: parallel timer-thread table scanning (§5)"),
-    )
+    rows = record(exp.ablation_scan_threads)
     sweep_us = {row.label: row.value for row in rows}
     # Each N-fold increase in scan threads cuts the sweep time ~N-fold.
     assert sweep_us["10 scan threads"] < sweep_us["1 scan threads"] / 5
@@ -38,11 +28,7 @@ def test_ablation_scan_threads(record):
 
 
 def test_ablation_hierarchy(record):
-    rows = record(
-        exp.ablation_hierarchy,
-        partial(figures.render_ablation,
-                "Ablation: single-level vs hierarchical aggregation (§4)"),
-    )
+    rows = record(exp.ablation_hierarchy)
     values = {row.label: row.value for row in rows}
     # In the latency regime the extra level costs time (fabric hops and a
     # second aggregation pass)...
@@ -55,11 +41,7 @@ def test_ablation_hierarchy(record):
 
 
 def test_ablation_tail_chunks(record):
-    rows = record(
-        exp.ablation_tail_chunk,
-        partial(figures.render_ablation,
-                "Ablation: tail-read chunk size (Figure 10 loop)"),
-    )
+    rows = record(exp.ablation_tail_chunk)
     by_chunk = {row.label: row.value for row in rows}
     # Bigger chunks mean fewer Memory-and-Queueing-Subsystem round trips:
     # the hardware's 64-byte choice is the fastest of the sweep.

@@ -6,14 +6,14 @@ SwitchML.  The reproduction checks the same ordering and a speedup in
 the same band for every model.
 """
 
-from repro.harness import experiments as exp, figures
+from repro.harness import experiments as exp
 
 #: The paper's Figure 12 speedups, used as shape anchors.
 PAPER_SPEEDUPS = {"resnet50": 1.56, "densenet161": 1.56, "vgg11": 1.60}
 
 
 def test_fig12_time_to_accuracy(record):
-    results = record(exp.fig12_time_to_accuracy, figures.render_fig12)
+    results = record(exp.fig12_time_to_accuracy)
     for key, paper_speedup in PAPER_SPEEDUPS.items():
         result = results[key]
         assert result.switchml_minutes > result.trioml_minutes

@@ -6,13 +6,13 @@ the no-straggler Ideal; at p = 16% Trio-ML is 1.72x / 1.75x / 1.8x
 faster than SwitchML for ResNet50 / DenseNet161 / VGG11.
 """
 
-from repro.harness import experiments as exp, figures
+from repro.harness import experiments as exp
 
 PAPER_SPEEDUPS = {"resnet50": 1.72, "densenet161": 1.75, "vgg11": 1.8}
 
 
 def test_fig13_iteration_time(record):
-    results = record(exp.fig13_iteration_time, figures.render_fig13)
+    results = record(exp.fig13_iteration_time)
     for key, paper_speedup in PAPER_SPEEDUPS.items():
         rows = results[key]
         assert rows[0].probability == 0.0 and rows[-1].probability == 0.16

@@ -7,11 +7,11 @@ result stays within **2x the straggler timeout** across timeouts of
 testbed and checks the same bound.
 """
 
-from repro.harness import experiments as exp, figures
+from repro.harness import experiments as exp
 
 
 def test_fig14_mitigation(record):
-    rows = record(exp.fig14_mitigation, figures.render_fig14)
+    rows = record(exp.fig14_mitigation)
     assert [row.timeout_ms for row in rows] == [2.5, 5.0, 10.0, 15.0, 20.0]
     for row in rows:
         assert row.blocks_mitigated > 0

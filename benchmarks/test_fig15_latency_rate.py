@@ -9,11 +9,11 @@ because end-host DPDK overheads are outside the simulated router; see
 EXPERIMENTS.md).
 """
 
-from repro.harness import experiments as exp, figures
+from repro.harness import experiments as exp
 
 
 def test_fig15_latency_rate(record):
-    rows = record(exp.fig15_latency_rate, figures.render_fig15)
+    rows = record(exp.fig15_latency_rate)
     assert [row.grads_per_packet for row in rows] == [64, 128, 256, 512, 1024]
     latencies = [row.latency_us for row in rows]
     rates = [row.rate_grads_per_us for row in rows]

@@ -8,16 +8,14 @@ windows and checks both monotonicities and the saturation behaviour,
 including the RMW-complex-limited plateau.
 """
 
-from repro.harness import experiments as exp, figures
+from repro.harness import experiments as exp
 
 #: Full paper sweep; the 4096-point dominates the run time.
 WINDOWS = (1, 4, 16, 64, 256, 1024, 4096)
 
 
 def test_fig16_window_sweep(record):
-    results = record(
-        exp.fig16_window_sweep, figures.render_fig16, windows=WINDOWS
-    )
+    results = record(exp.fig16_window_sweep, windows=WINDOWS)
     for grads in (512, 1024):
         rows = results[grads]
         latencies = [row.latency_us for row in rows]

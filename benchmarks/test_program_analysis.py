@@ -9,13 +9,11 @@ simulated PFE and reads the architectural rates from the chipset config.
 
 import pytest
 
-from repro.harness import experiments as exp, figures
+from repro.harness import experiments as exp
 
 
 def test_program_analysis(record):
-    analysis = record(
-        exp.microcode_program_analysis, figures.render_program_analysis
-    )
+    analysis = record(exp.microcode_program_analysis)
     assert analysis.static_instructions == 60
     assert analysis.loop_instructions_per_gradient == pytest.approx(1.2)
     # Measured rate includes per-packet fixed costs (parse, lookups,

@@ -7,13 +7,11 @@
   retransmission cost.
 """
 
-from functools import partial
-
-from repro.harness import experiments as exp, figures
+from repro.harness import experiments as exp
 
 
 def test_generation_scaling(record):
-    rows = record(exp.generation_scaling, figures.render_generation_scaling)
+    rows = record(exp.generation_scaling)
     assert [row.generation for row in rows] == [1, 2, 3, 4, 5, 6]
     throughputs = [row.throughput_gbps for row in rows]
     # Monotone non-decreasing across generations, and the gen-6 chip
@@ -23,7 +21,7 @@ def test_generation_scaling(record):
 
 
 def test_loss_recovery_sweep(record):
-    rows = record(exp.loss_recovery_sweep, figures.render_loss_recovery)
+    rows = record(exp.loss_recovery_sweep)
     assert rows[0].loss_rate == 0.0
     # No loss, no recovery machinery engaged.
     assert rows[0].frames_lost == 0

@@ -1,10 +1,10 @@
 """Table 1: the DNN models used in the experiments."""
 
-from repro.harness import experiments as exp, figures
+from repro.harness import experiments as exp
 
 
 def test_table1_models(record):
-    rows = record(exp.table1_models, figures.render_table1)
+    rows = record(exp.table1_models)
     assert {row["model"] for row in rows} == {
         "ResNet50", "VGG11", "DenseNet161"
     }

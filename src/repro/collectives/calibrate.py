@@ -42,6 +42,7 @@ from typing import Dict, Optional
 from repro.collectives.base import CollectiveBackend
 from repro.collectives.backends import SwitchMLBackend, TrioMLBackend
 from repro.ml.allreduce import SWITCHML_GOODPUT_BPS, TRIOML_GOODPUT_BPS
+from repro.tools.band import band_cell, verdict, within_band
 
 __all__ = [
     "CALIBRATION_BAND",
@@ -116,7 +117,7 @@ class GoodputCalibration:
 
     @property
     def within_band(self) -> bool:
-        return 1.0 / self.band <= self.ratio <= self.band
+        return within_band(self.ratio, self.band)
 
 
 def measure_trioml_wire_goodput(spec: Optional[CalibrationSpec] = None
@@ -128,24 +129,18 @@ def measure_trioml_wire_goodput(spec: Optional[CalibrationSpec] = None
     result multicast — and reports model bits sent per worker divided by
     completion time.
     """
-    from repro.harness.testbed import build_single_pfe_testbed
-    from repro.sim import Environment
+    from repro.harness.testbed import run_single_pfe_allreduce
     from repro.trioml.config import TrioMLJobConfig
 
     spec = spec or CalibrationSpec()
-    env = Environment()
     config = TrioMLJobConfig(
         grads_per_packet=spec.trioml_grads_per_packet,
         window=spec.trioml_window,
     )
-    testbed = build_single_pfe_testbed(
-        env, config, num_workers=spec.num_workers
-    )
-    vector = [1] * (spec.trioml_grads_per_packet * spec.trioml_blocks)
-    procs = testbed.run_allreduce([vector] * spec.num_workers)
-    env.run(until=env.all_of(procs))
-    bits_per_worker = len(vector) * 32
-    return bits_per_worker / env.now
+    testbed, __ = run_single_pfe_allreduce(config, spec.trioml_blocks,
+                                           num_workers=spec.num_workers)
+    bits_per_worker = spec.trioml_grads_per_packet * spec.trioml_blocks * 32
+    return bits_per_worker / testbed.env.now
 
 
 def measure_switchml_wire_goodput(spec: Optional[CalibrationSpec] = None
@@ -261,13 +256,11 @@ def render_calibration(calibrations: Dict[str, GoodputCalibration]) -> str:
         f"{'hand Gbps':>10} {'hand/derived':>13}  band",
     ]
     for record in calibrations.values():
-        status = "ok" if record.within_band else "OUT OF BAND"
         lines.append(
             f"{record.system:<10} {record.wire_goodput_bps / 1e9:>10.2f} "
             f"{record.derived_goodput_bps / 1e9:>13.2f} "
             f"{record.default_goodput_bps / 1e9:>10.2f} "
-            f"{record.ratio:>12.2f}x  [{1 / record.band:.2f}x, "
-            f"{record.band:.2f}x] {status}"
+            f"{record.ratio:>12.2f}x  {band_cell(record.ratio, record.band)}"
         )
     return "\n".join(lines)
 
@@ -285,14 +278,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     calibrations = calibrate()
-    print(render_calibration(calibrations))
-    out_of_band = [c.system for c in calibrations.values()
-                   if not c.within_band]
-    if out_of_band:
-        print(f"\nout of band: {', '.join(out_of_band)}", file=sys.stderr)
-        return 1 if args.werror else 0
-    print("\nall systems within the calibration band")
-    return 0
+    return verdict(render_calibration(calibrations), calibrations,
+                   "systems", args.werror)
 
 
 if __name__ == "__main__":

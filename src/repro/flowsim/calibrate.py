@@ -43,6 +43,7 @@ from repro.flowsim.escalate import (
 from repro.flowsim.flow import FlowRecord, FlowSpec
 from repro.flowsim.scenario import ScenarioConfig, build_leaf_spine, host_name
 from repro.sim import Environment
+from repro.tools.band import band_cell, verdict, within_band
 
 __all__ = [
     "PAIR_BAND",
@@ -100,7 +101,7 @@ class CalibrationCase:
 
     @property
     def within_band(self) -> bool:
-        return 1.0 / self.band <= self.ratio <= self.band
+        return within_band(self.ratio, self.band)
 
 
 def _run_fluid(specs: List[FlowSpec],
@@ -122,6 +123,17 @@ def _run_fluid(specs: List[FlowSpec],
         env.call_at(spec.start_s, engine.start_flow, spec)
     env.run()
     return engine.records
+
+
+def _fan_in(senders: int, flow_bytes: int,
+            service: str = "bulk") -> List[FlowSpec]:
+    """``senders`` flows of ``flow_bytes`` into host 0, all at t = 0."""
+    return [
+        FlowSpec(flow_id=index, src=host_name(0, 1 + index),
+                 dst=host_name(0, 0), size_bytes=float(flow_bytes),
+                 start_s=0.0, service=service)
+        for index in range(senders)
+    ]
 
 
 def _mean_fct(records: List[FlowRecord]) -> float:
@@ -149,13 +161,8 @@ def calibrate(spec: Optional[FlowCalibrationSpec] = None
     )
 
     # -- shared: elastic fair share over one bottleneck ------------------
-    shared_specs = [
-        FlowSpec(flow_id=index, src=host_name(0, 1 + index),
-                 dst=host_name(0, 0),
-                 size_bytes=float(spec.shared_flow_bytes), start_s=0.0)
-        for index in range(spec.shared_senders)
-    ]
-    fluid = _run_fluid(shared_specs, bw)
+    fluid = _run_fluid(_fan_in(spec.shared_senders, spec.shared_flow_bytes),
+                       bw)
     assert all(record.escalated is None for record in fluid), \
         "shared case must stay elastic"
     packet = packetref.packet_fan_in(
@@ -170,14 +177,8 @@ def calibrate(spec: Optional[FlowCalibrationSpec] = None
     )
 
     # -- incast: the escalation boundary end to end ----------------------
-    incast_specs = [
-        FlowSpec(flow_id=index, src=host_name(0, 1 + index),
-                 dst=host_name(0, 0),
-                 size_bytes=float(spec.incast_flow_bytes), start_s=0.0,
-                 service="incast")
-        for index in range(spec.incast_senders)
-    ]
-    fluid = _run_fluid(incast_specs, bw)
+    fluid = _run_fluid(_fan_in(spec.incast_senders, spec.incast_flow_bytes,
+                               service="incast"), bw)
     assert any(record.escalated == "incast" for record in fluid), \
         "incast case must cross the escalation boundary"
     packet = packetref.packet_fan_in(
@@ -199,12 +200,10 @@ def render_calibration(cases: Dict[str, CalibrationCase]) -> str:
         f"{'ratio':>7}  band",
     ]
     for record in cases.values():
-        status = "ok" if record.within_band else "OUT OF BAND"
         lines.append(
             f"{record.case:<8} {record.quantity:<24} "
             f"{record.fluid_value:>12.4g} {record.packet_value:>12.4g} "
-            f"{record.ratio:>6.2f}x  [{1 / record.band:.2f}x, "
-            f"{record.band:.2f}x] {status}"
+            f"{record.ratio:>6.2f}x  {band_cell(record.ratio, record.band)}"
         )
     return "\n".join(lines)
 
@@ -225,19 +224,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     cases = calibrate()
-    report = render_calibration(cases)
-    out_of_band = [c.case for c in cases.values() if not c.within_band]
-    if out_of_band:
-        report += f"\n\nout of band: {', '.join(out_of_band)}"
-    else:
-        report += "\n\nall cases within the calibration band"
-    print(report)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report + "\n")
-    if out_of_band:
-        return 1 if args.werror else 0
-    return 0
+    return verdict(render_calibration(cases), cases, "cases", args.werror,
+                   out=args.out)
 
 
 if __name__ == "__main__":

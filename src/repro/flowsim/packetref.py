@@ -196,15 +196,11 @@ def packet_pfe_goodput(num_workers: int = 4, grads_per_packet: int = 256,
     completion time.  This is the packet-derived rate an escalated
     ``"aggregation"`` flow is pinned to.
     """
-    from repro.harness.testbed import build_single_pfe_testbed
+    from repro.harness.testbed import run_single_pfe_allreduce
     from repro.trioml.config import TrioMLJobConfig
 
-    env = Environment()
     config = TrioMLJobConfig(grads_per_packet=grads_per_packet,
                              window=window)
-    testbed = build_single_pfe_testbed(env, config,
-                                       num_workers=num_workers)
-    vector = [1] * (grads_per_packet * blocks)
-    procs = testbed.run_allreduce([vector] * num_workers)
-    env.run(until=env.all_of(procs))
-    return len(vector) * 32 / env.now
+    testbed, __ = run_single_pfe_allreduce(config, blocks,
+                                           num_workers=num_workers)
+    return grads_per_packet * blocks * 32 / testbed.env.now

@@ -2,8 +2,9 @@
 
 Every table and figure of the paper's evaluation has one driver in
 :mod:`repro.harness.experiments`; :mod:`repro.harness.testbed` builds the
-Figure 11 topologies; :mod:`repro.harness.figures` renders results as the
-rows/series the paper reports.
+Figure 11 topologies; :mod:`repro.harness.figures` holds the experiment
+table that runs and renders every driver for the CLI.  The table is not
+imported with the package, so importing the drivers alone stays cheap.
 """
 
 from repro.harness.testbed import (
@@ -13,7 +14,6 @@ from repro.harness.testbed import (
     build_single_pfe_testbed,
 )
 from repro.harness import experiments
-from repro.harness import figures
 
 __all__ = [
     "HierarchicalTestbed",
@@ -21,5 +21,4 @@ __all__ = [
     "build_hierarchical_testbed",
     "build_single_pfe_testbed",
     "experiments",
-    "figures",
 ]

@@ -30,147 +30,23 @@ import argparse
 import sys
 import time
 from functools import partial
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
-from repro.harness import charts
 from repro.harness import experiments as exp
-from repro.harness import figures
+from repro.harness.figures import EXPERIMENTS
 
 
-def _run_table1() -> str:
-    return figures.render_table1(exp.table1_models())
+def _run(sweeps, fast: bool, chart: bool, parallel: Optional[int]) -> str:
+    return "\n\n".join(sweep.run(fast, chart, parallel) for sweep in sweeps)
 
 
-def _run_fig12() -> str:
-    return figures.render_fig12(exp.fig12_time_to_accuracy())
-
-
-def _run_fig13(chart: bool = False, parallel=None) -> str:
-    results = exp.fig13_iteration_time(parallel=parallel)
-    rendered = figures.render_fig13(results)
-    if chart:
-        panels = [charts.fig13_chart(results, model) for model in results]
-        rendered += "\n\n" + "\n\n".join(panels)
-    return rendered
-
-
-def _run_fig14(fast: bool, parallel=None) -> str:
-    return figures.render_fig14(exp.fig14_mitigation(
-        blocks=8 if fast else 20, parallel=parallel
-    ))
-
-
-def _run_fig15(fast: bool, parallel=None) -> str:
-    return figures.render_fig15(exp.fig15_latency_rate(
-        blocks=20 if fast else 100, parallel=parallel
-    ))
-
-
-def _run_fig16(fast: bool, chart: bool = False, parallel=None) -> str:
-    windows = (1, 4, 16, 64, 256) if fast else exp.FIG16_WINDOWS
-    results = exp.fig16_window_sweep(windows=windows, parallel=parallel)
-    rendered = figures.render_fig16(results)
-    if chart:
-        panels = [charts.fig16_chart(results, grads) for grads in results]
-        rendered += "\n\n" + "\n\n".join(panels)
-    return rendered
-
-
-def _run_backends(parallel=None) -> str:
-    return figures.render_backend_sweep(exp.backend_sweep(parallel=parallel))
-
-
-def _run_hybrid(fast: bool, parallel=None) -> str:
-    return figures.render_hybrid_sweep(exp.hybrid_sweep(
-        num_flows=500 if fast else 2000, parallel=parallel
-    ))
-
-
-def _run_chains(fast: bool, parallel=None) -> str:
-    return figures.render_chain_sweep(exp.chains_sweep(
-        packets=1024 if fast else 4096, parallel=parallel
-    ))
-
-
-def _run_traffic(fast: bool, parallel=None) -> str:
-    return figures.render_traffic_sweep(exp.traffic_sweep(
-        num_flows=5_000 if fast else 100_000,
-        chain_packets=2048 if fast else 4096,
-        parallel=parallel,
-    ), chain=exp.TRAFFIC_CHAIN)
-
-
-def _run_calibrate() -> str:
-    from repro.collectives.calibrate import calibrate, render_calibration
-
-    return render_calibration(calibrate())
-
-
-def _run_analysis() -> str:
-    return figures.render_program_analysis(exp.microcode_program_analysis())
-
-
-def _run_generations(fast: bool, parallel=None) -> str:
-    return figures.render_generation_scaling(exp.generation_scaling(
-        blocks=32 if fast else 128, parallel=parallel
-    ))
-
-
-def _run_loss(fast: bool, parallel=None) -> str:
-    return figures.render_loss_recovery(exp.loss_recovery_sweep(
-        blocks=16 if fast else 32, parallel=parallel
-    ))
-
-
-def _run_ablations(fast: bool) -> str:
-    sections = [
-        figures.render_ablation(
-            "Ablation: RMW engine offload vs thread-ownership locking (§2.3)",
-            exp.ablation_rmw_offload(
-                num_threads=16 if fast else 64,
-                updates_per_thread=8 if fast else 32,
-            ),
-        ),
-        figures.render_ablation(
-            "Ablation: parallel timer-thread table scanning (§5)",
-            exp.ablation_scan_threads(
-                num_records=2_000 if fast else 20_000
-            ),
-        ),
-        figures.render_ablation(
-            "Ablation: single-level vs hierarchical aggregation (§4)",
-            exp.ablation_hierarchy(
-                blocks=64 if fast else 512,
-                window=32 if fast else 256,
-            ),
-        ),
-        figures.render_ablation(
-            "Ablation: tail-read chunk size (Figure 10 loop)",
-            exp.ablation_tail_chunk(blocks=8 if fast else 32),
-        ),
-    ]
-    return "\n\n".join(sections)
-
-
-def build_registry(fast: bool, chart: bool = False, parallel=None
+def build_registry(fast: bool, chart: bool = False,
+                   parallel: Optional[int] = None
                    ) -> Dict[str, Callable[[], str]]:
-    return {
-        "table1": _run_table1,
-        "fig12": _run_fig12,
-        "fig13": partial(_run_fig13, chart, parallel=parallel),
-        "fig14": partial(_run_fig14, fast, parallel=parallel),
-        "fig15": partial(_run_fig15, fast, parallel=parallel),
-        "fig16": partial(_run_fig16, fast, chart, parallel=parallel),
-        "backends": partial(_run_backends, parallel=parallel),
-        "hybrid": partial(_run_hybrid, fast, parallel=parallel),
-        "chains": partial(_run_chains, fast, parallel=parallel),
-        "traffic": partial(_run_traffic, fast, parallel=parallel),
-        "calibrate": _run_calibrate,
-        "analysis": _run_analysis,
-        "ablations": partial(_run_ablations, fast),
-        "generations": partial(_run_generations, fast, parallel=parallel),
-        "loss": partial(_run_loss, fast, parallel=parallel),
-    }
+    """Experiment name -> a call running its sweeps and returning the
+    rendered output (see :data:`repro.harness.figures.EXPERIMENTS`)."""
+    return {name: partial(_run, sweeps, fast, chart, parallel)
+            for name, sweeps in EXPERIMENTS.items()}
 
 
 def _run_names(names, registry) -> None:

@@ -9,7 +9,8 @@ use the calibrated iteration-time models of :mod:`repro.ml`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.collectives import available_backends
@@ -19,7 +20,6 @@ from repro.ml.models import DNNModel, MODEL_ZOO
 from repro.ml.training import DataParallelTrainer, TrainingConfig
 from repro.sim import Environment, Resource
 from repro.trio.chipset import GENERATIONS
-from repro.trio.hashtable import HardwareHashTable
 from repro.trio.pfe import PFE
 from repro.trioml.aggregator import (
     INSTRUCTIONS_PER_GRADIENT,
@@ -27,8 +27,10 @@ from repro.trioml.aggregator import (
 )
 from repro.trioml.config import TrioMLJobConfig
 from repro.harness.testbed import (
+    SinglePfeTestbed,
     build_hierarchical_testbed,
     build_single_pfe_testbed,
+    run_single_pfe_allreduce,
 )
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "Fig14Row",
     "Fig15Row",
     "Fig16Row",
+    "FluidRow",
     "HybridRow",
     "ProgramAnalysis",
     "TRAFFIC_CHAIN",
@@ -81,40 +84,21 @@ def _map_points(worker: Callable, points: Sequence,
     list is bit-identical to the serial loop.  The process-wide default
     seed (``--seed``) is replicated into each worker so seeded and
     serial runs agree under any multiprocessing start method.
+
+    Under an active obs session each point runs in a fresh scoped
+    session (serial: nested on the stack; parallel: the only session in
+    its worker process) and returns ``(result, export)``; the parent
+    merges the exports in point order.  Both modes execute the identical
+    enable-run-export sequence per point, so the merged snapshot is
+    bit-identical serial vs parallel.
     """
     points = list(points)
     parent = _obs.session()
     if parent is not None:
-        return _map_points_observed(worker, points, parallel, parent)
+        worker = _obs.CapturedWorker(worker)
+        points = list(enumerate(points))
     if not parallel or parallel <= 1 or len(points) <= 1:
-        return [worker(point) for point in points]
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.sim import default_seed, set_default_seed
-
-    with ProcessPoolExecutor(
-        max_workers=min(parallel, len(points)),
-        initializer=set_default_seed,
-        initargs=(default_seed(),),
-    ) as pool:
-        return list(pool.map(worker, points))
-
-
-def _map_points_observed(worker: Callable, points: List,
-                         parallel: Optional[int],
-                         parent: "_obs.ObsSession") -> List:
-    """``_map_points`` under an active obs session.
-
-    Each point runs in a fresh scoped session (serial: nested on the
-    stack; parallel: the only session in its worker process) and returns
-    ``(result, export)``; the parent merges the exports in point order.
-    Both modes execute the identical enable-run-export sequence per
-    point, so the merged snapshot is bit-identical serial vs parallel.
-    """
-    captured = _obs.CapturedWorker(worker)
-    indexed = list(enumerate(points))
-    if not parallel or parallel <= 1 or len(points) <= 1:
-        pairs = [captured(item) for item in indexed]
+        results = [worker(point) for point in points]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -125,18 +109,64 @@ def _map_points_observed(worker: Callable, points: List,
             initializer=set_default_seed,
             initargs=(default_seed(),),
         ) as pool:
-            pairs = list(pool.map(captured, indexed))
-    results = []
-    for result, exported in pairs:
+            results = list(pool.map(worker, points))
+    if parent is None:
+        return results
+    for __, exported in results:
         parent.merge(exported)
-        results.append(result)
-    return results
+    return [result for result, __ in results]
+
+
 #: Gradient-per-packet sweep of Figure 15.
 FIG15_GRAD_COUNTS = (64, 128, 256, 512, 1024)
 #: Window sweep of Figure 16.
 FIG16_WINDOWS = (1, 4, 16, 64, 256, 1024, 4096)
 #: Timeout sweep of Figure 14 (milliseconds).
 FIG14_TIMEOUTS_MS = (2.5, 5.0, 10.0, 15.0, 20.0)
+
+
+def _iteration_s(model: DNNModel, systems: Sequence[str], probability: float,
+                 iterations: int, seed: int) -> Dict[str, float]:
+    """Mean iteration time (s) of training ``model`` on each system."""
+    return {
+        system: DataParallelTrainer(TrainingConfig(
+            model=model, system=system, straggle_probability=probability,
+            seed=seed,
+        )).average_iteration_s(iterations)
+        for system in systems
+    }
+
+
+def _grouped(points: Sequence[tuple], rows: List) -> Dict:
+    """Sweep rows grouped by the first element of their points."""
+    results: Dict = {}
+    for (key, *__), row in zip(points, rows):
+        results.setdefault(key, []).append(row)
+    return results
+
+
+def _straggler_run(blocks: int, grads_per_packet: int, timeout_ms: float,
+                   detector_threads: int) -> Tuple[SinglePfeTestbed, List]:
+    """Figure 14's set-up: four workers on one PFE with the straggler
+    detector on, and server 4 never sending, so every block ages out.
+
+    Returns the testbed and the three workers that sent.
+    """
+    env = Environment()
+    config = TrioMLJobConfig(
+        grads_per_packet=grads_per_packet,
+        window=blocks,
+        timeout_s=timeout_ms / 1e3,
+        detector_threads=detector_threads,
+    )
+    testbed = build_single_pfe_testbed(
+        env, config, num_workers=4, with_detector=True
+    )
+    vector = [1] * (grads_per_packet * blocks)
+    senders = testbed.workers[:3]  # server 4 is the straggler
+    procs = [env.process(w.allreduce(vector)) for w in senders]
+    env.run(until=env.all_of(procs))
+    return testbed, senders
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +217,8 @@ def fig12_time_to_accuracy(
     for key in models or MODEL_ZOO:
         model = MODEL_ZOO[key]
         curve = AccuracyCurve(model)
-        iteration_s: Dict[str, float] = {}
-        for system in ("trioml", "switchml"):
-            trainer = DataParallelTrainer(
-                TrainingConfig(
-                    model=model,
-                    system=system,
-                    straggle_probability=straggle_probability,
-                    seed=seed,
-                )
-            )
-            iteration_s[system] = trainer.average_iteration_s(iterations)
+        iteration_s = _iteration_s(model, ("trioml", "switchml"),
+                                   straggle_probability, iterations, seed)
         target = model.target_accuracy
         tta = {
             system: curve.time_to_accuracy_s(target, iteration_s[system]) / 60
@@ -235,18 +256,8 @@ class Fig13Row:
 def _fig13_point(args: Tuple[str, float, int, int]) -> Fig13Row:
     """One (model, probability) point of Figure 13."""
     key, probability, iterations, seed = args
-    model = MODEL_ZOO[key]
-    averages = {}
-    for system in ("ideal", "trioml", "switchml"):
-        trainer = DataParallelTrainer(
-            TrainingConfig(
-                model=model,
-                system=system,
-                straggle_probability=probability,
-                seed=seed,
-            )
-        )
-        averages[system] = trainer.average_iteration_s(iterations)
+    averages = _iteration_s(MODEL_ZOO[key], ("ideal", "trioml", "switchml"),
+                            probability, iterations, seed)
     return Fig13Row(
         probability=probability,
         ideal_ms=averages["ideal"] * 1e3,
@@ -269,11 +280,7 @@ def fig13_iteration_time(
         for key in keys
         for probability in probabilities
     ]
-    rows = _map_points(_fig13_point, points, parallel)
-    results: Dict[str, List[Fig13Row]] = {}
-    for (key, *_), row in zip(points, rows):
-        results.setdefault(key, []).append(row)
-    return results
+    return _grouped(points, _map_points(_fig13_point, points, parallel))
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +302,10 @@ def _backend_sweep_point(
 ) -> BackendSweepRow:
     """One probability point of the registry-wide backend sweep."""
     key, probability, iterations, seed, systems = args
-    model = MODEL_ZOO[key]
-    iteration_ms: Dict[str, float] = {}
-    for system in systems:
-        trainer = DataParallelTrainer(
-            TrainingConfig(
-                model=model,
-                system=system,
-                straggle_probability=probability,
-                seed=seed,
-            )
-        )
-        iteration_ms[system] = trainer.average_iteration_s(iterations) * 1e3
+    iteration_s = _iteration_s(MODEL_ZOO[key], systems, probability,
+                               iterations, seed)
+    iteration_ms = {system: value * 1e3
+                    for system, value in iteration_s.items()}
     return BackendSweepRow(probability=probability, iteration_ms=iteration_ms)
 
 
@@ -349,20 +348,8 @@ class Fig14Row:
 def _fig14_point(args: Tuple[float, int, int, int]) -> Fig14Row:
     """One timeout point of Figure 14."""
     timeout_ms, blocks, grads_per_packet, detector_threads = args
-    env = Environment()
-    config = TrioMLJobConfig(
-        grads_per_packet=grads_per_packet,
-        window=blocks,
-        timeout_s=timeout_ms / 1e3,
-        detector_threads=detector_threads,
-    )
-    testbed = build_single_pfe_testbed(
-        env, config, num_workers=4, with_detector=True
-    )
-    vector = [1] * (grads_per_packet * blocks)
-    senders = testbed.workers[:3]  # server 4 is the straggler
-    procs = [env.process(w.allreduce(vector)) for w in senders]
-    env.run(until=env.all_of(procs))
+    __, senders = _straggler_run(blocks, grads_per_packet, timeout_ms,
+                                 detector_threads)
     mitigation_ms: List[float] = []
     for worker in senders:
         for key, sent in worker.send_times.items():
@@ -419,12 +406,8 @@ def _fig15_point(args: Tuple[int, int]) -> Tuple[Fig15Row, int]:
     fast-path, and ``--parallel`` runs.
     """
     grads, blocks = args
-    env = Environment()
-    config = TrioMLJobConfig(grads_per_packet=grads, window=1)
-    testbed = build_single_pfe_testbed(env, config, num_workers=4)
-    vector = [1] * (grads * blocks)
-    procs = testbed.run_allreduce([vector] * 4)
-    env.run(until=env.all_of(procs))
+    testbed, __ = run_single_pfe_allreduce(
+        TrioMLJobConfig(grads_per_packet=grads, window=1), blocks)
     latencies = testbed.handle.aggregator.packet_latencies
     mean_latency_s = sum(latencies) / len(latencies)
     row = Fig15Row(
@@ -432,7 +415,7 @@ def _fig15_point(args: Tuple[int, int]) -> Tuple[Fig15Row, int]:
         latency_us=mean_latency_s * 1e6,
         rate_grads_per_us=grads / (mean_latency_s * 1e6),
     )
-    return row, env.scheduled_events
+    return row, testbed.env.scheduled_events
 
 
 def fig15_latency_rate(
@@ -461,14 +444,9 @@ class Fig16Row:
 def _fig16_point(args: Tuple[int, int, int]) -> Fig16Row:
     """One (grads, window) point of Figure 16."""
     grads, window, blocks = args
-    env = Environment()
-    config = TrioMLJobConfig(grads_per_packet=grads, window=window)
-    testbed = build_single_pfe_testbed(env, config, num_workers=4)
-    vector = [1] * (grads * blocks)
-    start = env.now
-    procs = testbed.run_allreduce([vector] * 4)
-    env.run(until=env.all_of(procs))
-    elapsed = env.now - start
+    testbed, __ = run_single_pfe_allreduce(
+        TrioMLJobConfig(grads_per_packet=grads, window=window), blocks)
+    elapsed = testbed.env.now
     aggregator = testbed.handle.aggregator
     latencies = aggregator.packet_latencies
     total_bits = aggregator.gradients_aggregated * 32
@@ -496,11 +474,7 @@ def fig16_window_sweep(
         for grads in grad_counts
         for window in windows
     ]
-    rows = _map_points(_fig16_point, points, parallel)
-    results: Dict[int, List[Fig16Row]] = {}
-    for (grads, *_), row in zip(points, rows):
-        results.setdefault(grads, []).append(row)
-    return results
+    return _grouped(points, _map_points(_fig16_point, points, parallel))
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +500,8 @@ def microcode_program_analysis(
     """Reproduce the §6.3 program analysis: ~60 static instructions,
     ~1.2 run-time instructions per gradient in the aggregation loop, and
     6 billion RMW add operations per second per PFE."""
-    env = Environment()
-    config = TrioMLJobConfig(grads_per_packet=grads_per_packet, window=8)
-    testbed = build_single_pfe_testbed(env, config, num_workers=4)
-    vector = [1] * (grads_per_packet * blocks)
-    procs = testbed.run_allreduce([vector] * 4)
-    env.run(until=env.all_of(procs))
+    testbed, __ = run_single_pfe_allreduce(
+        TrioMLJobConfig(grads_per_packet=grads_per_packet, window=8), blocks)
     aggregator = testbed.handle.aggregator
     total_instructions = sum(
         ppe.instructions_executed for ppe in testbed.pfe.ppes
@@ -580,19 +550,14 @@ class LossRow:
 def _loss_point(args: Tuple[float, int, int]) -> LossRow:
     """One loss-rate point of the loss-recovery sweep."""
     loss_rate, blocks, grads_per_packet = args
-    env = Environment()
     config = TrioMLJobConfig(
         grads_per_packet=grads_per_packet,
         window=8,
         loss_recovery=True,
         retransmit_timeout_s=0.002,
     )
-    testbed = build_single_pfe_testbed(
-        env, config, num_workers=4, link_loss_rate=loss_rate
-    )
-    vector = [1] * (grads_per_packet * blocks)
-    procs = testbed.run_allreduce([vector] * 4)
-    env.run(until=env.all_of(procs))
+    testbed, procs = run_single_pfe_allreduce(config, blocks,
+                                              link_loss_rate=loss_rate)
     for proc in procs:
         if any(block.values != [4] * grads_per_packet
                for block in proc.value):
@@ -602,7 +567,7 @@ def _loss_point(args: Tuple[float, int, int]) -> LossRow:
     runtime = next(iter(testbed.handle.runtimes.values()))
     return LossRow(
         loss_rate=loss_rate,
-        completion_ms=env.now * 1e3,
+        completion_ms=testbed.env.now * 1e3,
         frames_lost=sum(l.frames_lost for l in testbed.topology.links),
         retransmissions=sum(w.retransmissions for w in testbed.workers),
         results_replayed=runtime.results_replayed,
@@ -664,17 +629,11 @@ def _generation_point(args: Tuple[int, int, int, int]) -> GenerationRow:
     """One chipset-generation point of the generation-scaling sweep."""
     gen, blocks, grads_per_packet, window = args
     chipset = GENERATIONS[gen]
-    env = Environment()
     config = TrioMLJobConfig(grads_per_packet=grads_per_packet,
                              window=window)
-    testbed = build_single_pfe_testbed(
-        env, config, num_workers=4, chipset=chipset
-    )
-    vector = [1] * (grads_per_packet * blocks)
-    procs = testbed.run_allreduce([vector] * 4)
-    env.run(until=env.all_of(procs))
-    aggregator = testbed.handle.aggregator
-    total_bits = aggregator.gradients_aggregated * 32
+    testbed, __ = run_single_pfe_allreduce(config, blocks, chipset=chipset)
+    env = testbed.env
+    total_bits = testbed.handle.aggregator.gradients_aggregated * 32
     return GenerationRow(
         generation=gen,
         year=chipset.year,
@@ -695,50 +654,41 @@ def ablation_rmw_offload(num_threads: int = 64,
     (read, then write) per update while holding the location; the RMW
     engine pays one service slot next to the memory.
     """
-    config = GENERATIONS[5]
-
-    def run_rmw() -> float:
+    def contend(update) -> float:
+        """Simulated time for every thread to apply its updates."""
         env = Environment()
-        pfe = PFE(env, "pfe", config=config, num_ports=1)
-        addr = pfe.memory.alloc(16, region="sram", align=16)
-
-        def worker():
-            for __ in range(updates_per_thread):
-                yield from pfe.memory.counter_inc(addr, 100)
-
-        procs = [env.process(worker()) for __ in range(num_threads)]
-        env.run(until=env.all_of(procs))
-        return env.now
-
-    def run_lock() -> float:
-        env = Environment()
-        pfe = PFE(env, "pfe", config=config, num_ports=1)
+        pfe = PFE(env, "pfe", config=GENERATIONS[5], num_ports=1)
         addr = pfe.memory.alloc(16, region="sram", align=16)
         lock = Resource(env)
 
         def worker():
             for __ in range(updates_per_thread):
-                yield lock.request()
-                try:
-                    # Move the data to the thread, modify, move it back.
-                    raw = yield from pfe.memory.read(addr, 16)
-                    packets = int.from_bytes(raw[:8], "little") + 1
-                    nbytes = int.from_bytes(raw[8:], "little") + 100
-                    yield from pfe.memory.write(
-                        addr,
-                        packets.to_bytes(8, "little")
-                        + nbytes.to_bytes(8, "little"),
-                    )
-                finally:
-                    lock.release()
+                yield from update(pfe.memory, addr, lock)
 
         procs = [env.process(worker()) for __ in range(num_threads)]
         env.run(until=env.all_of(procs))
         return env.now
 
+    def rmw(memory, addr, lock):
+        yield from memory.counter_inc(addr, 100)
+
+    def locked(memory, addr, lock):
+        yield lock.request()
+        try:
+            # Move the data to the thread, modify, move it back.
+            raw = yield from memory.read(addr, 16)
+            packets = int.from_bytes(raw[:8], "little") + 1
+            nbytes = int.from_bytes(raw[8:], "little") + 100
+            yield from memory.write(
+                addr,
+                packets.to_bytes(8, "little") + nbytes.to_bytes(8, "little"),
+            )
+        finally:
+            lock.release()
+
     return [
-        AblationRow("rmw-engine offload", run_rmw() * 1e6, "us"),
-        AblationRow("thread-ownership lock", run_lock() * 1e6, "us"),
+        AblationRow("rmw-engine offload", contend(rmw) * 1e6, "us"),
+        AblationRow("thread-ownership lock", contend(locked) * 1e6, "us"),
     ]
 
 
@@ -789,30 +739,21 @@ def ablation_hierarchy(blocks: int = 512,
     wins on completion time.
     """
 
-    def run(build, config) -> float:
+    def run(build, win: int) -> float:
         env = Environment()
-        testbed = build(env, config)
-        n = blocks if config.window >= window else max(16, blocks // 8)
+        testbed = build(env, TrioMLJobConfig(grads_per_packet=grads_per_packet,
+                                             window=win))
+        n = blocks if win >= window else max(16, blocks // 8)
         vector = [1] * (grads_per_packet * n)
         procs = testbed.run_allreduce([vector] * 6)
         env.run(until=env.all_of(procs))
         return env.now
 
-    def flat_build(env, config):
-        return build_single_pfe_testbed(env, config, num_workers=6)
-
-    def hier_build(env, config):
-        return build_hierarchical_testbed(env, config)
-
     rows: List[AblationRow] = []
     for label, win in (("latency regime, window 4", 4),
                        (f"saturating regime, window {window}", window)):
-        config = TrioMLJobConfig(grads_per_packet=grads_per_packet,
-                                 window=win)
-        flat_time = run(flat_build, config)
-        config = TrioMLJobConfig(grads_per_packet=grads_per_packet,
-                                 window=win)
-        hier_time = run(hier_build, config)
+        flat_time = run(partial(build_single_pfe_testbed, num_workers=6), win)
+        hier_time = run(build_hierarchical_testbed, win)
         rows.append(AblationRow(
             f"single-level, {label}", flat_time * 1e3, "ms"))
         rows.append(AblationRow(
@@ -829,13 +770,9 @@ def ablation_tail_chunk(
     Memory-and-Queueing-Subsystem round trips per packet."""
     rows: List[AblationRow] = []
     for chunk in chunk_sizes:
-        env = Environment()
-        config = TrioMLJobConfig(grads_per_packet=grads_per_packet, window=1)
-        testbed = build_single_pfe_testbed(env, config, num_workers=4)
-        testbed.handle.aggregator.tail_chunk_bytes = chunk
-        vector = [1] * (grads_per_packet * blocks)
-        procs = testbed.run_allreduce([vector] * 4)
-        env.run(until=env.all_of(procs))
+        testbed, __ = run_single_pfe_allreduce(
+            TrioMLJobConfig(grads_per_packet=grads_per_packet, window=1),
+            blocks, tail_chunk_bytes=chunk)
         latencies = testbed.handle.aggregator.packet_latencies
         rows.append(
             AblationRow(
@@ -856,10 +793,10 @@ HYBRID_LOADS = (0.3, 0.5, 0.7)
 
 
 @dataclass
-class HybridRow:
-    """One offered-load point of the hybrid flow/packet sweep."""
+class FluidRow:
+    """The fluid-level summary of one hybrid run: the columns the hybrid
+    and traffic sweeps share."""
 
-    load: float
     flows: int
     mean_fct_ms: float
     p99_fct_ms: float
@@ -867,12 +804,37 @@ class HybridRow:
     simulated_gbytes: float
     sim_seconds: float
     solves: int
-    #: Escalation counts by reason ("incast", "straggler", "pfe-hash").
+    #: Escalation counts by reason ("incast", "straggler", "pfe-hash",
+    #: and the traffic library's "microburst" and "ddos").
     escalations: Dict[str, int]
 
     @property
     def escalated_total(self) -> int:
         return sum(self.escalations.values())
+
+    @classmethod
+    def from_run(cls, result, **fields):
+        """Summarise a hybrid run's result; ``fields`` fill the
+        subclass's own columns."""
+        summary = result.summary
+        return cls(
+            flows=int(summary["flows"]),
+            mean_fct_ms=summary["mean_fct_s"] * 1e3,
+            p99_fct_ms=summary["p99_fct_s"] * 1e3,
+            mean_goodput_gbps=summary["mean_goodput_bps"] / 1e9,
+            simulated_gbytes=result.simulated_payload_bytes / 1e9,
+            sim_seconds=result.sim_seconds,
+            solves=result.solves,
+            escalations=dict(sorted(result.escalations.items())),
+            **fields,
+        )
+
+
+@dataclass
+class HybridRow(FluidRow):
+    """One offered-load point of the hybrid flow/packet sweep."""
+
+    load: float
 
 
 def _hybrid_point(args: Tuple[int, float, float]) -> HybridRow:
@@ -883,18 +845,7 @@ def _hybrid_point(args: Tuple[int, float, float]) -> HybridRow:
     result = run_scenario(ScenarioConfig(
         num_flows=num_flows, load=load, mean_flow_bytes=mean_flow_bytes,
     ))
-    summary = result.summary
-    return HybridRow(
-        load=load,
-        flows=int(summary["flows"]),
-        mean_fct_ms=summary["mean_fct_s"] * 1e3,
-        p99_fct_ms=summary["p99_fct_s"] * 1e3,
-        mean_goodput_gbps=summary["mean_goodput_bps"] / 1e9,
-        simulated_gbytes=result.simulated_payload_bytes / 1e9,
-        sim_seconds=result.sim_seconds,
-        solves=result.solves,
-        escalations=dict(sorted(result.escalations.items())),
-    )
+    return HybridRow.from_run(result, load=load)
 
 
 def hybrid_sweep(
@@ -945,6 +896,27 @@ def profile_flowsim_slice(num_flows: int = 300) -> Dict[str, float]:
 # Traffic scenario sweep (ROADMAP item 1, repro.traffic)
 # ---------------------------------------------------------------------------
 
+def _execute_chain(compiled, placement, trace):
+    """Run ``trace`` through a compiled chain split as ``placement``.
+
+    Returns the chain result, the placement's cost, and the packet
+    verdict totals as the ``forwarded``/``dropped``/``consumed`` fields
+    the traffic and chain rows share.
+    """
+    from repro.nf import run_chain
+
+    cost = compiled.placement_costs(placement)
+    result = run_chain(compiled.spec, compiled.nfs, placement, trace,
+                       per_packet_s=cost.per_packet_s)
+    tallies = result.flow_verdicts.values()
+    verdicts = {
+        "forwarded": sum(t[0] for t in tallies),
+        "dropped": sum(t[1] for t in tallies),
+        "consumed": sum(t[2] for t in tallies),
+    }
+    return result, cost, verdicts
+
+
 #: The chain every scenario's packet stream is validated against: the
 #: DDoS and heavy-hitter families exist to exercise exactly these two
 #: NFs (per-source policers, per-flow accounting).
@@ -952,7 +924,7 @@ TRAFFIC_CHAIN = "firewall -> telemetry"
 
 
 @dataclass
-class TrafficRow:
+class TrafficRow(FluidRow):
     """One registered traffic scenario, run at both simulation levels.
 
     The fluid columns come from a full hybrid run of the scenario on
@@ -961,24 +933,10 @@ class TrafficRow:
     """
 
     scenario: str
-    flows: int
-    mean_fct_ms: float
-    p99_fct_ms: float
-    mean_goodput_gbps: float
-    simulated_gbytes: float
-    sim_seconds: float
-    solves: int
-    #: Escalation counts by reason — now including the traffic
-    #: library's "microburst" and "ddos" classes.
-    escalations: Dict[str, int]
     chain_packets: int
     forwarded: int
     dropped: int
     consumed: int
-
-    @property
-    def escalated_total(self) -> int:
-        return sum(self.escalations.values())
 
     @property
     def drop_fraction(self) -> float:
@@ -994,36 +952,18 @@ def _traffic_point(args: Tuple[str, int, int]) -> TrafficRow:
     are pure functions of ``(name, sizes, process default seed)`` — so
     points fan across worker processes bit-identically.
     """
-    from repro.nf import compile_chain, greedy_place, run_chain
+    from repro.nf import compile_chain, greedy_place
     from repro.traffic import get_scenario, packet_stream, run_fluid
 
     name, num_flows, chain_packets = args
     scenario = get_scenario(name)
     fluid = run_fluid(scenario, num_flows)
-    summary = fluid.summary
-
     compiled = compile_chain(TRAFFIC_CHAIN)
-    placement = greedy_place(compiled)
-    cost = compiled.placement_costs(placement)
     trace = packet_stream(scenario, chain_packets)
-    chain = run_chain(compiled.spec, compiled.nfs, placement, trace,
-                      per_packet_s=cost.per_packet_s)
-    tallies = chain.flow_verdicts.values()
-    return TrafficRow(
-        scenario=name,
-        flows=int(summary["flows"]),
-        mean_fct_ms=summary["mean_fct_s"] * 1e3,
-        p99_fct_ms=summary["p99_fct_s"] * 1e3,
-        mean_goodput_gbps=summary["mean_goodput_bps"] / 1e9,
-        simulated_gbytes=fluid.simulated_payload_bytes / 1e9,
-        sim_seconds=fluid.sim_seconds,
-        solves=fluid.solves,
-        escalations=dict(sorted(fluid.escalations.items())),
-        chain_packets=chain.packets,
-        forwarded=sum(t[0] for t in tallies),
-        dropped=sum(t[1] for t in tallies),
-        consumed=sum(t[2] for t in tallies),
-    )
+    chain, __, verdicts = _execute_chain(compiled, greedy_place(compiled),
+                                         trace)
+    return TrafficRow.from_run(fluid, scenario=name,
+                               chain_packets=chain.packets, **verdicts)
 
 
 def traffic_sweep(
@@ -1082,23 +1022,17 @@ def _chain_point(args: Tuple[str, Tuple[str, ...], int, int]) -> ChainRow:
     the per-placement fingerprints are what serial-vs-parallel identity
     is asserted over.
     """
-    from repro.nf import compile_chain, generate_trace, run_chain
+    from repro.nf import compile_chain, generate_trace
 
     spec, placement, packets, seed = args
-    compiled = compile_chain(spec)
-    cost = compiled.placement_costs(placement)
-    trace = generate_trace(packets, seed=seed)
-    result = run_chain(compiled.spec, compiled.nfs, placement, trace,
-                       per_packet_s=cost.per_packet_s)
-    tallies = result.flow_verdicts.values()
+    result, cost, verdicts = _execute_chain(
+        compile_chain(spec), placement, generate_trace(packets, seed=seed))
     return ChainRow(
         placement=tuple(placement),
         per_packet_ns=cost.per_packet_s * 1e9,
         crossings=cost.crossings,
-        forwarded=sum(t[0] for t in tallies),
-        dropped=sum(t[1] for t in tallies),
-        consumed=sum(t[2] for t in tallies),
         fingerprint=result.fingerprint(),
+        **verdicts,
     )
 
 
@@ -1157,20 +1091,9 @@ def profile_dataplane_slice(
     RMW engine activity, hash scans, block create/complete spans, and
     mitigation instants.
     """
-    env = Environment()
-    config = TrioMLJobConfig(
-        grads_per_packet=grads_per_packet,
-        window=blocks,
-        timeout_s=timeout_ms / 1e3,
-        detector_threads=detector_threads,
-    )
-    testbed = build_single_pfe_testbed(
-        env, config, num_workers=4, with_detector=True
-    )
-    vector = [1] * (grads_per_packet * blocks)
-    senders = testbed.workers[:3]  # server 4 is the straggler
-    procs = [env.process(w.allreduce(vector)) for w in senders]
-    env.run(until=env.all_of(procs))
+    testbed, __ = _straggler_run(blocks, grads_per_packet, timeout_ms,
+                                 detector_threads)
+    env = testbed.env
     return {
         "simulated_s": env.now,
         "scheduled_events": float(env.scheduled_events),

@@ -1,361 +1,345 @@
-"""Text renderers: print each experiment as the rows the paper reports."""
+"""The experiment table: every table and figure the harness prints.
+
+Each :class:`Sweep` entry holds a driver, the keyword arguments of its
+``--fast`` run (a full run is the driver's defaults), and the title and
+columns its result prints as.  Adding an experiment to the harness means
+adding one entry to :data:`EXPERIMENTS`.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import dataclasses
+import inspect
+import re
+from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
+from repro.collectives import get_backend
+from repro.collectives.calibrate import calibrate, render_calibration
+from repro.harness import charts
 from repro.harness import experiments as exp
 
-__all__ = [
-    "render_backend_sweep",
-    "render_chain_sweep",
-    "render_table1",
-    "render_fig12",
-    "render_fig13",
-    "render_fig14",
-    "render_fig15",
-    "render_fig16",
-    "render_hybrid_sweep",
-    "render_program_analysis",
-    "render_traffic_sweep",
-    "render_ablation",
-    "render_generation_scaling",
-    "to_csv",
-    "fig13_to_csv",
-    "fig15_to_csv",
-    "fig16_to_csv",
-    "hybrid_to_csv",
-    "traffic_to_csv",
-]
+__all__ = ["Column", "EXPERIMENTS", "SWEEPS", "Sweep"]
+
+#: The alignment and width at the head of a format spec.
+_ALIGN_WIDTH = re.compile(r"[<>^]?(\d*)")
 
 
-def _rule(width: int = 72) -> str:
-    return "-" * width
+@dataclass(frozen=True)
+class Column:
+    """One column: its header, the format spec of its cells, and the
+    function reading a cell's value from a row.  The header takes the
+    spec's alignment and width."""
+
+    header: str
+    spec: str
+    value: Callable[[Any], Any]
+
+    @property
+    def width(self) -> int:
+        return int(_ALIGN_WIDTH.match(self.spec).group(1) or 0)
+
+    def head(self) -> str:
+        return format(self.header, _ALIGN_WIDTH.match(self.spec).group())
+
+    def cell(self, row: Any) -> str:
+        return format(self.value(row), self.spec)
 
 
-def render_table1(rows: List[Dict[str, object]]) -> str:
-    lines = [
-        "Table 1: DNN models used in the experiments",
-        _rule(),
-        f"{'Model':<14}{'Size':>8}{'Batch size/GPU':>18}{'Dataset':>12}",
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """One experiment's driver and the table it prints: ``title``
+    (formatted with the driver's arguments), a rule at least ``rule``
+    wide, the headers (unless all empty), and one line per row.  A
+    grouped driver returns ``{key: rows}``, printed group by group under
+    ``group_label``; ``footer`` adds a rule and a summary line."""
+
+    driver: Callable[..., Any]
+    title: str = ""
+    #: The columns, or a function building them from the rows.
+    columns: Union[Sequence[Column], Callable[[list], Sequence[Column]]] = ()
+    #: Keyword arguments of the ``--fast`` run.
+    fast: Dict[str, Any] = field(default_factory=dict)
+    #: The rows of a result (of each group's result, when grouped).
+    rows: Callable[[Any], Sequence] = list
+    group: str = ""
+    group_label: str = "[{}]"
+    rule: int = 72
+    footer: Optional[Callable[[Sequence], str]] = None
+    #: ``chart(result, key)``: the ASCII chart of one group (``--chart``).
+    chart: Optional[Callable[[Any, Any], str]] = None
+    #: A report the driver's own module renders, in place of the table.
+    report: Optional[Callable[[Any], str]] = None
+
+    def run(self, fast: bool = False, chart: bool = False,
+            parallel: Optional[int] = None) -> str:
+        """Run the driver at full or ``--fast`` size and render it."""
+        kwargs = dict(self.fast) if fast else {}
+        if "parallel" in inspect.signature(self.driver).parameters:
+            kwargs["parallel"] = parallel
+        result = self.driver(**kwargs)
+        rendered = self.render(result, **kwargs)
+        if chart and self.chart is not None:
+            rendered += "\n\n" + "\n\n".join(
+                self.chart(result, key) for key in result)
+        return rendered
+
+    def render(self, result: Any, **kwargs: Any) -> str:
+        """The table of ``result``, returned by ``driver(**kwargs)``."""
+        if self.report is not None:
+            return self.report(result)
+        bound = inspect.signature(self.driver).bind(**kwargs)
+        bound.apply_defaults()
+        groups = [(key, self.rows(rows)) for key, rows in self._groups(result)]
+        every = [row for __, rows in groups for row in rows]
+        columns = (self.columns(every) if callable(self.columns)
+                   else self.columns)
+        rule = "-" * max(self.rule, sum(column.width for column in columns))
+        lines = [self.title.format(**bound.arguments), rule]
+        for key, rows in groups:
+            if self.group:
+                lines.append(self.group_label.format(key))
+            if any(column.header for column in columns):
+                lines.append("".join(column.head() for column in columns))
+            lines += ["".join(column.cell(row) for column in columns)
+                      for row in rows]
+        if self.footer is not None:
+            lines += [rule, self.footer(every)]
+        return "\n".join(lines)
+
+    def to_csv(self, result: Any) -> str:
+        """``result`` as CSV with one column per row dataclass field,
+        led by the group key column for a grouped sweep."""
+        keyed = [((key,) if self.group else (), row)
+                 for key, rows in self._groups(result)
+                 for row in self.rows(rows)]
+        names = [f.name for f in dataclasses.fields(keyed[0][1])]
+        header = ((self.group,) if self.group else ()) + tuple(names)
+        lines = [",".join(header)]
+        for key, row in keyed:
+            cells = key + tuple(getattr(row, name) for name in names)
+            lines.append(",".join(str(cell) for cell in cells))
+        return "\n".join(lines) + "\n"
+
+    def _groups(self, result: Any) -> Sequence[Tuple[Any, Any]]:
+        return list(result.items()) if self.group else [(None, result)]
+
+
+def _percent(attr: str, digits: int) -> Callable[[Any], str]:
+    """A cell showing the fraction ``row.<attr>`` as a percentage."""
+    return lambda row: f"{getattr(row, attr) * 100:.{digits}f}%"
+
+
+def _fluid_columns(flows_width: int) -> list:
+    """The flow count and FCT/goodput columns of a fluid-level run."""
+    return [
+        Column("Flows", f">{flows_width}", attrgetter("flows")),
+        Column("Mean FCT (ms)", ">15.3f", attrgetter("mean_fct_ms")),
+        Column("p99 (ms)", ">10.2f", attrgetter("p99_fct_ms")),
+        Column("Goodput (Gbps)", ">16.2f", attrgetter("mean_goodput_gbps")),
     ]
-    for row in rows:
-        lines.append(
-            f"{row['model']:<14}{row['size_mb']:>6} MB"
-            f"{row['batch_size_per_gpu']:>18}{row['dataset']:>12}"
-        )
-    return "\n".join(lines)
 
 
-def render_fig12(results: Dict[str, "exp.Fig12Result"]) -> str:
-    lines = ["Figure 12: time-to-accuracy at straggling probability p=16%",
-             _rule()]
-    for result in results.values():
-        lines.append(
-            f"{result.model:<14} target {result.target_accuracy:.0f}% top-5: "
-            f"Trio-ML {result.trioml_minutes:7.1f} min | "
-            f"SwitchML {result.switchml_minutes:7.1f} min | "
-            f"speedup {result.speedup:.2f}x"
-        )
-    return "\n".join(lines)
+def _escalation_detail(row: exp.FluidRow) -> str:
+    detail = ", ".join(f"{reason} {count}"
+                       for reason, count in row.escalations.items())
+    return f"  ({detail})" if detail else ""
 
 
-def render_fig13(results: Dict[str, List["exp.Fig13Row"]]) -> str:
-    lines = ["Figure 13: training iteration time vs straggling probability",
-             _rule()]
-    for model, rows in results.items():
-        lines.append(f"[{model}]")
-        lines.append(
-            f"{'p':>6}{'Ideal (ms)':>14}{'Trio-ML (ms)':>14}"
-            f"{'SwitchML (ms)':>15}{'speedup':>10}"
-        )
-        for row in rows:
-            lines.append(
-                f"{row.probability * 100:>5.0f}%{row.ideal_ms:>14.1f}"
-                f"{row.trioml_ms:>14.1f}{row.switchml_ms:>15.1f}"
-                f"{row.speedup:>9.2f}x"
-            )
-    return "\n".join(lines)
-
-
-def render_backend_sweep(rows: List["exp.BackendSweepRow"],
-                         model: str = "resnet50") -> str:
-    """One column per registered backend, one row per probability."""
-    from repro.collectives import get_backend
-
+def _backend_columns(rows: Sequence[exp.BackendSweepRow]) -> list:
+    """The probability, then one column per swept backend."""
     systems = list(rows[0].iteration_ms) if rows else []
-    width = max(14, *(len(get_backend(s).display_name) + 2
-                      for s in systems)) if systems else 14
-    lines = [
-        "Backend sweep: iteration time (ms) vs straggling probability "
-        f"[{model}]",
-        _rule(max(72, 6 + width * len(systems))),
-        f"{'p':>6}" + "".join(
-            f"{get_backend(s).display_name:>{width}}" for s in systems
-        ),
+    names = [get_backend(system).display_name for system in systems]
+    width = max([14] + [len(name) + 2 for name in names])
+    return [Column("p", ">6", _percent("probability", 0))] + [
+        Column(name, f">{width}.1f",
+               lambda row, system=system: row.iteration_ms[system])
+        for system, name in zip(systems, names)
     ]
-    for row in rows:
-        lines.append(
-            f"{row.probability * 100:>5.0f}%" + "".join(
-                f"{row.iteration_ms[s]:>{width}.1f}" for s in systems
-            )
-        )
-    return "\n".join(lines)
 
 
-def render_fig14(rows: List["exp.Fig14Row"]) -> str:
-    lines = ["Figure 14: in-network timer threads' efficiency", _rule(),
-             f"{'Timeout (ms)':>14}{'Mean mitigation (ms)':>22}"
-             f"{'Max (ms)':>10}{'Blocks':>8}"]
-    for row in rows:
-        lines.append(
-            f"{row.timeout_ms:>14.1f}{row.mean_mitigation_ms:>22.2f}"
-            f"{row.max_mitigation_ms:>10.2f}{row.blocks_mitigated:>8}"
-        )
-    return "\n".join(lines)
-
-
-def render_fig15(rows: List["exp.Fig15Row"]) -> str:
-    lines = ["Figure 15: per-PFE aggregation latency and rate (window=1)",
-             _rule(),
-             f"{'Grads/packet':>13}{'Latency (us)':>14}"
-             f"{'Rate (grad/us)':>16}"]
-    for row in rows:
-        lines.append(
-            f"{row.grads_per_packet:>13}{row.latency_us:>14.2f}"
-            f"{row.rate_grads_per_us:>16.2f}"
-        )
-    return "\n".join(lines)
-
-
-def render_fig16(results: Dict[int, List["exp.Fig16Row"]]) -> str:
-    lines = ["Figure 16: impact of window size on latency and throughput",
-             _rule()]
-    for grads, rows in sorted(results.items()):
-        lines.append(f"[Trio-ML-{grads}]")
-        lines.append(
-            f"{'Window':>8}{'Latency (us)':>14}{'Throughput (Gbps)':>19}"
-        )
-        for row in rows:
-            lines.append(
-                f"{row.window:>8}{row.latency_us:>14.1f}"
-                f"{row.throughput_gbps:>19.2f}"
-            )
-    return "\n".join(lines)
-
-
-def render_program_analysis(analysis: "exp.ProgramAnalysis") -> str:
-    return "\n".join([
-        "Section 6.3: Trio-ML Microcode program analysis",
-        _rule(),
-        f"static program size:           ~{analysis.static_instructions} "
-        "instructions",
-        f"aggregation loop efficiency:    "
-        f"{analysis.loop_instructions_per_gradient:.2f} instructions/gradient",
-        f"measured (incl. overheads):     "
-        f"{analysis.measured_instructions_per_gradient:.2f} "
-        "instructions/gradient",
-        f"read-modify-write engines:      {analysis.rmw_engines} "
-        f"({analysis.rmw_add_cycles} cycles/add)",
-        f"aggregate add rate:             "
-        f"{analysis.rmw_add_rate_ops_per_s / 1e9:.1f} Gops/s per PFE",
-    ])
-
-
-def render_ablation(title: str, rows: Sequence["exp.AblationRow"]) -> str:
-    lines = [title, _rule()]
-    for row in rows:
-        lines.append(f"{row.label:<46}{row.value:>14.2f} {row.unit}")
-    return "\n".join(lines)
-
-
-def render_generation_scaling(rows: Sequence["exp.GenerationRow"]) -> str:
-    lines = [
-        "Supplementary: the same aggregation job across Trio generations",
-        _rule(),
-        f"{'Gen':>4}{'Year':>6}{'PPEs':>6}{'RMW engines':>13}"
-        f"{'Completion (ms)':>17}{'Throughput (Gbps)':>19}",
+def _analysis_rows(a: exp.ProgramAnalysis) -> list:
+    # The "~" of the approximate static size hangs left of the values.
+    return [
+        ("static program size:", f"~{a.static_instructions} instructions"),
+        ("aggregation loop efficiency:",
+         f" {a.loop_instructions_per_gradient:.2f} instructions/gradient"),
+        ("measured (incl. overheads):",
+         f" {a.measured_instructions_per_gradient:.2f} "
+         "instructions/gradient"),
+        ("read-modify-write engines:",
+         f" {a.rmw_engines} ({a.rmw_add_cycles} cycles/add)"),
+        ("aggregate add rate:",
+         f" {a.rmw_add_rate_ops_per_s / 1e9:.1f} Gops/s per PFE"),
     ]
-    for row in rows:
-        lines.append(
-            f"{row.generation:>4}{row.year:>6}{row.num_ppes:>6}"
-            f"{row.rmw_engines:>13}{row.completion_ms:>17.3f}"
-            f"{row.throughput_gbps:>19.2f}"
-        )
-    return "\n".join(lines)
 
 
-def render_hybrid_sweep(rows: Sequence["exp.HybridRow"]) -> str:
-    lines = [
-        "Hybrid flow/packet simulation: FCT and escalations vs offered load",
-        _rule(88),
-        f"{'Load':>6}{'Flows':>7}{'Mean FCT (ms)':>15}{'p99 (ms)':>10}"
-        f"{'Goodput (Gbps)':>16}{'Sim (GB)':>10}{'Solves':>8}"
-        f"{'Escalated':>11}",
-    ]
-    for row in rows:
-        detail = ", ".join(f"{reason} {count}"
-                           for reason, count in row.escalations.items())
-        lines.append(
-            f"{row.load * 100:>5.0f}%{row.flows:>7}{row.mean_fct_ms:>15.3f}"
-            f"{row.p99_fct_ms:>10.2f}{row.mean_goodput_gbps:>16.2f}"
-            f"{row.simulated_gbytes:>10.2f}{row.solves:>8}"
-            f"{row.escalated_total:>11}"
-            + (f"  ({detail})" if detail else "")
-        )
-    return "\n".join(lines)
+def _ablation(driver: Callable[..., Any], title: str,
+              **fast: Any) -> Sweep:
+    return Sweep(driver, title, [
+        Column("", "<46", attrgetter("label")),
+        Column("", ">14.2f", attrgetter("value")),
+        Column("", "", lambda row: f" {row.unit}"),
+    ], fast=fast)
 
 
-def render_traffic_sweep(rows: Sequence["exp.TrafficRow"],
-                         chain: str = "firewall -> telemetry") -> str:
-    """Every registered traffic scenario at both simulation levels.
-
-    The fluid columns summarise the hybrid run; the packet columns the
-    chain execution over the same scenario's wire stream (drops are the
-    firewall's policers and blocklists doing their job on the DDoS and
-    heavy-hitter mixes).
-    """
-    lines = [
-        f"Traffic scenario sweep (fluid level + packet level vs {chain})",
-        _rule(100),
-        f"{'Scenario':<14}{'Flows':>8}{'Mean FCT (ms)':>15}{'p99 (ms)':>10}"
-        f"{'Goodput (Gbps)':>16}{'Escalated':>11}{'Pkts':>7}{'Drop%':>7}",
-    ]
-    for row in rows:
-        detail = ", ".join(f"{reason} {count}"
-                           for reason, count in row.escalations.items())
-        lines.append(
-            f"{row.scenario:<14}{row.flows:>8}{row.mean_fct_ms:>15.3f}"
-            f"{row.p99_fct_ms:>10.2f}{row.mean_goodput_gbps:>16.2f}"
-            f"{row.escalated_total:>11}{row.chain_packets:>7}"
-            f"{row.drop_fraction * 100:>6.1f}%"
-            + (f"  ({detail})" if detail else "")
-        )
-    total_flows = sum(row.flows for row in rows)
-    total_gbytes = sum(row.simulated_gbytes for row in rows)
-    lines.append(_rule(100))
-    lines.append(
-        f"{len(rows)} scenario(s), {total_flows} flows, "
-        f"{total_gbytes:.2f} GB simulated payload"
-    )
-    return "\n".join(lines)
-
-
-def render_chain_sweep(rows: Sequence["exp.ChainRow"],
-                       spec: str = "firewall -> telemetry -> aggregate"
-                       ) -> str:
-    """Every legal placement of the chain, cheapest first.
-
-    The trailing line states the placement-invariance result: the sweep
-    must report exactly one distinct fingerprint however the chain is
-    split across Trio / PISA / host.
-    """
-    lines = [
-        f"NF chain placement sweep: {spec}",
-        _rule(90),
-        f"{'Placement':<26}{'ns/pkt':>10}{'Mpps':>8}{'Cross':>7}"
-        f"{'Fwd':>8}{'Drop':>8}{'Consume':>9}{'Fingerprint':>14}",
-    ]
-    for row in rows:
-        marker = "*" if row.chosen else " "
-        mpps = 1e3 / row.per_packet_ns if row.per_packet_ns > 0 else 0.0
-        lines.append(
-            f"{marker}{','.join(row.placement):<25}"
-            f"{row.per_packet_ns:>10.1f}{mpps:>8.2f}{row.crossings:>7}"
-            f"{row.forwarded:>8}{row.dropped:>8}{row.consumed:>9}"
-            f"{row.fingerprint[:12]:>14}"
-        )
+def _chain_footer(rows: Sequence[exp.ChainRow]) -> str:
     distinct = len({row.fingerprint for row in rows})
-    lines.append(_rule(90))
-    lines.append(
-        f"{len(rows)} legal placement(s), {distinct} distinct result "
-        "fingerprint(s); * = greedy cost-driven choice"
-    )
-    return "\n".join(lines)
+    return (f"{len(rows)} legal placement(s), {distinct} distinct result "
+            "fingerprint(s); * = greedy cost-driven choice")
 
 
-def render_loss_recovery(rows: Sequence["exp.LossRow"]) -> str:
-    lines = [
-        "Supplementary: allreduce under packet loss with §7 resiliency",
-        _rule(),
-        f"{'Loss rate':>10}{'Completion (ms)':>17}{'Frames lost':>13}"
-        f"{'Retransmits':>13}{'Replays':>9}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.loss_rate * 100:>9.1f}%{row.completion_ms:>17.3f}"
-            f"{row.frames_lost:>13}{row.retransmissions:>13}"
-            f"{row.results_replayed:>9}"
-        )
-    return "\n".join(lines)
+def _traffic_footer(rows: Sequence[exp.TrafficRow]) -> str:
+    flows = sum(row.flows for row in rows)
+    gbytes = sum(row.simulated_gbytes for row in rows)
+    return (f"{len(rows)} scenario(s), {flows} flows, "
+            f"{gbytes:.2f} GB simulated payload")
 
 
-# ---------------------------------------------------------------------------
-# CSV export (for external plotting)
-# ---------------------------------------------------------------------------
+#: Every experiment the CLI runs, in ``list`` order; an entry holding
+#: several sweeps prints their tables one after another.
+EXPERIMENTS: Dict[str, Tuple[Sweep, ...]] = {
+    "table1": (Sweep(
+        exp.table1_models, "Table 1: DNN models used in the experiments", [
+            Column("Model", "<14", itemgetter("model")),
+            # The cell is one character wider than its header.
+            Column("Size", ">8", lambda row: f"{row['size_mb']:>6} MB"),
+            Column("Batch size/GPU", ">18",
+                   itemgetter("batch_size_per_gpu")),
+            Column("Dataset", ">12", itemgetter("dataset")),
+        ]),),
+    "fig12": (Sweep(
+        exp.fig12_time_to_accuracy,
+        "Figure 12: time-to-accuracy at straggling probability "
+        "p={straggle_probability:.0%}", [
+            Column("", "<14", attrgetter("model")),
+            Column("", "", lambda row: (
+                f" target {row.target_accuracy:.0f}% top-5: "
+                f"Trio-ML {row.trioml_minutes:7.1f} min | "
+                f"SwitchML {row.switchml_minutes:7.1f} min | "
+                f"speedup {row.speedup:.2f}x")),
+        ], rows=dict.values),),
+    "fig13": (Sweep(
+        exp.fig13_iteration_time,
+        "Figure 13: training iteration time vs straggling probability", [
+            Column("p", ">6", _percent("probability", 0)),
+            Column("Ideal (ms)", ">14.1f", attrgetter("ideal_ms")),
+            Column("Trio-ML (ms)", ">14.1f", attrgetter("trioml_ms")),
+            Column("SwitchML (ms)", ">15.1f", attrgetter("switchml_ms")),
+            Column("speedup", ">10", lambda row: f"{row.speedup:.2f}x"),
+        ], group="model", chart=charts.fig13_chart),),
+    "fig14": (Sweep(
+        exp.fig14_mitigation,
+        "Figure 14: in-network timer threads' efficiency", [
+            Column("Timeout (ms)", ">14.1f", attrgetter("timeout_ms")),
+            Column("Mean mitigation (ms)", ">22.2f",
+                   attrgetter("mean_mitigation_ms")),
+            Column("Max (ms)", ">10.2f", attrgetter("max_mitigation_ms")),
+            Column("Blocks", ">8", attrgetter("blocks_mitigated")),
+        ], fast={"blocks": 8}),),
+    "fig15": (Sweep(
+        exp.fig15_latency_rate,
+        "Figure 15: per-PFE aggregation latency and rate (window=1)", [
+            Column("Grads/packet", ">13", attrgetter("grads_per_packet")),
+            Column("Latency (us)", ">14.2f", attrgetter("latency_us")),
+            Column("Rate (grad/us)", ">16.2f",
+                   attrgetter("rate_grads_per_us")),
+        ], fast={"blocks": 20}),),
+    "fig16": (Sweep(
+        exp.fig16_window_sweep,
+        "Figure 16: impact of window size on latency and throughput", [
+            Column("Window", ">8", attrgetter("window")),
+            Column("Latency (us)", ">14.1f", attrgetter("latency_us")),
+            Column("Throughput (Gbps)", ">19.2f",
+                   attrgetter("throughput_gbps")),
+        ], fast={"windows": (1, 4, 16, 64, 256)}, group="grads_per_packet",
+        group_label="[Trio-ML-{}]", chart=charts.fig16_chart),),
+    "backends": (Sweep(
+        exp.backend_sweep,
+        "Backend sweep: iteration time (ms) vs straggling probability "
+        "[{model}]", _backend_columns),),
+    "hybrid": (Sweep(
+        exp.hybrid_sweep,
+        "Hybrid flow/packet simulation: FCT and escalations vs offered "
+        "load", [
+            Column("Load", ">6", _percent("load", 0)),
+            *_fluid_columns(7),
+            Column("Sim (GB)", ">10.2f", attrgetter("simulated_gbytes")),
+            Column("Solves", ">8", attrgetter("solves")),
+            Column("Escalated", ">11", attrgetter("escalated_total")),
+            Column("", "", _escalation_detail),
+        ], fast={"num_flows": 500}, rule=88),),
+    "chains": (Sweep(
+        exp.chains_sweep, "NF chain placement sweep: {spec}", [
+            Column("Placement", "<26", lambda row: (
+                ("*" if row.chosen else " ") + ",".join(row.placement))),
+            Column("ns/pkt", ">10.1f", attrgetter("per_packet_ns")),
+            Column("Mpps", ">8.2f", lambda row: (
+                1e3 / row.per_packet_ns if row.per_packet_ns > 0 else 0.0)),
+            Column("Cross", ">7", attrgetter("crossings")),
+            Column("Fwd", ">8", attrgetter("forwarded")),
+            Column("Drop", ">8", attrgetter("dropped")),
+            Column("Consume", ">9", attrgetter("consumed")),
+            Column("Fingerprint", ">14", lambda row: row.fingerprint[:12]),
+        ], fast={"packets": 1024}, footer=_chain_footer),),
+    "traffic": (Sweep(
+        exp.traffic_sweep,
+        "Traffic scenario sweep (fluid level + packet level vs "
+        f"{exp.TRAFFIC_CHAIN})", [
+            Column("Scenario", "<14", attrgetter("scenario")),
+            *_fluid_columns(8),
+            Column("Escalated", ">11", attrgetter("escalated_total")),
+            Column("Pkts", ">7", attrgetter("chain_packets")),
+            Column("Drop%", ">7", _percent("drop_fraction", 1)),
+            Column("", "", _escalation_detail),
+        ], fast={"num_flows": 5_000, "chain_packets": 2048}, rule=100,
+        footer=_traffic_footer),),
+    "calibrate": (Sweep(calibrate, report=render_calibration),),
+    "analysis": (Sweep(
+        exp.microcode_program_analysis,
+        "Section 6.3: Trio-ML Microcode program analysis", [
+            Column("", "<31", itemgetter(0)),
+            Column("", "", itemgetter(1)),
+        ], rows=_analysis_rows),),
+    "ablations": (
+        _ablation(exp.ablation_rmw_offload,
+                  "Ablation: RMW engine offload vs thread-ownership "
+                  "locking (§2.3)", num_threads=16, updates_per_thread=8),
+        _ablation(exp.ablation_scan_threads,
+                  "Ablation: parallel timer-thread table scanning (§5)",
+                  num_records=2_000),
+        _ablation(exp.ablation_hierarchy,
+                  "Ablation: single-level vs hierarchical aggregation (§4)",
+                  blocks=64, window=32),
+        _ablation(exp.ablation_tail_chunk,
+                  "Ablation: tail-read chunk size (Figure 10 loop)",
+                  blocks=8),
+    ),
+    "generations": (Sweep(
+        exp.generation_scaling,
+        "Supplementary: the same aggregation job across Trio generations", [
+            Column("Gen", ">4", attrgetter("generation")),
+            Column("Year", ">6", attrgetter("year")),
+            Column("PPEs", ">6", attrgetter("num_ppes")),
+            Column("RMW engines", ">13", attrgetter("rmw_engines")),
+            Column("Completion (ms)", ">17.3f", attrgetter("completion_ms")),
+            Column("Throughput (Gbps)", ">19.2f",
+                   attrgetter("throughput_gbps")),
+        ], fast={"blocks": 32}),),
+    "loss": (Sweep(
+        exp.loss_recovery_sweep,
+        "Supplementary: allreduce under packet loss with §7 resiliency", [
+            Column("Loss rate", ">10", _percent("loss_rate", 1)),
+            Column("Completion (ms)", ">17.3f", attrgetter("completion_ms")),
+            Column("Frames lost", ">13", attrgetter("frames_lost")),
+            Column("Retransmits", ">13", attrgetter("retransmissions")),
+            Column("Replays", ">9", attrgetter("results_replayed")),
+        ], fast={"blocks": 16}),),
+}
 
-
-def to_csv(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Minimal CSV rendering (no quoting needed for our numeric data)."""
-    lines = [",".join(str(h) for h in headers)]
-    for row in rows:
-        lines.append(",".join(str(cell) for cell in row))
-    return "\n".join(lines) + "\n"
-
-
-def fig13_to_csv(results: Dict[str, List["exp.Fig13Row"]]) -> str:
-    rows = []
-    for model, model_rows in results.items():
-        for row in model_rows:
-            rows.append((model, row.probability, row.ideal_ms,
-                         row.trioml_ms, row.switchml_ms))
-    return to_csv(
-        ("model", "probability", "ideal_ms", "trioml_ms", "switchml_ms"),
-        rows,
-    )
-
-
-def fig15_to_csv(rows: List["exp.Fig15Row"]) -> str:
-    return to_csv(
-        ("grads_per_packet", "latency_us", "rate_grads_per_us"),
-        [(r.grads_per_packet, r.latency_us, r.rate_grads_per_us)
-         for r in rows],
-    )
-
-
-def hybrid_to_csv(rows: List["exp.HybridRow"]) -> str:
-    return to_csv(
-        ("load", "flows", "mean_fct_ms", "p99_fct_ms",
-         "mean_goodput_gbps", "simulated_gbytes", "sim_seconds",
-         "solves", "escalated"),
-        [(r.load, r.flows, r.mean_fct_ms, r.p99_fct_ms,
-          r.mean_goodput_gbps, r.simulated_gbytes, r.sim_seconds,
-          r.solves, r.escalated_total)
-         for r in rows],
-    )
-
-
-def traffic_to_csv(rows: List["exp.TrafficRow"]) -> str:
-    return to_csv(
-        ("scenario", "flows", "mean_fct_ms", "p99_fct_ms",
-         "mean_goodput_gbps", "simulated_gbytes", "sim_seconds",
-         "solves", "escalated", "chain_packets", "forwarded",
-         "dropped", "consumed"),
-        [(r.scenario, r.flows, r.mean_fct_ms, r.p99_fct_ms,
-          r.mean_goodput_gbps, r.simulated_gbytes, r.sim_seconds,
-          r.solves, r.escalated_total, r.chain_packets, r.forwarded,
-          r.dropped, r.consumed)
-         for r in rows],
-    )
-
-
-def fig16_to_csv(results: Dict[int, List["exp.Fig16Row"]]) -> str:
-    rows = []
-    for grads, grads_rows in sorted(results.items()):
-        for row in grads_rows:
-            rows.append((grads, row.window, row.latency_us,
-                         row.throughput_gbps))
-    return to_csv(
-        ("grads_per_packet", "window", "latency_us", "throughput_gbps"),
-        rows,
-    )
+#: Every sweep by its driver: how callers outside the CLI render a
+#: driver's result (``SWEEPS[exp.fig13_iteration_time].render(result)``).
+SWEEPS: Dict[Callable[..., Any], Sweep] = {
+    sweep.driver: sweep for sweeps in EXPERIMENTS.values() for sweep in sweeps
+}

@@ -109,16 +109,17 @@ def _best_of(fn: Callable[[], float], repeats: int) -> float:
     return best
 
 
-def bench_delay_path(events: int = 200_000, repeats: int = 5) -> float:
-    """Events/s of the pooled ``env.delay`` hot path (one waiter each)."""
+def _bench_wait_path(method: str, events: int, repeats: int) -> float:
+    """Events/s of one process yielding ``events`` 1 s waits made by
+    ``env.<method>``."""
 
     def once() -> float:
         env = Environment()
 
         def proc():
-            delay = env.delay
+            wait = getattr(env, method)
             for _ in range(events):
-                yield delay(1.0)
+                yield wait(1.0)
 
         env.process(proc())
         start = time.process_time()  # detlint: ok(benchmark harness)
@@ -126,25 +127,16 @@ def bench_delay_path(events: int = 200_000, repeats: int = 5) -> float:
         return events / (time.process_time() - start)  # detlint: ok(benchmark)
 
     return _best_of(once, repeats)
+
+
+def bench_delay_path(events: int = 200_000, repeats: int = 5) -> float:
+    """Events/s of the pooled ``env.delay`` hot path (one waiter each)."""
+    return _bench_wait_path("delay", events, repeats)
 
 
 def bench_timeout_path(events: int = 200_000, repeats: int = 5) -> float:
     """Events/s of the general ``env.timeout`` path (fresh event each)."""
-
-    def once() -> float:
-        env = Environment()
-
-        def proc():
-            timeout = env.timeout
-            for _ in range(events):
-                yield timeout(1.0)
-
-        env.process(proc())
-        start = time.process_time()  # detlint: ok(benchmark harness)
-        env.run()
-        return events / (time.process_time() - start)  # detlint: ok(benchmark)
-
-    return _best_of(once, repeats)
+    return _bench_wait_path("timeout", events, repeats)
 
 
 def bench_packet_path(blocks: int = 150, repeats: int = 3) -> Dict[str, float]:
@@ -220,20 +212,10 @@ def bench_figure_sweep(blocks: int = 100,
             total += scheduled
         elapsed = time.process_time() - start  # detlint: ok(benchmark)
         events = total
-        return elapsed
+        return 1.0 / elapsed
 
-    # best == minimum for a duration
-    once()  # warmup
-    best = float("inf")
-    for _ in range(repeats):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            best = min(best, once())
-        finally:
-            if enabled:
-                gc.enable()
-    return {"cpu_s": best, "scheduled_events": events, "blocks": blocks}
+    cpu_s = 1.0 / _best_of(once, repeats)
+    return {"cpu_s": cpu_s, "scheduled_events": events, "blocks": blocks}
 
 
 def bench_flowsim(num_flows: int = 10_000,
@@ -665,36 +647,35 @@ def check(path: Path, quick: bool = True) -> int:
     if "traffic" in committed:
         checks.append(("traffic", "flows_generated_per_s"))
     failures = []
+
+    def gate(name: str, ok: bool, detail: str) -> None:
+        print(f"{name}: {detail} {'ok' if ok else 'REGRESSION'}")
+        if not ok:
+            failures.append(name)
+
     for section, key in checks:
         old = committed[section][key]
         new = current[section][key]
         ratio = new / old if old else float("inf")
-        status = "ok" if ratio >= REGRESSION_TOLERANCE else "REGRESSION"
         fmt = ",.0f" if old >= 1.0 else ".6f"  # sim-s/cpu-s is fractional
-        print(f"{section}.{key}: committed {old:{fmt}} measured {new:{fmt}} "
-              f"({ratio:.2f}x) {status}")
-        if ratio < REGRESSION_TOLERANCE:
-            failures.append(f"{section}.{key}")
+        gate(f"{section}.{key}", ratio >= REGRESSION_TOLERANCE,
+             f"committed {old:{fmt}} measured {new:{fmt}} ({ratio:.2f}x)")
     # Absolute bound, not a ratio: the disabled probe is tens of ns, so
     # the ceiling is noise-immune yet still trips on a de-nulled path.
     for key in ("null_probe_ns", "null_probe_fields_ns"):
         measured = current["obs"][key]
-        status = "ok" if measured <= OBS_PROBE_NS_CEILING else "REGRESSION"
-        print(f"obs.{key}: measured {measured:.1f} ns "
-              f"(ceiling {OBS_PROBE_NS_CEILING:.0f} ns) {status}")
-        if measured > OBS_PROBE_NS_CEILING:
-            failures.append(f"obs.{key}")
+        gate(f"obs.{key}", measured <= OBS_PROBE_NS_CEILING,
+             f"measured {measured:.1f} ns "
+             f"(ceiling {OBS_PROBE_NS_CEILING:.0f} ns)")
     # Absolute floor on the hybrid simulation's headline claim: flow
     # level >= FLOWSIM_SPEEDUP_FLOOR x the packet level in simulated
     # bytes per CPU second, measured fresh.  Gated on the committed doc
     # carrying a flowsim section so pre-hybrid records still check.
     if "flowsim" in committed:
         ratio = current["speedup"]["flowsim_bytes_vs_packet"]
-        status = "ok" if ratio >= FLOWSIM_SPEEDUP_FLOOR else "REGRESSION"
-        print(f"speedup.flowsim_bytes_vs_packet: measured {ratio:.1f}x "
-              f"(floor {FLOWSIM_SPEEDUP_FLOOR:.0f}x) {status}")
-        if ratio < FLOWSIM_SPEEDUP_FLOOR:
-            failures.append("speedup.flowsim_bytes_vs_packet")
+        gate("speedup.flowsim_bytes_vs_packet",
+             ratio >= FLOWSIM_SPEEDUP_FLOOR,
+             f"measured {ratio:.1f}x (floor {FLOWSIM_SPEEDUP_FLOOR:.0f}x)")
     if failures:
         print(f"FAIL: >{(1 - REGRESSION_TOLERANCE):.0%} regression in: "
               + ", ".join(failures))

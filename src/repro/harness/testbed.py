@@ -1,7 +1,8 @@
 """Builders for the paper's testbed topologies (Figure 11).
 
 * :func:`build_single_pfe_testbed` — the §6.3 microbenchmark setup: four
-  servers on one PFE, single-level aggregation.
+  servers on one PFE, single-level aggregation;
+  :func:`run_single_pfe_allreduce` runs one allreduce on it.
 * :func:`build_hierarchical_testbed` — the full Figure 11(b) setup: an
   MX480-style chassis with six PFEs, three servers on PFE1 and three on
   PFE2, PFE4 as the top-level aggregator.
@@ -10,7 +11,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.topology import Topology
@@ -31,6 +32,7 @@ __all__ = [
     "SinglePfeTestbed",
     "build_hierarchical_testbed",
     "build_single_pfe_testbed",
+    "run_single_pfe_allreduce",
 ]
 
 #: Optional per-worker straggle hook factory: worker index -> hook or None.
@@ -38,11 +40,8 @@ HookFactory = Callable[[int], Optional[Callable[[int], float]]]
 
 
 @dataclass
-class SinglePfeTestbed:
-    """Four servers on one PFE (the §6.3 benchmark setup)."""
-
+class _Testbed:
     env: Environment
-    pfe: PFE
     workers: List[TrioMLWorker]
     handle: JobHandle
     topology: Topology
@@ -56,25 +55,24 @@ class SinglePfeTestbed:
 
 
 @dataclass
-class HierarchicalTestbed:
+class SinglePfeTestbed(_Testbed):
+    """Four servers on one PFE (the §6.3 benchmark setup)."""
+
+    pfe: PFE
+
+
+@dataclass
+class HierarchicalTestbed(_Testbed):
     """Six servers across two line cards with a top-level aggregator PFE."""
 
-    env: Environment
     router: TrioRouter
-    workers: List[TrioMLWorker]
-    handle: JobHandle
-    topology: Topology
-
-    def run_allreduce(self, gradient_vectors: List[List[int]]):
-        return [
-            self.env.process(worker.allreduce(vector))
-            for worker, vector in zip(self.workers, gradient_vectors)
-        ]
 
 
-def _make_worker(env: Environment, index: int, config: TrioMLJobConfig,
-                 straggle_hook=None) -> TrioMLWorker:
-    return TrioMLWorker(
+def _add_worker(env: Environment, topology: Topology, index: int,
+                config: TrioMLJobConfig,
+                hook_factory: Optional[HookFactory]) -> TrioMLWorker:
+    """Server ``index + 1``, added to ``topology`` as a host."""
+    worker = TrioMLWorker(
         env,
         name=f"server{index + 1}",
         src_id=index,
@@ -85,9 +83,11 @@ def _make_worker(env: Environment, index: int, config: TrioMLJobConfig,
         service_ip=config.service_ip,
         grads_per_packet=config.grads_per_packet,
         window=config.window,
-        straggle_hook=straggle_hook,
+        straggle_hook=hook_factory(index) if hook_factory else None,
         retransmit_timeout_s=config.retransmit_timeout_s,
     )
+    topology.add_host(worker)
+    return worker
 
 
 def build_single_pfe_testbed(
@@ -106,9 +106,7 @@ def build_single_pfe_testbed(
     workers: List[TrioMLWorker] = []
     ports: Dict[str, str] = {}
     for index in range(num_workers):
-        hook = hook_factory(index) if hook_factory else None
-        worker = _make_worker(env, index, config, hook)
-        topology.add_host(worker)
+        worker = _add_worker(env, topology, index, config, hook_factory)
         topology.connect(worker.nic.port, pfe.port(index),
                          loss_rate=link_loss_rate, loss_seed=index + 1)
         ports[worker.name] = pfe.port(index).name
@@ -121,6 +119,25 @@ def build_single_pfe_testbed(
     return SinglePfeTestbed(
         env=env, pfe=pfe, workers=workers, handle=handle, topology=topology
     )
+
+
+def run_single_pfe_allreduce(config: TrioMLJobConfig, blocks: int,
+                             num_workers: int = 4,
+                             tail_chunk_bytes: Optional[int] = None,
+                             **testbed_args) -> Tuple[SinglePfeTestbed, List]:
+    """Every worker of a fresh single-PFE testbed (built with
+    ``testbed_args``) allreduces ``blocks`` packets; ``tail_chunk_bytes``
+    overrides the aggregator's Figure 10 chunk size.  Returns the testbed
+    and the finished processes."""
+    env = Environment()
+    testbed = build_single_pfe_testbed(env, config, num_workers=num_workers,
+                                       **testbed_args)
+    if tail_chunk_bytes is not None:
+        testbed.handle.aggregator.tail_chunk_bytes = tail_chunk_bytes
+    vector = [1] * (config.grads_per_packet * blocks)
+    procs = testbed.run_allreduce([vector] * num_workers)
+    env.run(until=env.all_of(procs))
+    return testbed, procs
 
 
 def build_hierarchical_testbed(
@@ -141,9 +158,7 @@ def build_hierarchical_testbed(
     for index in range(6):
         pfe_name = "pfe1" if index < 3 else "pfe2"
         port_index = index % 3
-        hook = hook_factory(index) if hook_factory else None
-        worker = _make_worker(env, index, config, hook)
-        topology.add_host(worker)
+        worker = _add_worker(env, topology, index, config, hook_factory)
         topology.connect(worker.nic.port, router.pfe(pfe_name).port(port_index))
         ports[worker.name] = (pfe_name, f"{pfe_name}.p{port_index}")
         first_level[pfe_name].append(worker)

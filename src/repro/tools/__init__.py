@@ -2,4 +2,6 @@
 
 * :mod:`repro.tools.detlint` — static determinism linter over the
   simulator's own Python sources.
+* :mod:`repro.tools.band` — the in-band check, report cell and
+  ``--werror`` exit both calibration bridges share.
 """

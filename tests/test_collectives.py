@@ -446,10 +446,11 @@ class TestBackendSweepExperiment:
         assert serial == fanned
 
     def test_render_includes_new_backend(self):
-        from repro.harness import experiments as exp, figures
+        from repro.harness import experiments as exp
+        from repro.harness.figures import SWEEPS
 
         rows = exp.backend_sweep(probabilities=(0.0,), iterations=5)
-        rendered = figures.render_backend_sweep(rows)
+        rendered = SWEEPS[exp.backend_sweep].render(rows)
         assert get_backend("ring-straggler").display_name in rendered
 
     def test_cli_lists_backends_experiment(self, capsys):

@@ -6,8 +6,8 @@ from repro.harness import (
     build_hierarchical_testbed,
     build_single_pfe_testbed,
     experiments as exp,
-    figures,
 )
+from repro.harness.figures import SWEEPS
 from repro.sim import Environment
 from repro.trioml import TrioMLJobConfig
 
@@ -34,7 +34,7 @@ class TestTable1:
         assert {row["model"] for row in rows} == {
             "ResNet50", "VGG11", "DenseNet161"
         }
-        rendered = figures.render_table1(rows)
+        rendered = SWEEPS[exp.table1_models].render(rows)
         assert "507 MB" in rendered
 
 
@@ -48,7 +48,7 @@ class TestFig12:
         assert result.trioml_curve[-1][1] == pytest.approx(
             result.target_accuracy
         )
-        assert "speedup" in figures.render_fig12(results)
+        assert "speedup" in SWEEPS[exp.fig12_time_to_accuracy].render(results)
 
 
 class TestFig13:
@@ -61,7 +61,7 @@ class TestFig13:
         assert rows[-1].switchml_ms > 1.4 * rows[0].switchml_ms
         assert rows[-1].trioml_ms < 1.25 * rows[0].trioml_ms
         assert rows[-1].trioml_ms < 1.3 * rows[-1].ideal_ms
-        figures.render_fig13({"resnet50": rows})
+        SWEEPS[exp.fig13_iteration_time].render({"resnet50": rows})
 
     def test_final_speedup_in_paper_band(self):
         rows = exp.fig13_iteration_time(
@@ -78,7 +78,7 @@ class TestFig14:
             assert row.mean_mitigation_ms <= 2 * row.timeout_ms + 0.5
             assert row.max_mitigation_ms <= 2 * row.timeout_ms + 1.0
             assert row.mean_mitigation_ms >= row.timeout_ms * 0.9
-        figures.render_fig14(rows)
+        SWEEPS[exp.fig14_mitigation].render(rows)
 
     def test_mitigation_scales_with_timeout(self):
         rows = exp.fig14_mitigation(timeouts_ms=(2.5, 20.0), blocks=6)
@@ -94,7 +94,7 @@ class TestFig15:
         # Rate grows then saturates: the last step gains little.
         assert rates[1] > rates[0]
         assert rates[2] / rates[1] < 1.15
-        figures.render_fig15(rows)
+        SWEEPS[exp.fig15_latency_rate].render(rows)
 
     def test_sublinear_latency_growth(self):
         rows = exp.fig15_latency_rate(grad_counts=(64, 1024), blocks=20)
@@ -113,7 +113,7 @@ class TestFig16:
         throughputs = [row.throughput_gbps for row in rows]
         assert latencies == sorted(latencies)       # Fig 16a: latency rises
         assert throughputs == sorted(throughputs)   # Fig 16b: tput rises
-        figures.render_fig16(results)
+        SWEEPS[exp.fig16_window_sweep].render(results)
 
 
 class TestProgramAnalysis:
@@ -126,7 +126,7 @@ class TestProgramAnalysis:
         assert 1.1 <= analysis.measured_instructions_per_gradient <= 1.6
         assert analysis.rmw_engines == 12
         assert analysis.rmw_add_rate_ops_per_s == pytest.approx(6e9)
-        figures.render_program_analysis(analysis)
+        SWEEPS[exp.microcode_program_analysis].render(analysis)
 
 
 class TestAblations:
@@ -134,7 +134,7 @@ class TestAblations:
         rows = exp.ablation_rmw_offload(num_threads=16, updates_per_thread=8)
         rmw, lock = rows[0].value, rows[1].value
         assert rmw < lock
-        figures.render_ablation("rmw", rows)
+        SWEEPS[exp.ablation_rmw_offload].render(rows)
 
     def test_more_scan_threads_scan_faster(self):
         rows = exp.ablation_scan_threads(thread_counts=(1, 10),

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.harness import experiments as exp, figures
+from repro.harness import experiments as exp
 from repro.harness.__main__ import build_registry, main
+from repro.harness.figures import SWEEPS
 
 
 class TestCLI:
@@ -46,27 +47,29 @@ class TestGenerationScaling:
 
     def test_render(self):
         rows = exp.generation_scaling(generations=(1,), blocks=8)
-        rendered = figures.render_generation_scaling(rows)
+        rendered = SWEEPS[exp.generation_scaling].render(rows)
         assert "2009" in rendered
 
 
 class TestCSVExport:
     def test_to_csv_shape(self):
-        csv = figures.to_csv(("a", "b"), [(1, 2), (3, 4)])
-        assert csv == "a,b\n1,2\n3,4\n"
+        csv = SWEEPS[exp.fig15_latency_rate].to_csv(
+            [exp.Fig15Row(1, 2.0, 3.5), exp.Fig15Row(4, 5.0, 6.25)])
+        assert csv == ("grads_per_packet,latency_us,rate_grads_per_us\n"
+                       "1,2.0,3.5\n4,5.0,6.25\n")
 
     def test_fig13_csv(self):
         results = exp.fig13_iteration_time(
             probabilities=(0.0, 0.16), models=["resnet50"]
         )
-        csv = figures.fig13_to_csv(results)
+        csv = SWEEPS[exp.fig13_iteration_time].to_csv(results)
         lines = csv.strip().split("\n")
         assert lines[0] == "model,probability,ideal_ms,trioml_ms,switchml_ms"
         assert len(lines) == 3
 
     def test_fig15_csv(self):
         rows = exp.fig15_latency_rate(grad_counts=(64,), blocks=5)
-        csv = figures.fig15_to_csv(rows)
+        csv = SWEEPS[exp.fig15_latency_rate].to_csv(rows)
         assert csv.startswith("grads_per_packet,latency_us,")
         assert "\n64," in csv
 
@@ -75,7 +78,7 @@ class TestCSVExport:
             windows=(1, 4), grad_counts=(64,),
             blocks_for=lambda w: 8,
         )
-        csv = figures.fig16_to_csv(results)
+        csv = SWEEPS[exp.fig16_window_sweep].to_csv(results)
         lines = csv.strip().split("\n")
         assert len(lines) == 3  # header + 2 windows
 
@@ -86,7 +89,7 @@ class TestLossRecoverySweep:
         assert rows[0].loss_rate == 0.0
         assert rows[0].retransmissions == 0
         assert rows[1].frames_lost > 0
-        rendered = figures.render_loss_recovery(rows)
+        rendered = SWEEPS[exp.loss_recovery_sweep].render(rows)
         assert "Retransmits" in rendered
         assert "5.0%" in rendered
 
