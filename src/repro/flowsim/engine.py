@@ -53,7 +53,6 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import inf as _INF
-from time import process_time
 from typing import Dict, List, Optional, Tuple
 
 from repro.flowsim.escalate import EscalationPolicy
@@ -491,9 +490,6 @@ class FluidEngine:
     def _resolve(self, now: float) -> None:
         """Re-allocate rates and aim the next completion wake-up."""
         self.solves += 1
-        obs_on = _obs.enabled()
-        if obs_on:
-            t0 = process_time()  # detlint: ok(obs-only solve-duration metric)
         if not self.active:
             self._dirty_classes.clear()
             self._dirty_groups.clear()
@@ -540,9 +536,7 @@ class FluidEngine:
         next_finish = heap[0][0] if heap else _INF
         self._next_finish_s = next_finish
 
-        if obs_on:
-            solve_ms = (process_time() - t0) * 1e3  # detlint: ok(obs-only solve-duration metric)
-            _obs.observe("flowsim.solve_ms", solve_ms)
+        if _obs.enabled():
             _obs.gauge("flowsim.path_classes", float(self.path_classes))
             _obs.probe("flowsim.class_rate_changes", float(rate_changes))
             _obs.probe("flowsim.solves")

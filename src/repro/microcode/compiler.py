@@ -522,7 +522,3 @@ def apply_binary(op: str, left: int, right: int) -> int:
     if op == "||":
         return int(bool(left) or bool(right))
     raise CompileError(f"unsupported operator {op!r}")
-
-
-#: Backwards-compatible alias from before apply_binary was public API.
-_apply_binary = apply_binary

@@ -28,6 +28,7 @@ from repro.obs.trace import Tracer
 __all__ = [
     "ObsSession",
     "enable",
+    "push",
     "disable",
     "enabled",
     "session",
@@ -125,6 +126,22 @@ class ObsSession:
             self, fn: Callable[[MetricsRegistry], None]) -> None:
         self._collectors.append(fn)
 
+    # -- shared-state probes ------------------------------------------
+    # The Trio models report XTXN windows and RMW engine commits here; a
+    # plain session keeps nothing (repro.tools.racecheck's session does).
+
+    def record(self, actor, op: str, addr: int, size: int, start: float,
+               end: float, *, atomic: bool = False,
+               space: str = "mem") -> None:
+        """One shared-memory access window ``[start, end)``."""
+
+    def record_hash(self, actor, op: str, key, start: float,
+                    end: float) -> None:
+        """One hash-block op window ``[start, end)``."""
+
+    def note_engine_commit(self, engine_index: int) -> None:
+        """One per-op commit at RMW engine ``engine_index``."""
+
     # -- lifecycle -----------------------------------------------------
 
     def finalize(self) -> None:
@@ -160,8 +177,12 @@ _stack: List[ObsSession] = []
 
 def enable(scope: str = "main") -> ObsSession:
     """Start recording; returns the new active session (stackable)."""
+    return push(ObsSession(scope))
+
+
+def push(new_session: ObsSession) -> ObsSession:
+    """Make ``new_session`` the active sink until :func:`disable`."""
     global _sink
-    new_session = ObsSession(scope)
     _stack.append(new_session)
     _sink = new_session
     return new_session

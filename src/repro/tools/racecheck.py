@@ -27,11 +27,12 @@ owning the address *is* the §2.3 synchronization contract (this is why
 the fig14 straggler path — a timer thread's ``bulk_read`` racing a
 straggler's ``bulk_add32`` — is correct and stays quiet).
 
-Zero-overhead contract (mirrors :mod:`repro.obs.bus`): the module-level
-``session()`` returns ``None`` until :func:`enable` installs a
-:class:`RaceCheckSession`; call sites hoist one ``session()`` check, so
-a disabled run records nothing and adds no simulation events either way
-— figures are bit-identical with the checker on or off.
+One recording gate: a :class:`RaceCheckSession` is an obs-bus session
+(:class:`~repro.obs.bus.ObsSession`) that keeps the shared-state probes
+a plain session drops, and :func:`enable` pushes it on the one session
+stack.  A race-check run is thus an observed run — bit-identical to an
+unobserved one — and ``obs.suppressed()`` silences the checker too, so
+a reference microsim's restarted clock never splices into the windows.
 
 Determinism contract (detlint-enforced): no wall clock, no randomness;
 every timestamp is simulated seconds passed in by the call site.
@@ -51,13 +52,13 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.obs import bus as _obs
+
 __all__ = [
     "RaceCheckSession",
     "RaceFinding",
     "enable",
     "disable",
-    "enabled",
-    "session",
     "main",
 ]
 
@@ -113,10 +114,11 @@ class _Access:
         return self.start < other.end and other.start < self.end
 
 
-class RaceCheckSession:
-    """An active recording of shared-state access windows."""
+class RaceCheckSession(_obs.ObsSession):
+    """An obs session that records shared-state access windows."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.accesses: List[_Access] = []
         self._anon = itertools.count()
         self._actor_names: Dict[object, str] = {}
@@ -298,39 +300,27 @@ class RaceCheckSession:
 
 
 # ----------------------------------------------------------------------
-# Module-level state (the obs-bus zero-overhead pattern)
+# The gate: a race session on the obs bus's session stack
 # ----------------------------------------------------------------------
 
-_session: Optional[RaceCheckSession] = None
-
-
 def enable() -> RaceCheckSession:
-    """Start recording shared-state access windows."""
-    global _session
-    _session = RaceCheckSession()
-    return _session
+    """Start recording shared-state access windows (stackable)."""
+    new_session = RaceCheckSession()
+    _obs.push(new_session)
+    return new_session
 
 
 def disable() -> Optional[RaceCheckSession]:
-    """Stop recording; returns the finished session."""
-    global _session
-    finished = _session
-    _session = None
-    return finished
+    """Stop the active race session and return it (finalized).
 
-
-def enabled() -> bool:
-    return _session is not None
-
-
-def session() -> Optional[RaceCheckSession]:
-    """The active session, or None when the checker is off.
-
-    Call sites hoist this into a local (``rc = _rc.session()``) and
-    guard every record with ``if rc is not None`` — one global load per
-    operation when disabled.
+    Pops only a race session: with a plain obs session (or none)
+    active, returns ``None`` and leaves the stack alone.
     """
-    return _session
+    active = _obs.session()
+    if not isinstance(active, RaceCheckSession):
+        return None
+    _obs.disable()
+    return active
 
 
 # ----------------------------------------------------------------------
@@ -536,10 +526,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    # Run through the canonical module instance: ``python -m`` executes
-    # this file as ``__main__``, but the trio-model hooks read the
-    # session global of ``repro.tools.racecheck`` — two copies of this
-    # module would mean the hooks never see ``enable()``.
-    from repro.tools import racecheck as _canonical
-
-    sys.exit(_canonical.main())
+    sys.exit(main())

@@ -96,13 +96,14 @@ class Policer:
         policer's address, serialising concurrent updates (§2.3 lists
         policers among the engine-side operations).
         """
-        # The engine executes the whole token update atomically; we model
-        # the service time with a masked-write-sized op and compute the
-        # bucket arithmetic at the engine.
-        yield self.env.delay(self.memory.access_latency_s(self.addr, 16))
-        yield from self.memory.rmw.execute(
-            RMWOpKind.READ, self.addr, 16
-        )
+        # The engine executes the whole token update atomically, so it
+        # is one atomic 16-byte write XTXN; we model the service time
+        # with a masked-write-sized op and compute the bucket arithmetic
+        # at the engine.
+        memory = self.memory
+        yield from memory._xtxn(
+            memory.rmw.execute(RMWOpKind.READ, self.addr, 16), "write",
+            self.addr, 16, pre_delay_s=0.0, actor=None, atomic=True)
         millitokens, last_ns = self._read_state()
         now_ns = int(self.env.now * 1e9)
         elapsed_s = max(0, now_ns - last_ns) / 1e9

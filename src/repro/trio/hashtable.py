@@ -19,7 +19,6 @@ from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.obs import bus as _obs
 from repro.sim import Environment
-from repro.tools import racecheck as _rc
 
 __all__ = ["HardwareHashTable", "HashRecord"]
 
@@ -86,8 +85,8 @@ class HardwareHashTable:
     # Latency-charged operations (generators)
     # ------------------------------------------------------------------
 
-    def lookup(self, key: Hashable, pre_delay_s: float = 0.0, actor=None):
-        """Hash lookup XTXN; returns the record (REF set) or None.
+    def _xtxn(self, op: str, key: Hashable, pre_delay_s: float, actor):
+        """Charge one hash XTXN and record its window on the obs bus.
 
         ``pre_delay_s`` folds a caller-side deferred charge into the
         operation's single kernel event (see ThreadContext.execute).
@@ -95,15 +94,19 @@ class HardwareHashTable:
         hash op is per-key atomic in hardware, so these windows never
         conflict — they only serve as commit points for the analysis.
         """
-        rc = _rc.session()
-        start = self.env.now + pre_delay_s if rc is not None else 0.0
+        obs = _obs.session()
+        start = self.env.now + pre_delay_s if obs is not None else 0.0
         yield self.env.delay(pre_delay_s + self.op_latency_s)
+        if obs is not None:
+            obs.record_hash(actor, op, key, start, self.env.now)
+
+    def lookup(self, key: Hashable, pre_delay_s: float = 0.0, actor=None):
+        """Hash lookup XTXN; returns the record (REF set) or None."""
+        yield from self._xtxn("read", key, pre_delay_s, actor)
         self.lookups += 1
         record = self._bucket_of(key).get(key)
         if record is not None:
             record.ref_flag = True
-        if rc is not None:
-            rc.record_hash(actor, "read", key, start, self.env.now)
         return record
 
     def insert(self, key: Hashable, value: Any, pre_delay_s: float = 0.0,
@@ -113,22 +116,12 @@ class HardwareHashTable:
         Inserting an existing key replaces its value, matching
         insert-or-update hash hardware semantics.
         """
-        rc = _rc.session()
-        start = self.env.now + pre_delay_s if rc is not None else 0.0
-        yield self.env.delay(pre_delay_s + self.op_latency_s)
+        yield from self._xtxn("write", key, pre_delay_s, actor)
         self.inserts += 1
-        bucket = self._bucket_of(key)
-        if rc is not None:
-            rc.record_hash(actor, "write", key, start, self.env.now)
-        existing = bucket.get(key)
-        if existing is not None:
-            existing.value = value
-            existing.ref_flag = True
-            return existing
-        record = HashRecord(key=key, value=value)
-        bucket[key] = record
-        self._count += 1
-        self._obs_occupancy()
+        count = self._count
+        record = self.insert_nowait(key, value)
+        if self._count != count:
+            self._obs_occupancy()
         return record
 
     def insert_if_absent(self, key: Hashable, value: Any,
@@ -139,38 +132,24 @@ class HardwareHashTable:
         racing to create the same record see a single winner; the loser
         gets the winner's record back.
         """
-        rc = _rc.session()
-        start = self.env.now + pre_delay_s if rc is not None else 0.0
-        yield self.env.delay(pre_delay_s + self.op_latency_s)
+        yield from self._xtxn("write", key, pre_delay_s, actor)
         self.inserts += 1
-        bucket = self._bucket_of(key)
-        if rc is not None:
-            rc.record_hash(actor, "write", key, start, self.env.now)
-        existing = bucket.get(key)
+        existing = self._bucket_of(key).get(key)
         if existing is not None:
             existing.ref_flag = True
             return existing, False
-        record = HashRecord(key=key, value=value)
-        bucket[key] = record
-        self._count += 1
+        record = self.insert_nowait(key, value)
         self._obs_occupancy()
         return record, True
 
     def delete(self, key: Hashable, pre_delay_s: float = 0.0, actor=None):
         """Hash delete XTXN; returns True if the key existed."""
-        rc = _rc.session()
-        start = self.env.now + pre_delay_s if rc is not None else 0.0
-        yield self.env.delay(pre_delay_s + self.op_latency_s)
+        yield from self._xtxn("write", key, pre_delay_s, actor)
         self.deletes += 1
-        bucket = self._bucket_of(key)
-        if rc is not None:
-            rc.record_hash(actor, "write", key, start, self.env.now)
-        if key in bucket:
-            del bucket[key]
-            self._count -= 1
+        existed = self.delete_nowait(key)
+        if existed:
             self._obs_occupancy()
-            return True
-        return False
+        return existed
 
     def scan_segment(self, segment: int, num_segments: int):
         """Walk 1/``num_segments`` of the buckets; returns the records.

@@ -21,8 +21,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs import bus as _obs
 from repro.sim import Environment
-from repro.tools import racecheck as _rc
 from repro.trio.chipset import TrioChipsetConfig
 from repro.trio.crossbar import Crossbar
 from repro.trio.rmw import RMWComplex, RMWOpKind
@@ -324,126 +324,95 @@ class SharedMemorySystem:
                 "(memory transactions are 8-64 bytes, §2.3)"
             )
 
-    def read(self, addr: int, size: int = 8, pre_delay_s: float = 0.0,
-             actor=None):
-        """Synchronous read XTXN; returns the bytes.
+    def _xtxn(self, service, op: str, addr: int, size: int,
+              pre_delay_s: float, actor, atomic: bool = False):
+        """The one path of every XTXN: wait, serve, record the window.
 
         ``pre_delay_s`` folds a caller-side deferred charge (coalesced
         ``execute`` time) into the access wait — one kernel event instead
-        of two, identical completion timestamp.  ``actor`` attributes the
-        access to a PPE thread for the racecheck validator; recording
-        never adds simulation events, so timing is identical either way.
+        of two, identical completion timestamp.  ``service`` is the RMW
+        complex generator that serves the access once the ``size``-byte
+        access latency has elapsed.  ``actor`` attributes the access to a
+        PPE thread for the racecheck validator; the window goes to the
+        obs bus, and recording never adds simulation events, so timing is
+        identical either way.
         """
-        self._validate_xtxn_size(size)
-        rc = _rc.session()
-        start = self.env.now + pre_delay_s if rc is not None else 0.0
+        obs = _obs.session()
+        start = self.env.now + pre_delay_s if obs is not None else 0.0
         yield self.env.delay(pre_delay_s + self.access_latency_s(addr, size))
-        result = yield from self.rmw.execute(RMWOpKind.READ, addr, size)
-        if rc is not None:
-            rc.record(actor, "read", addr, size, start, self.env.now)
+        result = yield from service
+        if obs is not None:
+            obs.record(actor, op, addr, size, start, self.env.now,
+                       atomic=atomic)
         return result
+
+    def read(self, addr: int, size: int = 8, pre_delay_s: float = 0.0,
+             actor=None):
+        """Synchronous read XTXN; returns the bytes."""
+        self._validate_xtxn_size(size)
+        return (yield from self._xtxn(
+            self.rmw.execute(RMWOpKind.READ, addr, size),
+            "read", addr, size, pre_delay_s, actor))
 
     def write(self, addr: int, data: bytes, pre_delay_s: float = 0.0,
               actor=None):
         """Synchronous write XTXN."""
-        self._validate_xtxn_size(len(data))
-        rc = _rc.session()
-        start = self.env.now + pre_delay_s if rc is not None else 0.0
-        yield self.env.delay(
-            pre_delay_s + self.access_latency_s(addr, len(data))
-        )
-        yield from self.rmw.execute(RMWOpKind.WRITE, addr, len(data), data=data)
-        if rc is not None:
-            rc.record(actor, "write", addr, len(data), start, self.env.now)
+        size = len(data)
+        self._validate_xtxn_size(size)
+        yield from self._xtxn(
+            self.rmw.execute(RMWOpKind.WRITE, addr, size, data=data),
+            "write", addr, size, pre_delay_s, actor)
 
     def add32(self, addr: int, operand: int, pre_delay_s: float = 0.0,
               actor=None):
         """32-bit add RMW; returns the old value."""
-        rc = _rc.session()
-        start = self.env.now + pre_delay_s if rc is not None else 0.0
-        yield self.env.delay(pre_delay_s + self.access_latency_s(addr, 4))
-        result = yield from self.rmw.execute(RMWOpKind.ADD32, addr, 4,
-                                             operand=operand)
-        if rc is not None:
-            rc.record(actor, "write", addr, 4, start, self.env.now,
-                      atomic=True)
-        return result
+        return (yield from self._xtxn(
+            self.rmw.execute(RMWOpKind.ADD32, addr, 4, operand=operand),
+            "write", addr, 4, pre_delay_s, actor, atomic=True))
 
     def fetch_and_op(self, kind: RMWOpKind, addr: int, operand: int,
                      size: int = 8, pre_delay_s: float = 0.0, actor=None):
         """Logical fetch-and-op (AND/OR/XOR/CLEAR/SWAP); returns old value."""
         self._validate_xtxn_size(size)
-        rc = _rc.session()
-        start = self.env.now + pre_delay_s if rc is not None else 0.0
-        yield self.env.delay(pre_delay_s + self.access_latency_s(addr, size))
-        result = yield from self.rmw.execute(kind, addr, size, operand=operand)
-        if rc is not None:
-            rc.record(actor, "write", addr, size, start, self.env.now,
-                      atomic=True)
-        return result
+        return (yield from self._xtxn(
+            self.rmw.execute(kind, addr, size, operand=operand),
+            "write", addr, size, pre_delay_s, actor, atomic=True))
 
     def masked_write(self, addr: int, operand: int, mask: int, size: int = 8,
                      pre_delay_s: float = 0.0, actor=None):
         """Masked write RMW; returns the old value."""
         self._validate_xtxn_size(size)
-        rc = _rc.session()
-        start = self.env.now + pre_delay_s if rc is not None else 0.0
-        yield self.env.delay(pre_delay_s + self.access_latency_s(addr, size))
-        result = yield from self.rmw.execute(
-            RMWOpKind.MASKED_WRITE, addr, size, operand=operand, mask=mask
-        )
-        if rc is not None:
-            rc.record(actor, "write", addr, size, start, self.env.now,
-                      atomic=True)
-        return result
+        return (yield from self._xtxn(
+            self.rmw.execute(RMWOpKind.MASKED_WRITE, addr, size,
+                             operand=operand, mask=mask),
+            "write", addr, size, pre_delay_s, actor, atomic=True))
 
     def counter_inc(self, addr: int, nbytes: int, pre_delay_s: float = 0.0,
                     actor=None):
         """Packet/Byte Counter increment (the CounterIncPhys XTXN, §3.2)."""
-        rc = _rc.session()
-        start = self.env.now + pre_delay_s if rc is not None else 0.0
-        yield self.env.delay(pre_delay_s + self.access_latency_s(addr, 16))
-        yield from self.rmw.execute(RMWOpKind.COUNTER_INC, addr, 16,
-                                    operand=nbytes)
-        if rc is not None:
-            rc.record(actor, "write", addr, 16, start, self.env.now,
-                      atomic=True)
+        yield from self._xtxn(
+            self.rmw.execute(RMWOpKind.COUNTER_INC, addr, 16, operand=nbytes),
+            "write", addr, 16, pre_delay_s, actor, atomic=True)
 
     # -- bulk paths used by aggregation ----------------------------------
 
     def bulk_add32(self, addr: int, values: Sequence[int],
                    pre_delay_s: float = 0.0, actor=None):
         """Aggregate a vector of int32 values into memory (fluid model)."""
-        rc = _rc.session()
-        start = self.env.now + pre_delay_s if rc is not None else 0.0
-        yield self.env.delay(
-            pre_delay_s + self.access_latency_s(addr, 4 * len(values))
-        )
-        yield from self.rmw.bulk_add32(addr, values)
-        if rc is not None:
-            rc.record(actor, "write", addr, 4 * len(values), start,
-                      self.env.now, atomic=True)
+        yield from self._xtxn(
+            self.rmw.bulk_add32(addr, values),
+            "write", addr, 4 * len(values), pre_delay_s, actor, atomic=True)
 
     def bulk_read(self, addr: int, size: int, pre_delay_s: float = 0.0,
                   actor=None):
         """Stream ``size`` bytes out of memory; returns the bytes."""
-        rc = _rc.session()
-        start = self.env.now + pre_delay_s if rc is not None else 0.0
-        yield self.env.delay(pre_delay_s + self.access_latency_s(addr, size))
-        yield from self.rmw.bulk_transfer(size)
-        if rc is not None:
-            rc.record(actor, "read", addr, size, start, self.env.now)
+        yield from self._xtxn(self.rmw.bulk_transfer(size),
+                              "read", addr, size, pre_delay_s, actor)
         return self.read_raw(addr, size)
 
     def bulk_write(self, addr: int, data: bytes, pre_delay_s: float = 0.0,
                    actor=None):
         """Stream ``data`` into memory."""
-        rc = _rc.session()
-        start = self.env.now + pre_delay_s if rc is not None else 0.0
-        yield self.env.delay(
-            pre_delay_s + self.access_latency_s(addr, len(data))
-        )
-        yield from self.rmw.bulk_transfer(len(data))
+        yield from self._xtxn(self.rmw.bulk_transfer(len(data)),
+                              "write", addr, len(data), pre_delay_s, actor)
         self.write_raw(addr, data)
-        if rc is not None:
-            rc.record(actor, "write", addr, len(data), start, self.env.now)

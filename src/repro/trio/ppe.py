@@ -306,13 +306,6 @@ class ThreadContext:
         )
         return record
 
-    def hash_insert(self, key, value):
-        record = yield from self.hash_table.insert(
-            key, value, pre_delay_s=self._take_pending(),
-            actor=self.thread_id,
-        )
-        return record
-
     def hash_insert_if_absent(self, key, value):
         record, created = yield from self.hash_table.insert_if_absent(
             key, value, pre_delay_s=self._take_pending(),

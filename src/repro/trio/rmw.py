@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.obs import bus as _obs
 from repro.sim import Environment, Resource
-from repro.tools import racecheck as _rc
 
 __all__ = ["RMWComplex", "RMWOpKind", "RMWStats"]
 
@@ -76,8 +75,10 @@ class RMWComplex:
         bytes_per_cycle: int = 8,
         add32_cycles: int = 2,
     ):
-        """``storage`` must expose ``read_raw(addr, size)`` and
-        ``write_raw(addr, data)``; latency is charged here, not there."""
+        """``storage`` must expose ``read_raw(addr, size)``,
+        ``write_raw(addr, data)``, ``read_int(addr, size)`` and
+        ``write_int(addr, value, size)``; latency is charged here, not
+        there."""
         if num_engines < 1:
             raise ValueError(f"need at least one RMW engine, got {num_engines}")
         self.env = env
@@ -175,12 +176,11 @@ class RMWComplex:
             stats.ops += 1
             stats.bytes_serviced += size
             stats.busy_s += service_s
-            rc = _rc.session()
-            if rc is not None:
+            if obs is not None:
                 # Commit point: the engine applies the op while holding
                 # its FCFS grant — the serialization the MC4xx contract
                 # relies on.  Recorded as evidence, never as a conflict.
-                rc.note_engine_commit(engine_idx)
+                obs.note_engine_commit(engine_idx)
             return self._apply(kind, addr, size, data, operand, mask)
         finally:
             engine.release()
@@ -200,24 +200,12 @@ class RMWComplex:
             storage.write_raw(addr, data)
             return None
         if kind is RMWOpKind.COUNTER_INC:
-            read_int = getattr(storage, "read_int", None)
-            if read_int is not None:
-                write_int = storage.write_int
-                for offset, delta in ((0, 1), (8, operand)):
-                    value = (read_int(addr + offset, 8) + delta) & (2**64 - 1)
-                    write_int(addr + offset, value, 8)
-            else:
-                for offset, delta in ((0, 1), (8, operand)):
-                    raw = storage.read_raw(addr + offset, 8)
-                    value = (int.from_bytes(raw, "little") + delta) & (2**64 - 1)
-                    storage.write_raw(addr + offset, value.to_bytes(8, "little"))
+            for offset, delta in ((0, 1), (8, operand)):
+                value = storage.read_int(addr + offset, 8) + delta
+                storage.write_int(addr + offset, value & (2**64 - 1), 8)
             return None
 
-        read_int = getattr(storage, "read_int", None)
-        if read_int is not None:
-            old = read_int(addr, size)
-        else:
-            old = int.from_bytes(storage.read_raw(addr, size), "little")
+        old = storage.read_int(addr, size)
         limit = (1 << (size * 8)) - 1
         if kind is RMWOpKind.ADD32:
             if size != 4:
@@ -237,11 +225,7 @@ class RMWComplex:
             new = (old & ~mask & limit) | (operand & mask)
         else:
             raise ValueError(f"unsupported RMW op: {kind}")
-        write_int = getattr(storage, "write_int", None)
-        if write_int is not None:
-            write_int(addr, new, size)
-        else:
-            storage.write_raw(addr, new.to_bytes(size, "little"))
+        storage.write_int(addr, new, size)
         return old
 
     # ------------------------------------------------------------------
@@ -259,34 +243,12 @@ class RMWComplex:
         n_ops = len(values)
         if n_ops == 0:
             return
-        obs = _obs.session()
-        queued_at = self.env.now if obs is not None else 0.0
-        grant = self._bulk_server.acquire()
-        if grant is not None:
-            yield grant
-        if obs is not None:
-            obs.observe("rmw.bulk_wait_s", self.env.now - queued_at,
-                        complex=self.obs_name)
-            self._obs_bulk_busy += 1
-            obs.sample(f"rmw.bulk_busy/{self.obs_name}",
-                       self.env.now, self._obs_bulk_busy)
-        try:
-            service_s = n_ops * self.add32_cycles / (self.num_engines * self.clock_hz)
-            yield self.env.delay(service_s)
-            self.bulk_stats.ops += n_ops
-            self.bulk_stats.bytes_serviced += 4 * n_ops
-            self.bulk_stats.busy_s += service_s
-            raw = self.storage.read_raw(addr, 4 * n_ops)
-            current = np.frombuffer(raw, dtype="<u4").astype(np.int64)
-            # One final mask suffices: (a + b) mod 2^32 == (a + b mod 2^32).
-            summed = (current + np.asarray(values, dtype=np.int64)) & 0xFFFFFFFF
-            self.storage.write_raw(addr, summed.astype("<u4").tobytes())
-        finally:
-            self._bulk_server.release()
-            if obs is not None:
-                self._obs_bulk_busy -= 1
-                obs.sample(f"rmw.bulk_busy/{self.obs_name}",
-                           self.env.now, self._obs_bulk_busy)
+        yield from self._bulk(n_ops * self.add32_cycles, n_ops, 4 * n_ops)
+        raw = self.storage.read_raw(addr, 4 * n_ops)
+        current = np.frombuffer(raw, dtype="<u4").astype(np.int64)
+        # One final mask suffices: (a + b) mod 2^32 == (a + b mod 2^32).
+        summed = (current + np.asarray(values, dtype=np.int64)) & 0xFFFFFFFF
+        self.storage.write_raw(addr, summed.astype("<u4").tobytes())
 
     def bulk_transfer(self, nbytes: int):
         """Charge bulk read/write bandwidth for ``nbytes`` (no mutation).
@@ -297,6 +259,13 @@ class RMWComplex:
         """
         if nbytes <= 0:
             return
+        cycles = (nbytes + self.bytes_per_cycle - 1) // self.bytes_per_cycle
+        yield from self._bulk(cycles, 1, nbytes)
+
+    def _bulk(self, cycles: int, ops: int, nbytes: int):
+        """Serve one bulk job of ``cycles`` engine cycles on the fluid
+        server: FCFS wait, service at the complex's aggregate rate, and
+        ``ops``/``nbytes`` into :attr:`bulk_stats`."""
         obs = _obs.session()
         queued_at = self.env.now if obs is not None else 0.0
         grant = self._bulk_server.acquire()
@@ -309,10 +278,9 @@ class RMWComplex:
             obs.sample(f"rmw.bulk_busy/{self.obs_name}",
                        self.env.now, self._obs_bulk_busy)
         try:
-            cycles = (nbytes + self.bytes_per_cycle - 1) // self.bytes_per_cycle
             service_s = cycles / (self.num_engines * self.clock_hz)
             yield self.env.delay(service_s)
-            self.bulk_stats.ops += 1
+            self.bulk_stats.ops += ops
             self.bulk_stats.bytes_serviced += nbytes
             self.bulk_stats.busy_s += service_s
         finally:

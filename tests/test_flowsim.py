@@ -463,6 +463,19 @@ class TestEscalation:
             obs.disable()
         assert before == after
 
+    def test_observed_runs_record_identical_metrics(self):
+        """Sinks never read the wall clock: two observed runs of one
+        fluid scenario record equal metric snapshots."""
+        snapshots = []
+        for _ in range(2):
+            session = obs.enable(scope="test")
+            try:
+                run_scenario(ScenarioConfig(num_flows=200))
+            finally:
+                obs.disable()
+            snapshots.append(session.registry.snapshot())
+        assert snapshots[0] == snapshots[1]
+
 
 # ---------------------------------------------------------------------------
 # Packet references

@@ -1,10 +1,19 @@
 """Dynamic race checker tests: happens-before analysis over synthetic
-windows, the module-level session lifecycle, the CI scenarios, and the
-zero-overhead contract (results bit-identical with the checker on or
-off)."""
+windows, the race session as an obs-bus sink (one recording gate), the
+CI scenarios, and the zero-overhead contract (results bit-identical with
+the checker on or off)."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro import obs
+from repro.flowsim import packetref, reset_reference_caches
+from repro.harness import experiments
+from repro.sim import Environment
 from repro.tools import racecheck as rc
 from repro.tools.racecheck import (
     RACY_COUNTER_SOURCE,
@@ -12,6 +21,7 @@ from repro.tools.racecheck import (
     RaceCheckSession,
     _run_microcode_threads,
 )
+from repro.trio import PFE, Policer
 
 
 @pytest.fixture(autouse=True)
@@ -138,19 +148,117 @@ def test_engine_commit_accounting():
 
 
 # ---------------------------------------------------------------------------
-# Module-level session lifecycle (the obs-bus zero-overhead pattern).
+# One recording gate: the race session is a sink on the obs bus.
 # ---------------------------------------------------------------------------
 
 def test_session_lifecycle():
-    assert rc.session() is None
-    assert not rc.enabled()
+    assert obs.session() is None
     active = rc.enable()
-    assert rc.session() is active
-    assert rc.enabled()
+    assert obs.session() is active
+    assert obs.enabled()
     finished = rc.disable()
     assert finished is active
-    assert rc.session() is None
+    assert obs.session() is None
     assert rc.disable() is None
+
+
+def test_plain_obs_session_keeps_no_windows():
+    # Windows go to the active sink only: a plain session pushed over a
+    # race session drops them, and the race session below sees none.
+    below = rc.enable()
+    plain = obs.enable()
+    try:
+        _run_microcode_threads(RACY_COUNTER_SOURCE, 4)
+    finally:
+        obs.disable()
+        rc.disable()
+    assert below.accesses == [] and below.engine_commits == {}
+    assert not hasattr(plain, "accesses")
+
+
+def test_race_session_nests_on_the_obs_stack():
+    outer = obs.enable()
+    try:
+        race = rc.enable()
+        assert obs.session() is race
+        assert rc.disable() is race
+        assert obs.session() is outer
+    finally:
+        obs.disable()
+    assert obs.session() is None
+
+
+def test_disable_pops_only_a_race_session():
+    plain = obs.enable()
+    try:
+        assert rc.disable() is None
+        assert obs.session() is plain
+    finally:
+        obs.disable()
+
+
+def test_policed_packet_records_one_atomic_window():
+    env = Environment()
+    pfe = PFE(env, "pfe1", num_ports=1)
+    policer = Policer(env, pfe.memory, rate_bps=8e6, burst_bytes=1000)
+    active = rc.enable()
+    try:
+        env.run(until=env.process(policer.police(100)))
+    finally:
+        rc.disable()
+    assert active.summary() == {"accesses": 1, "plain": 0, "atomic": 1,
+                                "hash_keys": 0, "engine_commits": 1}
+    (window,) = active.accesses
+    assert (window.op, window.addr, window.size) == (
+        "write", policer.addr, 16)
+
+
+def test_suppressed_reference_run_records_no_windows():
+    """A reference microsim runs with obs suppressed: its clock restarts
+    at zero, so its windows must not splice into the race session."""
+    def fig14_slice():
+        experiments.profile_dataplane_slice(
+            blocks=6, grads_per_packet=256, timeout_ms=2.5,
+            detector_threads=8)
+
+    alone = rc.enable()
+    try:
+        fig14_slice()
+    finally:
+        rc.disable()
+    spliced = rc.enable()
+    try:
+        fig14_slice()
+        reset_reference_caches()
+        with obs.suppressed():
+            packetref.packet_pfe_goodput()
+    finally:
+        rc.disable()
+    assert spliced.summary() == alone.summary()
+    assert spliced.analyze() == []
+
+
+def _repro_modules_loaded_by(package):
+    """``repro`` modules a fresh interpreter loads for ``import package``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import {package}; "
+            "print(*sorted(m for m in sys.modules "
+            "if m.startswith('repro.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    return out.split()
+
+
+def test_trio_model_loads_no_tooling():
+    loaded = _repro_modules_loaded_by("repro.trio")
+    assert "repro.trio.memory" in loaded
+    assert [m for m in loaded if m.startswith("repro.tools")] == []
+
+
+def test_obs_bus_is_a_leaf():
+    loaded = _repro_modules_loaded_by("repro.obs")
+    assert "repro.obs.bus" in loaded
+    assert [m for m in loaded if not m.startswith("repro.obs")] == []
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +297,7 @@ def test_checker_off_changes_nothing():
     rc.enable()
     on_final, _ = _run_microcode_threads(RACY_COUNTER_SOURCE, 16)
     rc.disable()
-    assert rc.session() is None
+    assert obs.session() is None
     assert on_final == off_final
 
 
