@@ -18,8 +18,9 @@ traffic at a few megabytes per CPU-second.  This package adds a flow
   run at packet level and pin their rates into the solver;
 * :mod:`repro.flowsim.packetref` — the packet-level reference
   microsimulations escalation and calibration are pinned to;
-* :mod:`repro.flowsim.scenario` — canonical leaf/spine fabric + seeded
-  workloads for benchmarks and sweeps;
+* :mod:`repro.flowsim.scenario` — the leaf/spine ``FabricShape``, the
+  one fluid runner ``run_flows``, and the canonical seeded workload for
+  benchmarks and sweeps;
 * :mod:`repro.flowsim.calibrate` — the CI-gated calibration bridge
   (``python -m repro.flowsim.calibrate --werror``).
 """
@@ -49,10 +50,12 @@ from repro.flowsim.packetref import (
     packet_pfe_goodput,
 )
 from repro.flowsim.scenario import (
+    FabricShape,
     ScenarioConfig,
     ScenarioResult,
     build_leaf_spine,
     generate_flows,
+    run_flows,
     run_scenario,
 )
 from repro.flowsim.solver import (
@@ -68,6 +71,7 @@ __all__ = [
     "EscalationConfig",
     "EscalationPolicy",
     "FRAME_OVERHEAD_BYTES",
+    "FabricShape",
     "FlowRecord",
     "FlowSpec",
     "FluidEngine",
@@ -84,6 +88,7 @@ __all__ = [
     "packet_pair",
     "packet_pfe_goodput",
     "reset_reference_caches",
+    "run_flows",
     "run_scenario",
     "wire_efficiency",
 ]

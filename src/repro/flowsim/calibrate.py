@@ -34,15 +34,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.flowsim import packetref
-from repro.flowsim.engine import FluidEngine
-from repro.flowsim.escalate import (
-    EscalationConfig,
-    EscalationPolicy,
-    reset_reference_caches,
-)
+from repro.flowsim.escalate import EscalationConfig
 from repro.flowsim.flow import FlowRecord, FlowSpec
-from repro.flowsim.scenario import ScenarioConfig, build_leaf_spine, host_name
-from repro.sim import Environment
+from repro.flowsim.scenario import FabricShape, host_name, run_flows
 from repro.tools.band import band_cell, verdict, within_band
 
 __all__ = [
@@ -105,24 +99,12 @@ class CalibrationCase:
 
 
 def _run_fluid(specs: List[FlowSpec],
-               bandwidth_bps: float,
-               escalation: Optional[EscalationConfig] = None
-               ) -> List[FlowRecord]:
+               bandwidth_bps: float) -> List[FlowRecord]:
     """Run explicit flows through the fluid engine on a one-leaf fabric."""
-    reset_reference_caches()
-    env = Environment()
-    fabric = ScenarioConfig(
-        leaves=1, hosts_per_leaf=16,
-        host_bandwidth_bps=bandwidth_bps,
-        uplink_bandwidth_bps=4 * bandwidth_bps,
-    )
-    topology = build_leaf_spine(env, fabric)
-    policy = EscalationPolicy(escalation or EscalationConfig())
-    engine = FluidEngine(env, topology, policy=policy)
-    for spec in specs:
-        env.call_at(spec.start_s, engine.start_flow, spec)
-    env.run()
-    return engine.records
+    fabric = FabricShape(leaves=1, hosts_per_leaf=16,
+                         host_bandwidth_bps=bandwidth_bps,
+                         uplink_bandwidth_bps=4 * bandwidth_bps)
+    return run_flows(fabric, EscalationConfig(), lambda env: specs).records
 
 
 def _fan_in(senders: int, flow_bytes: int,

@@ -1,10 +1,12 @@
 """Canonical hybrid-simulation scenarios: fabric + seeded workload.
 
-One fabric shape (a leaf/spine Clos, the topology of the paper's
-testbed rack writ small) and one workload generator (Poisson arrivals,
+One fabric type (:class:`FabricShape`, a leaf/spine Clos, the topology
+of the paper's testbed rack writ small), one runner (:func:`run_flows`)
+with one result, and one workload generator (Poisson arrivals,
 exponential sizes, with configurable incast bursts, ``"aggregation"``
 traffic that exercises the PFE escalation path, and straggler hosts)
-cover the benchmark, the calibration bridge, and the determinism tests.
+cover the benchmark, the traffic families, the calibration bridge, and
+the determinism tests.
 
 Everything is a pure function of the config plus the environment's seed
 tree: flow ids, arrival times, sizes, and endpoints come from
@@ -15,7 +17,7 @@ tree: flow ids, arrival times, sizes, and endpoints come from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.flowsim.engine import FluidEngine
 from repro.flowsim.escalate import (
@@ -30,19 +32,28 @@ from repro.net.link import Port
 from repro.sim import Environment
 
 __all__ = [
+    "FabricShape",
     "ScenarioConfig",
     "ScenarioResult",
     "build_leaf_spine",
     "generate_flows",
+    "run_flows",
     "run_scenario",
 ]
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """One hybrid-simulation scenario, fabric and workload together."""
+def host_name(leaf: int, index: int) -> str:
+    return f"h{leaf:02d}-{index:02d}"
 
-    # -- fabric ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class FabricShape:
+    """A single-spine leaf/spine Clos with oversubscribed uplinks.
+
+    Hosts are named ``h<leaf>-<index>`` and addressed
+    ``10.<leaf>.0.<index + 1>``; :func:`build_leaf_spine` builds it.
+    """
+
     leaves: int = 4
     hosts_per_leaf: int = 16
     host_bandwidth_bps: float = 100e9
@@ -54,7 +65,43 @@ class ScenarioConfig:
     uplink_bandwidth_bps: float = 800e9
     propagation_s: float = 1e-6
 
-    # -- workload -------------------------------------------------------
+    def __post_init__(self) -> None:
+        if self.leaves < 1 or self.hosts_per_leaf < 1:
+            raise ValueError(
+                f"fabric needs >= 1 leaf and host: {self.leaves}, "
+                f"{self.hosts_per_leaf}"
+            )
+
+    @property
+    def num_hosts(self) -> int:
+        return self.leaves * self.hosts_per_leaf
+
+    @property
+    def aggregate_access_bps(self) -> float:
+        return self.num_hosts * self.host_bandwidth_bps
+
+    def arrival_rate(self, load: float, mean_flow_bytes: float) -> float:
+        """Poisson flow starts per second that offer ``load`` of the
+        aggregate host access bandwidth at this mean flow size."""
+        return self.aggregate_access_bps * load / (mean_flow_bytes * 8.0)
+
+    def host_names(self) -> List[str]:
+        return [host_name(leaf, index)
+                for leaf in range(self.leaves)
+                for index in range(self.hosts_per_leaf)]
+
+    def host_address(self, host_index: int) -> Tuple[int, int]:
+        """(leaf, index-within-leaf) of a flat host index."""
+        return divmod(host_index, self.hosts_per_leaf)
+
+    def host_ip(self, leaf: int, index: int) -> IPv4Address:
+        return IPv4Address(f"10.{leaf}.0.{index + 1}")
+
+
+@dataclass(frozen=True)
+class ScenarioConfig(FabricShape):
+    """The canonical hybrid-simulation workload on its fabric."""
+
     num_flows: int = 2000
     #: Mean of the exponential flow-size distribution.  Large flows are
     #: where the fluid level earns its keep: per-flow cost is
@@ -79,9 +126,9 @@ class ScenarioConfig:
     #: contended PFE path), so sizing them like bulk flows would
     #: overload that path and grow the active set without bound.
     aggregation_flow_bytes: float = 50_000.0
-    #: Hosts (by name) whose transmit side straggles.
-    straggler_hosts: Tuple[str, ...] = ("h00-00",)
-    escalation: EscalationConfig = field(default_factory=EscalationConfig)
+    #: Escalation thresholds, the straggling hosts included.
+    escalation: EscalationConfig = EscalationConfig(
+        straggler_hosts=(host_name(0, 0),))
 
 
 @dataclass
@@ -106,29 +153,25 @@ class ScenarioResult:
     wake: Dict[str, int] = field(default_factory=dict)
 
 
-def host_name(leaf: int, index: int) -> str:
-    return f"h{leaf:02d}-{index:02d}"
-
-
 def build_leaf_spine(env: Environment,
-                     config: ScenarioConfig) -> Topology:
-    """A single-spine leaf/spine Clos with oversubscribed uplinks."""
+                     fabric: FabricShape) -> Topology:
+    """The fabric's hosts, leaves, and spine, wired up in ``env``."""
     topology = Topology(env)
-    for leaf in range(config.leaves):
-        for index in range(config.hosts_per_leaf):
+    for leaf in range(fabric.leaves):
+        for index in range(fabric.hosts_per_leaf):
             host = Host(
                 env,
                 host_name(leaf, index),
                 MACAddress(0x0200_0000 + leaf * 256 + index),
-                IPv4Address(f"10.{leaf}.0.{index + 1}"),
+                fabric.host_ip(leaf, index),
             )
             topology.add_host(host)
             down = Port(env, f"leaf{leaf}:down{index}")
             topology.register_port(down, f"leaf{leaf}")
             topology.connect(
                 host.nic.port, down,
-                bandwidth_bps=config.host_bandwidth_bps,
-                propagation_delay_s=config.propagation_s,
+                bandwidth_bps=fabric.host_bandwidth_bps,
+                propagation_delay_s=fabric.propagation_s,
             )
         up = Port(env, f"leaf{leaf}:up")
         topology.register_port(up, f"leaf{leaf}")
@@ -137,8 +180,8 @@ def build_leaf_spine(env: Environment,
         topology.add_device(f"leaf{leaf}", up)
         topology.connect(
             up, spine_port,
-            bandwidth_bps=config.uplink_bandwidth_bps,
-            propagation_delay_s=config.propagation_s,
+            bandwidth_bps=fabric.uplink_bandwidth_bps,
+            propagation_delay_s=fabric.propagation_s,
         )
     topology.add_device("spine", None)
     return topology
@@ -148,102 +191,53 @@ def generate_flows(env: Environment,
                    config: ScenarioConfig) -> List[FlowSpec]:
     """The scenario's flow list, drawn from the environment's seed tree."""
     # Imported here, not at module level: repro.traffic imports this
-    # module for the fabric (FlowSpec, host_name, build_leaf_spine), so
+    # module for the fabric and the runner (FabricShape, run_flows), so
     # a top-level import back into repro.traffic would be circular.
-    from repro.traffic.samplers import ExponentialSizes, fan_in_burst
+    from repro.traffic.samplers import (
+        Burst,
+        ExponentialSizes,
+        PoissonArrivals,
+        draw_flows,
+    )
 
-    rng = env.rng_stream("flowsim/scenario")
-    bulk_sizes = ExponentialSizes(config.mean_flow_bytes)
-    hosts = [host_name(leaf, index)
-             for leaf in range(config.leaves)
-             for index in range(config.hosts_per_leaf)]
-    num_hosts = len(hosts)
-
-    # Poisson arrivals sized so offered load hits the target fraction of
-    # aggregate access bandwidth.
-    offered_bps = num_hosts * config.host_bandwidth_bps * config.load
-    arrival_rate = offered_bps / (config.mean_flow_bytes * 8.0)
-
-    flows: List[FlowSpec] = []
-    flow_id = 0
-    now = 0.0
-    incast_budget = int(config.num_flows * config.incast_fraction)
-    aggregation_budget = int(config.num_flows
-                             * config.aggregation_fraction)
-    while len(flows) < config.num_flows:
-        now += rng.expovariate(arrival_rate)
-        if (aggregation_budget > 0
-                and rng.random() < config.aggregation_fraction):
+    return draw_flows(
+        env.rng_stream("flowsim/scenario"),
+        config.host_names(),
+        config.num_flows,
+        PoissonArrivals(config.arrival_rate(config.load,
+                                            config.mean_flow_bytes)),
+        ExponentialSizes(config.mean_flow_bytes),
+        # Tried in this order on every arrival; the goldens pin it.
+        bursts=(
             # A synchronised allreduce step: `aggregation_degree`
             # workers ship a gradient block to one aggregation point at
             # the same instant.
-            target, workers = fan_in_burst(
-                rng, num_hosts, config.aggregation_degree)
-            for worker in workers:
-                flows.append(FlowSpec(
-                    flow_id=flow_id,
-                    src=hosts[worker],
-                    dst=hosts[target],
-                    size_bytes=config.aggregation_flow_bytes,
-                    start_s=now,
-                    service="aggregation",
-                ))
-                flow_id += 1
-            aggregation_budget -= len(workers)
-            continue
-        burst = (incast_budget > 0
-                 and rng.random() < config.incast_fraction)
-        if burst:
+            Burst(config.aggregation_fraction, config.aggregation_degree,
+                  config.aggregation_flow_bytes, "aggregation"),
             # A synchronised fan-in: `incast_degree` short flows from
             # distinct sources arriving at the same instant.
-            victim, senders = fan_in_burst(
-                rng, num_hosts, config.incast_degree)
-            for sender in senders:
-                flows.append(FlowSpec(
-                    flow_id=flow_id,
-                    src=hosts[sender],
-                    dst=hosts[victim],
-                    size_bytes=config.incast_flow_bytes,
-                    start_s=now,
-                    service="incast",
-                ))
-                flow_id += 1
-            incast_budget -= len(senders)
-            continue
-        src = rng.randrange(num_hosts)
-        dst = rng.randrange(num_hosts - 1)
-        if dst >= src:
-            dst += 1
-        size = bulk_sizes.sample(rng)
-        flows.append(FlowSpec(
-            flow_id=flow_id,
-            src=hosts[src],
-            dst=hosts[dst],
-            size_bytes=size,
-            start_s=now,
-            service="bulk",
-        ))
-        flow_id += 1
-    return flows[:config.num_flows]
+            Burst(config.incast_fraction, config.incast_degree,
+                  config.incast_flow_bytes, "incast"),
+        ),
+    )
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Build the fabric, inject the workload, run to completion."""
-    # Fresh reference caches per point: identical cost and side effects
-    # whether this point runs serially, in a worker, or after another.
+def run_flows(fabric: FabricShape, escalation: EscalationConfig,
+              flows: Callable[[Environment], Iterable[FlowSpec]]
+              ) -> ScenarioResult:
+    """Build the fabric, inject the flows, run to completion.
+
+    ``flows`` receives the run's fresh :class:`Environment`, so
+    generation draws from that environment's seed tree.
+    """
+    # Fresh reference caches per run: identical cost and side effects
+    # whether this run is serial, in a worker, or after another.
     reset_reference_caches()
     env = Environment()
-    topology = build_leaf_spine(env, config)
-    policy = EscalationPolicy(EscalationConfig(
-        incast_degree=config.escalation.incast_degree,
-        incast_max_flow_bytes=config.escalation.incast_max_flow_bytes,
-        straggler_hosts=config.straggler_hosts,
-        straggler_tx_overhead_s=config.escalation.straggler_tx_overhead_s,
-        pfe_contention_threshold=config.escalation.pfe_contention_threshold,
-        reference_flow_bytes=config.escalation.reference_flow_bytes,
-    ))
-    engine = FluidEngine(env, topology, policy=policy)
-    for spec in generate_flows(env, config):
+    topology = build_leaf_spine(env, fabric)
+    engine = FluidEngine(env, topology,
+                         policy=EscalationPolicy(escalation))
+    for spec in flows(env):
         env.call_at(spec.start_s, engine.start_flow, spec)
     env.run()
     return ScenarioResult(
@@ -261,3 +255,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             "stale": engine.wake_stale,
         },
     )
+
+
+def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    """The canonical workload through :func:`run_flows`."""
+    return run_flows(config, config.escalation,
+                     lambda env: generate_flows(env, config))

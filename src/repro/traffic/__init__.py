@@ -10,24 +10,25 @@ grounded in "Traffic Generation for Benchmarking Data Centre Networks"
 
 Layout mirrors the other pluggable subsystems:
 
-* :mod:`~repro.traffic.samplers` — the distribution toolbox;
+* :mod:`~repro.traffic.samplers` — the distribution toolbox and
+  :func:`draw_flows`, the one flow-drawing loop;
 * :mod:`~repro.traffic.base` — the :class:`TrafficScenario` interface
-  and the :class:`FabricShape` its endpoints live on;
+  (its :class:`FabricShape` is defined in :mod:`repro.flowsim`);
 * :mod:`~repro.traffic.registry` — name-keyed scenario lookup
   (``register_scenario`` / ``get_scenario`` / ``available_scenarios``);
 * :mod:`~repro.traffic.scenarios` — the six built-in families
   (registered on import);
 * :mod:`~repro.traffic.adapters` — compilation into the fluid level
-  (:func:`run_fluid`) or NF-chain packet streams
-  (:func:`packet_stream`).
+  (:func:`run_fluid`, a :class:`~repro.flowsim.ScenarioResult`) or
+  NF-chain packet streams (:func:`packet_stream`).
 """
 
+from repro.flowsim.scenario import FabricShape
 from repro.traffic.adapters import (
-    FluidRunResult,
     packet_stream,
     run_fluid,
 )
-from repro.traffic.base import FabricShape, TrafficScenario
+from repro.traffic.base import TrafficScenario
 from repro.traffic.registry import (
     UnknownScenarioError,
     available_scenarios,
@@ -36,6 +37,7 @@ from repro.traffic.registry import (
     unregister_scenario,
 )
 from repro.traffic.samplers import (
+    Burst,
     CACHE_SIZE_CDF,
     CDFTableSizes,
     ExponentialSizes,
@@ -45,6 +47,7 @@ from repro.traffic.samplers import (
     PoissonArrivals,
     WEBSEARCH_SIZE_CDF,
     ZipfPopularity,
+    draw_flows,
     fan_in_burst,
 )
 from repro.traffic.scenarios import (
@@ -57,13 +60,13 @@ from repro.traffic.scenarios import (
 
 __all__ = [
     "BUILTIN_SCENARIOS",
+    "Burst",
     "CACHE_SIZE_CDF",
     "CDFTableSizes",
     "DDoSScenario",
     "ExponentialSizes",
     "FabricShape",
     "FanInScenario",
-    "FluidRunResult",
     "LognormalSizes",
     "MixedScenario",
     "OnOffArrivals",
@@ -74,6 +77,7 @@ __all__ = [
     "WEBSEARCH_SIZE_CDF",
     "ZipfPopularity",
     "available_scenarios",
+    "draw_flows",
     "fan_in_burst",
     "get_scenario",
     "packet_stream",

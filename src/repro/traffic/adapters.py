@@ -1,9 +1,10 @@
 """Compile a traffic scenario into either simulation level.
 
-:func:`run_fluid` drives a scenario end-to-end through the hybrid
-fluid engine (:mod:`repro.flowsim`) on the scenario's own leaf/spine
-fabric, with the escalation boundary active — including the
-``"microburst"`` and ``"ddos"`` classes the traffic library adds.
+:func:`run_fluid` drives a scenario end-to-end through the one fluid
+runner, :func:`repro.flowsim.scenario.run_flows`, on the scenario's own
+leaf/spine fabric with the escalation boundary active — including the
+``"microburst"`` and ``"ddos"`` classes the traffic library adds — and
+returns its :class:`~repro.flowsim.scenario.ScenarioResult`.
 
 :func:`packet_stream` compiles the *same* scenario into wire-format
 packets parsed into :class:`~repro.nf.base.PacketView`\\ s for the
@@ -16,17 +17,10 @@ flood the flow level only models as fan-in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.flowsim.engine import FluidEngine
-from repro.flowsim.escalate import EscalationPolicy, reset_reference_caches
-from repro.flowsim.flow import (
-    DEFAULT_MTU_PAYLOAD_BYTES,
-    FlowRecord,
-    FlowSpec,
-)
-from repro.flowsim.scenario import ScenarioConfig, build_leaf_spine
+from repro.flowsim.flow import DEFAULT_MTU_PAYLOAD_BYTES
+from repro.flowsim.scenario import ScenarioResult, run_flows
 from repro.net import IPv4Address, MACAddress
 from repro.net.packet import Packet
 from repro.nf.base import PacketView
@@ -36,70 +30,21 @@ from repro.traffic.base import TrafficScenario
 from repro.traffic.scenarios import DDoSScenario
 
 __all__ = [
-    "FluidRunResult",
     "packet_stream",
     "run_fluid",
 ]
 
 
-@dataclass
-class FluidRunResult:
-    """Outcome of one fluid-level scenario run."""
-
-    scenario: str
-    records: List[FlowRecord]
-    summary: Dict[str, float]
-    escalations: Dict[str, int]
-    sim_seconds: float
-    simulated_payload_bytes: float
-    solves: int
-
-
 def run_fluid(scenario: TrafficScenario,
-              num_flows: int) -> FluidRunResult:
-    """Run ``num_flows`` of ``scenario`` through the fluid engine.
-
-    The same shape as :func:`repro.flowsim.scenario.run_scenario`:
-    fresh reference caches, an Environment built from the process
-    default seed, the scenario's fabric, and the scenario's escalation
-    thresholds — a pure function of ``(scenario, num_flows, seed)`` in
-    any process layout.
-    """
-    reset_reference_caches()
-    env = Environment()
-    fabric = scenario.fabric
-    topology = build_leaf_spine(env, ScenarioConfig(
-        leaves=fabric.leaves,
-        hosts_per_leaf=fabric.hosts_per_leaf,
-        host_bandwidth_bps=fabric.host_bandwidth_bps,
-        uplink_bandwidth_bps=fabric.uplink_bandwidth_bps,
-        propagation_s=fabric.propagation_s,
-    ))
-    policy = EscalationPolicy(scenario.escalation())
-    engine = FluidEngine(env, topology, policy=policy)
-    for spec in scenario.generate(env, num_flows):
-        env.call_at(spec.start_s, engine.start_flow, spec)
-    env.run()
-    return FluidRunResult(
-        scenario=scenario.name,
-        records=engine.records,
-        summary=engine.summary(),
-        escalations=engine.escalations,
-        sim_seconds=env.now,
-        simulated_payload_bytes=engine.completed_payload_bytes,
-        solves=engine.solves,
-    )
+              num_flows: int) -> ScenarioResult:
+    """Run ``num_flows`` of ``scenario`` through the fluid engine on the
+    scenario's fabric, with the scenario's escalation thresholds."""
+    return run_flows(scenario.fabric, scenario.escalation(),
+                     lambda env: scenario.generate(env, num_flows))
 
 
 _SRC_MAC = MACAddress(0x02_00_00_00_00_01)
 _DST_MAC = MACAddress(0x02_00_00_00_00_02)
-
-
-def _fabric_ip(scenario: TrafficScenario, host: str,
-               index_of: Dict[str, int]) -> IPv4Address:
-    """The address :func:`build_leaf_spine` gives this fabric host."""
-    leaf, index = scenario.fabric.host_address(index_of[host])
-    return IPv4Address(f"10.{leaf}.0.{index + 1}")
 
 
 def packet_stream(
@@ -128,10 +73,11 @@ def packet_stream(
         num_flows = num_packets
     env = Environment()
     flows = scenario.generate(env, num_flows)
-    index_of = {name: i
-                for i, name in enumerate(scenario.fabric.host_names())}
+    fabric = scenario.fabric
+    ip_of = {name: fabric.host_ip(*fabric.host_address(i))
+             for i, name in enumerate(fabric.host_names())}
     spacing_s = (DEFAULT_MTU_PAYLOAD_BYTES * 8.0
-                 / scenario.fabric.host_bandwidth_bps)
+                 / fabric.host_bandwidth_bps)
     spoofed = (scenario.spoofed_sources
                if isinstance(scenario, DDoSScenario) else 0)
 
@@ -155,27 +101,21 @@ def packet_stream(
             # concentrate on `spoofed` addresses however many flood
             # flows the scenario launched.
             spoof = attack_seq.setdefault(seq, len(attack_seq))
-            packet = Packet.udp(
-                src_mac=_SRC_MAC,
-                dst_mac=_DST_MAC,
-                src_ip=IPv4Address(
-                    f"10.99.{(spoof % spoofed) // 200}."
-                    f"{(spoof % spoofed) % 200 + 1}"
-                ),
-                dst_ip=_fabric_ip(scenario, flow.dst, index_of),
-                src_port=3000 + spoof % 64,
-                dst_port=443,
-                payload=bytes(64),
-            )
+            src_ip = IPv4Address(f"10.99.{(spoof % spoofed) // 200}."
+                                 f"{(spoof % spoofed) % 200 + 1}")
+            src_port, dst_port = 3000 + spoof % 64, 443
         else:
-            packet = Packet.udp(
-                src_mac=_SRC_MAC,
-                dst_mac=_DST_MAC,
-                src_ip=_fabric_ip(scenario, flow.src, index_of),
-                dst_ip=_fabric_ip(scenario, flow.dst, index_of),
-                src_port=1024 + flow.flow_id % 60_000,
-                dst_port=2000 + flow.flow_id % 16,
-                payload=bytes(64),
-            )
+            src_ip = ip_of[flow.src]
+            src_port = 1024 + flow.flow_id % 60_000
+            dst_port = 2000 + flow.flow_id % 16
+        packet = Packet.udp(
+            src_mac=_SRC_MAC,
+            dst_mac=_DST_MAC,
+            src_ip=src_ip,
+            dst_ip=ip_of[flow.dst],
+            src_port=src_port,
+            dst_port=dst_port,
+            payload=bytes(64),
+        )
         views.append(packet_view(index, packet))
     return tuple(views)

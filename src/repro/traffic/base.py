@@ -1,6 +1,7 @@
 """Scenario interface for the datacenter traffic generator.
 
-A :class:`TrafficScenario` is a *workload description*: given an
+A :class:`TrafficScenario` is a *workload description* on a
+:class:`~repro.flowsim.scenario.FabricShape`: given an
 :class:`~repro.sim.Environment` and a flow budget it produces a
 :class:`~repro.flowsim.flow.FlowSpec` list, drawing every random choice
 from the environment's named stream ``traffic/<scenario-name>``.  The
@@ -18,60 +19,17 @@ the one :class:`repro.registry.Registry` type.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from random import Random
-from typing import List, Tuple
+from typing import List
 
 from repro.flowsim.escalate import EscalationConfig
 from repro.flowsim.flow import FlowSpec
-from repro.flowsim.scenario import host_name
+from repro.flowsim.scenario import FabricShape
 from repro.sim import Environment
 
 __all__ = [
-    "FabricShape",
     "TrafficScenario",
 ]
-
-
-@dataclass(frozen=True)
-class FabricShape:
-    """The leaf/spine fabric a scenario's endpoints live on.
-
-    Mirrors the fabric half of
-    :class:`repro.flowsim.scenario.ScenarioConfig` (same defaults, same
-    ``h<leaf>-<index>`` naming) so a scenario's flow list drops straight
-    onto the fabric that module builds.
-    """
-
-    leaves: int = 4
-    hosts_per_leaf: int = 16
-    host_bandwidth_bps: float = 100e9
-    uplink_bandwidth_bps: float = 800e9
-    propagation_s: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.leaves < 1 or self.hosts_per_leaf < 1:
-            raise ValueError(
-                f"fabric needs >= 1 leaf and host: {self.leaves}, "
-                f"{self.hosts_per_leaf}"
-            )
-
-    @property
-    def num_hosts(self) -> int:
-        return self.leaves * self.hosts_per_leaf
-
-    @property
-    def aggregate_access_bps(self) -> float:
-        return self.num_hosts * self.host_bandwidth_bps
-
-    def host_names(self) -> List[str]:
-        return [host_name(leaf, index)
-                for leaf in range(self.leaves)
-                for index in range(self.hosts_per_leaf)]
-
-    def host_address(self, host_index: int) -> Tuple[int, int]:
-        """(leaf, index-within-leaf) of a flat host index."""
-        return divmod(host_index, self.hosts_per_leaf)
 
 
 class TrafficScenario(abc.ABC):

@@ -10,9 +10,9 @@ The distribution families follow "Traffic Generation for Benchmarking
 Data Centre Networks" (Parsonson et al., PAPERS.md): empirical
 flow-size CDF tables (web-search- and cache-shaped), lognormal and
 Pareto parametric sizes, Poisson and on/off-modulated interarrivals,
-and Zipf flow-popularity skew.  :func:`fan_in_burst` is the shared
-synchronised-burst endpoint draw that :mod:`repro.flowsim.scenario`'s
-incast and aggregation arms are re-expressed through.
+and Zipf flow-popularity skew.  :func:`draw_flows` is the one
+flow-drawing loop over them, for the canonical
+:mod:`repro.flowsim.scenario` workload and every traffic family alike.
 """
 
 from __future__ import annotations
@@ -21,10 +21,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from random import Random
-from typing import List, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
+
+from repro.flowsim.flow import FlowSpec
 
 __all__ = [
     "ArrivalProcess",
+    "Burst",
     "CACHE_SIZE_CDF",
     "CDFTableSizes",
     "ExponentialSizes",
@@ -35,6 +38,7 @@ __all__ = [
     "SizeSampler",
     "WEBSEARCH_SIZE_CDF",
     "ZipfPopularity",
+    "draw_flows",
     "fan_in_burst",
 ]
 
@@ -325,22 +329,96 @@ class ZipfPopularity:
 # ---------------------------------------------------------------------------
 
 
-def fan_in_burst(rng: Random, num_hosts: int,
-                 degree: int) -> Tuple[int, List[int]]:
+def fan_in_burst(rng: Random, num_hosts: int, degree: int,
+                 victims: int = 0) -> Tuple[int, List[int]]:
     """Endpoint draw for one synchronised fan-in burst.
 
-    Picks a target host uniformly, then ``min(degree, num_hosts - 1)``
-    distinct senders from the rest.  This is *the* draw pattern of
-    :mod:`repro.flowsim.scenario`'s incast and aggregation arms —
-    moved here verbatim (same RNG call sequence) so both that module
-    and the traffic scenarios share one implementation and the hybrid
-    sweep output stays bit-identical.
+    Picks a target host, uniformly or, with ``victims``, from the last
+    ``victims`` hosts, then ``min(degree, num_hosts - 1)`` distinct
+    senders from the rest.
     """
     if num_hosts < 2:
         raise ValueError(f"fan-in needs >= 2 hosts: {num_hosts}")
-    target = rng.randrange(num_hosts)
+    if victims:
+        target = num_hosts - 1 - rng.randrange(victims)
+    else:
+        target = rng.randrange(num_hosts)
     senders = rng.sample(
         [h for h in range(num_hosts) if h != target],
         min(degree, num_hosts - 1),
     )
     return target, senders
+
+
+@dataclass(frozen=True)
+class Burst:
+    """One burst arm of :func:`draw_flows`.
+
+    On an arrival the arm fires with probability ``fraction`` while its
+    budget, ``fraction`` of the flow count, lasts.  It draws a
+    :func:`fan_in_burst` and emits ``rounds`` waves of ``degree``
+    ``flow_bytes`` flows tagged ``service``, ``round_spacing_s`` apart.
+    """
+
+    fraction: float
+    degree: int
+    flow_bytes: float
+    service: str
+    rounds: int = 1
+    round_spacing_s: float = 0.0
+    victims: int = 0
+
+
+def draw_flows(
+    rng: Random,
+    hosts: Sequence[str],
+    num_flows: int,
+    arrivals: ArrivalProcess,
+    sizes: SizeSampler,
+    service: str = "bulk",
+    bursts: Sequence[Burst] = (),
+    src_pop: Optional[ZipfPopularity] = None,
+    dst_pop: Optional[ZipfPopularity] = None,
+) -> List[FlowSpec]:
+    """``num_flows`` flow specs, start-time ordered.
+
+    For each arrival the burst arms are tried in order; if none fires,
+    one ``service`` flow of ``sizes`` runs between distinct endpoints,
+    Zipf-drawn where a popularity is given and uniform otherwise.
+    """
+    n = len(hosts)
+    budgets = [int(num_flows * arm.fraction) for arm in bursts]
+    flows: List[FlowSpec] = []
+    now = 0.0
+    while len(flows) < num_flows:
+        now = arrivals.next_after(rng, now)
+        for k, arm in enumerate(bursts):
+            if budgets[k] > 0 and rng.random() < arm.fraction:
+                target, senders = fan_in_burst(rng, n, arm.degree,
+                                               arm.victims)
+                for wave in range(arm.rounds):
+                    when = now + wave * arm.round_spacing_s
+                    for sender in senders:
+                        flows.append(FlowSpec(
+                            len(flows), hosts[sender], hosts[target],
+                            arm.flow_bytes, when, arm.service))
+                budgets[k] -= len(senders) * arm.rounds
+                break
+        else:
+            if src_pop is not None:
+                src = src_pop.sample(rng)
+            else:
+                src = rng.randrange(n)
+            if dst_pop is not None:
+                dst = dst_pop.sample(rng)
+                if dst == src:
+                    dst = (dst + 1) % n
+            else:
+                dst = rng.randrange(n - 1)
+                if dst >= src:
+                    dst += 1
+            # Positional: (flow_id, src, dst, size_bytes, start_s,
+            # service), the cheaper call on the per-arrival path.
+            flows.append(FlowSpec(len(flows), hosts[src], hosts[dst],
+                                  sizes.sample(rng), now, service))
+    return flows[:num_flows]

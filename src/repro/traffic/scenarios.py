@@ -40,11 +40,13 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.flowsim.flow import FlowSpec
+from repro.flowsim.scenario import FabricShape
 from repro.sim import Environment
-from repro.traffic.base import FabricShape, TrafficScenario
+from repro.traffic.base import TrafficScenario
 from repro.traffic.registry import register_scenario
 from repro.traffic.samplers import (
     ArrivalProcess,
+    Burst,
     CACHE_SIZE_CDF,
     CDFTableSizes,
     ExponentialSizes,
@@ -55,7 +57,7 @@ from repro.traffic.samplers import (
     SizeSampler,
     WEBSEARCH_SIZE_CDF,
     ZipfPopularity,
-    fan_in_burst,
+    draw_flows,
 )
 
 __all__ = [
@@ -71,8 +73,8 @@ class MixedScenario(TrafficScenario):
     """Independent flows: pluggable size law, arrivals, endpoint skew.
 
     Arrival rate is sized so offered load is ``load`` times the
-    aggregate host access bandwidth (the same convention as
-    :class:`repro.flowsim.scenario.ScenarioConfig`).  With
+    aggregate host access bandwidth
+    (:meth:`~repro.flowsim.scenario.FabricShape.arrival_rate`).  With
     ``burst_arrivals`` the Poisson process is replaced by an on/off
     modulated one at the same long-run rate; with ``dst_skew`` /
     ``src_skew`` endpoints are drawn Zipf(popularity rank = host
@@ -106,12 +108,8 @@ class MixedScenario(TrafficScenario):
         #: (flows per on-burst, duty cycle) — None means plain Poisson.
         self.burst_arrivals = burst_arrivals
 
-    def arrival_rate_per_s(self) -> float:
-        return (self.fabric.aggregate_access_bps * self.load
-                / (self.mean_size_bytes * 8.0))
-
     def _arrivals(self) -> ArrivalProcess:
-        rate = self.arrival_rate_per_s()
+        rate = self.fabric.arrival_rate(self.load, self.mean_size_bytes)
         if self.burst_arrivals is None:
             return PoissonArrivals(rate)
         flows_per_burst, duty = self.burst_arrivals
@@ -122,40 +120,15 @@ class MixedScenario(TrafficScenario):
 
     def generate(self, env: Environment,
                  num_flows: int) -> List[FlowSpec]:
-        rng = self.rng(env)
-        fabric = self.fabric
-        hosts = fabric.host_names()
-        n = fabric.num_hosts
-        arrivals = self._arrivals()
-        dst_pop = (ZipfPopularity(n, self.dst_skew)
-                   if self.dst_skew > 0 else None)
-        src_pop = (ZipfPopularity(n, self.src_skew)
-                   if self.src_skew > 0 else None)
-        flows: List[FlowSpec] = []
-        now = 0.0
-        for flow_id in range(num_flows):
-            now = arrivals.next_after(rng, now)
-            if src_pop is not None:
-                src = src_pop.sample(rng)
-            else:
-                src = rng.randrange(n)
-            if dst_pop is not None:
-                dst = dst_pop.sample(rng)
-                if dst == src:
-                    dst = (dst + 1) % n
-            else:
-                dst = rng.randrange(n - 1)
-                if dst >= src:
-                    dst += 1
-            flows.append(FlowSpec(
-                flow_id=flow_id,
-                src=hosts[src],
-                dst=hosts[dst],
-                size_bytes=self.sizes.sample(rng),
-                start_s=now,
-                service=self.service,
-            ))
-        return flows
+        n = self.fabric.num_hosts
+        return draw_flows(
+            self.rng(env), self.fabric.host_names(), num_flows,
+            self._arrivals(), self.sizes, service=self.service,
+            src_pop=(ZipfPopularity(n, self.src_skew)
+                     if self.src_skew > 0 else None),
+            dst_pop=(ZipfPopularity(n, self.dst_skew)
+                     if self.dst_skew > 0 else None),
+        )
 
 
 class FanInScenario(TrafficScenario):
@@ -196,58 +169,19 @@ class FanInScenario(TrafficScenario):
         self.background = background
         self.mean_size_bytes = mean_size_bytes
         self.load = load
-        self.burst_fraction = burst_fraction
-        self.burst_degree = burst_degree
-        self.burst_flow_bytes = burst_flow_bytes
-        self.burst_rounds = burst_rounds
-        self.round_spacing_s = round_spacing_s
-        self.burst_service = burst_service
+        self.burst = Burst(burst_fraction, burst_degree, burst_flow_bytes,
+                           burst_service, rounds=burst_rounds,
+                           round_spacing_s=round_spacing_s)
 
     def generate(self, env: Environment,
                  num_flows: int) -> List[FlowSpec]:
-        rng = self.rng(env)
         fabric = self.fabric
-        hosts = fabric.host_names()
-        n = fabric.num_hosts
-        rate = (fabric.aggregate_access_bps * self.load
-                / (self.mean_size_bytes * 8.0))
-        burst_budget = int(num_flows * self.burst_fraction)
-        flows: List[FlowSpec] = []
-        flow_id = 0
-        now = 0.0
-        while len(flows) < num_flows:
-            now += rng.expovariate(rate)
-            if burst_budget > 0 and rng.random() < self.burst_fraction:
-                victim, senders = fan_in_burst(
-                    rng, n, self.burst_degree)
-                for wave in range(self.burst_rounds):
-                    when = now + wave * self.round_spacing_s
-                    for sender in senders:
-                        flows.append(FlowSpec(
-                            flow_id=flow_id,
-                            src=hosts[sender],
-                            dst=hosts[victim],
-                            size_bytes=self.burst_flow_bytes,
-                            start_s=when,
-                            service=self.burst_service,
-                        ))
-                        flow_id += 1
-                burst_budget -= len(senders) * self.burst_rounds
-                continue
-            src = rng.randrange(n)
-            dst = rng.randrange(n - 1)
-            if dst >= src:
-                dst += 1
-            flows.append(FlowSpec(
-                flow_id=flow_id,
-                src=hosts[src],
-                dst=hosts[dst],
-                size_bytes=self.background.sample(rng),
-                start_s=now,
-                service="bulk",
-            ))
-            flow_id += 1
-        return flows[:num_flows]
+        return draw_flows(
+            self.rng(env), fabric.host_names(), num_flows,
+            PoissonArrivals(fabric.arrival_rate(self.load,
+                                                self.mean_size_bytes)),
+            self.background, bursts=(self.burst,),
+        )
 
 
 class DDoSScenario(TrafficScenario):
@@ -289,62 +223,20 @@ class DDoSScenario(TrafficScenario):
         self.background = background
         self.mean_size_bytes = mean_size_bytes
         self.load = load
-        self.attack_fraction = attack_fraction
-        self.flood_degree = flood_degree
-        self.flood_flow_bytes = flood_flow_bytes
-        self.victims = victims
+        # The victim is one of the last `victims` fabric hosts.
+        self.flood = Burst(attack_fraction, flood_degree, flood_flow_bytes,
+                           "ddos", victims=victims)
         self.spoofed_sources = spoofed_sources
-
-    def victim_hosts(self) -> List[str]:
-        """The fixed victim pool: the last ``victims`` fabric hosts."""
-        return self.fabric.host_names()[-self.victims:]
 
     def generate(self, env: Environment,
                  num_flows: int) -> List[FlowSpec]:
-        rng = self.rng(env)
         fabric = self.fabric
-        hosts = fabric.host_names()
-        n = fabric.num_hosts
-        rate = (fabric.aggregate_access_bps * self.load
-                / (self.mean_size_bytes * 8.0))
-        flood_budget = int(num_flows * self.attack_fraction)
-        flows: List[FlowSpec] = []
-        flow_id = 0
-        now = 0.0
-        while len(flows) < num_flows:
-            now += rng.expovariate(rate)
-            if flood_budget > 0 and rng.random() < self.attack_fraction:
-                victim = n - 1 - rng.randrange(self.victims)
-                senders = rng.sample(
-                    [h for h in range(n) if h != victim],
-                    min(self.flood_degree, n - 1),
-                )
-                for sender in senders:
-                    flows.append(FlowSpec(
-                        flow_id=flow_id,
-                        src=hosts[sender],
-                        dst=hosts[victim],
-                        size_bytes=self.flood_flow_bytes,
-                        start_s=now,
-                        service="ddos",
-                    ))
-                    flow_id += 1
-                flood_budget -= len(senders)
-                continue
-            src = rng.randrange(n)
-            dst = rng.randrange(n - 1)
-            if dst >= src:
-                dst += 1
-            flows.append(FlowSpec(
-                flow_id=flow_id,
-                src=hosts[src],
-                dst=hosts[dst],
-                size_bytes=self.background.sample(rng),
-                start_s=now,
-                service="bulk",
-            ))
-            flow_id += 1
-        return flows[:num_flows]
+        return draw_flows(
+            self.rng(env), fabric.host_names(), num_flows,
+            PoissonArrivals(fabric.arrival_rate(self.load,
+                                                self.mean_size_bytes)),
+            self.background, bursts=(self.flood,),
+        )
 
 
 def _builtin_scenarios() -> Tuple[TrafficScenario, ...]:

@@ -531,6 +531,28 @@ class TestScenario:
         assert set(result.escalations) == {"incast", "straggler",
                                            "pfe-hash"}
 
+    def test_configured_escalation_is_honoured(self):
+        """``ScenarioConfig.escalation`` reaches the policy unchanged,
+        straggler hosts included."""
+        moved = run_scenario(ScenarioConfig(
+            num_flows=400,
+            escalation=EscalationConfig(straggler_hosts=("h01-00",))))
+        stragglers = [record for record in moved.records
+                      if record.escalated == "straggler"]
+        assert stragglers
+        assert all(record.spec.src == "h01-00" for record in stragglers)
+        none = run_scenario(ScenarioConfig(
+            num_flows=400, escalation=EscalationConfig()))
+        assert "straggler" not in none.escalations
+
+    def test_malformed_config_is_a_value_error(self):
+        """A fabric without leaves or a zero load is diagnosed, not a
+        ZeroDivisionError from the arrival draw."""
+        with pytest.raises(ValueError, match="leaf"):
+            generate_flows(Environment(), ScenarioConfig(leaves=0))
+        with pytest.raises(ValueError, match="rate must be positive"):
+            generate_flows(Environment(), ScenarioConfig(load=0.0))
+
     def test_find_path_routes_across_leaves(self):
         env = Environment()
         topology = build_leaf_spine(env, ScenarioConfig())

@@ -6,8 +6,8 @@ at n = 10^5), the scenario registry, seed-tree determinism (same seed
 escalation taxonomy ("microburst" and "ddos" classes firing in fluid
 runs), the packet adapter's validation against the
 ``firewall -> telemetry`` NF chain, and the golden fingerprints that
-pin :mod:`repro.flowsim.scenario`'s output across the sampler dedup
-refactor.
+pin :mod:`repro.flowsim.scenario`'s and every family's flow lists
+across refactors of the generators.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ from random import Random
 
 import pytest
 
-from repro.flowsim import ScenarioConfig, generate_flows
+from repro.flowsim import ScenarioConfig, build_leaf_spine, generate_flows
 from repro.harness.experiments import (
     TRAFFIC_CHAIN,
     _map_points,
@@ -317,10 +317,60 @@ def _flows_fingerprint(flows):
     return digest.hexdigest()
 
 
+#: name -> (2000-flow list sha256 at the default seed, at seed 5).
+FAMILY_PINS = {
+    "websearch": (
+        "207109dea83e66b1e08a597bae9da52ebc5aa8db950855cfc4170def691ef53d",
+        "f1168173b19994942fa632839bdfa34c0e42bcb392268705535fe69c2d783430",
+    ),
+    "cache": (
+        "99c606d63d2b89eb12b0153b5e31d014f0f69e9046b603dd7c3b3d6b6cf0db57",
+        "6c19c472c9a7d3d1abf36db13b1653a1d9aa4dd4d041140f808d4f48119bfd4b",
+    ),
+    "incast": (
+        "654850f213830341d6ba3d2bc652e6d6fb7832db1eb0ba6a4acd70a917c1a05c",
+        "cac90cd1c8f8b30bb81b4a63ee6f4cec9f845e7362c6626a27a5a8899f3e8802",
+    ),
+    "microburst": (
+        "14cf6ad0507be01bd6e21484f35dfafcc57f706f1ee56a400d9bcce7b42ae4c3",
+        "7305cad8bb4a7a733f293a3b9cfcc89625b67f2f94fbec63801a1e107186a20f",
+    ),
+    "ddos": (
+        "c7b60e477c878af7c05d3727851ddb4ee484793d9ec1c6eb31f1c03a91caf449",
+        "920b137ce3c9c40bab0b1e3c771758d2e06d4fd973187ab13bdf4bc1982a4b66",
+    ),
+    "heavy-hitter": (
+        "510067040e231b3c02dc8f70a9ee272175a93fff905499c9ee28e39873b51a08",
+        "b64bde68c83d956a3fb697eceecdf04b2f5771768b083637b361bd49df8e3c44",
+    ),
+}
+
+
 class TestGoldenFingerprints:
     """Pinned before the samplers were factored out of
-    :mod:`repro.flowsim.scenario`; these hashes are the proof the dedup
-    left every hybrid-sweep draw bit-identical."""
+    :mod:`repro.flowsim.scenario`, and for every registered family
+    before the fluid scenario paths were merged; these hashes are the
+    proof those refactors left every draw bit-identical."""
+
+    def test_every_family_is_pinned(self):
+        assert set(FAMILY_PINS) == set(available_scenarios())
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_PINS))
+    def test_family_flow_lists(self, name):
+        scenario = get_scenario(name)
+        unseeded, seed_5 = FAMILY_PINS[name]
+        assert _flows_fingerprint(
+            scenario.generate(Environment(), 2000)) == unseeded
+        assert _flows_fingerprint(
+            scenario.generate(Environment(seed=5), 2000)) == seed_5
+
+    def test_ddos_packet_stream(self):
+        digest = hashlib.sha256()
+        for view in packet_stream(get_scenario("ddos"), 512):
+            digest.update(repr(view).encode())
+        assert digest.hexdigest() == (
+            "24daddba66bd400af45dbef45391e0982d657d74f6952a16ca037c8ae2dadfc7"
+        )
 
     def test_default_config_unseeded(self):
         flows = generate_flows(Environment(), ScenarioConfig())
@@ -363,7 +413,6 @@ class TestFluidRuns:
     def test_all_families_complete(self):
         for name in available_scenarios():
             result = run_fluid(get_scenario(name), 400)
-            assert result.scenario == name
             assert len(result.records) == 400
             assert result.summary["flows"] == 400
             assert result.sim_seconds > 0
@@ -451,6 +500,21 @@ class TestPacketValidation:
     def test_packet_stream_validates_args(self):
         with pytest.raises(ValueError):
             packet_stream(get_scenario("cache"), 0)
+
+    @pytest.mark.parametrize("name", ["websearch", "cache", "incast",
+                                      "microburst", "ddos", "heavy-hitter"])
+    def test_benign_addresses_are_fabric_hosts(self, name):
+        """Every non-flood packet runs between hosts of the fabric
+        :func:`build_leaf_spine` builds for the scenario."""
+        scenario = get_scenario(name)
+        topology = build_leaf_spine(Environment(), scenario.fabric)
+        host_ips = {int(host.ip) for host in topology.hosts.values()}
+        benign = [pkt for pkt in packet_stream(scenario, 512)
+                  if pkt.flow[3] != 443]
+        assert benign
+        for pkt in benign:
+            assert pkt.src_ip in host_ips
+            assert pkt.dst_ip in host_ips
 
 
 # ---------------------------------------------------------------------------
