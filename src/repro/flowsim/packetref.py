@@ -64,15 +64,6 @@ class PacketRefResult:
     def mean_fct_s(self) -> float:
         return sum(self.fct_s) / len(self.fct_s)
 
-    @property
-    def max_fct_s(self) -> float:
-        return max(self.fct_s)
-
-    @property
-    def per_flow_goodput_bps(self) -> float:
-        """Mean per-flow goodput implied by the measured FCTs."""
-        return self.flow_bytes * 8 / self.mean_fct_s
-
 
 def _sender(host: Host, dst_mac, dst_ip, size_bytes: int,
             payload_bytes: int):

@@ -79,15 +79,16 @@ Run it from the command line with rustc-style output::
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.microcode import ast_nodes as ast
 from repro.microcode.compiler import (
     BUILTIN_NAMESPACES,
     CompiledProgram,
-    apply_binary,
+    const_value,
 )
 from repro.microcode.errors import (
     Diagnostic,
@@ -96,6 +97,7 @@ from repro.microcode.errors import (
     render_diagnostics,
 )
 from repro.microcode.intrinsics import SHARED_INTRINSICS, IntrinsicSpec
+from repro.microcode.layout import StructLayout
 
 __all__ = [
     "AnalysisReport",
@@ -133,6 +135,21 @@ class CFGNode:
     successors: Dict[str, ast.Goto] = field(default_factory=dict)
     calls: List[ast.CallSub] = field(default_factory=list)
     may_exit: bool = False
+
+
+def _arms(stmt: object) -> List[Sequence[object]]:
+    """The alternative bodies a statement runs next: the arms of an
+    ``if`` or ``switch``, where an empty arm stands for falling through
+    (no ``else``, or no ``default`` arm matching the selector), or the
+    one empty arm of a straight-line statement."""
+    if isinstance(stmt, ast.If):
+        return [stmt.then_body, stmt.else_body]
+    if isinstance(stmt, ast.Switch):
+        arms: List[Sequence[object]] = [case.body for case in stmt.cases]
+        if all(case.values is not None for case in stmt.cases):
+            arms.append(())
+        return arms
+    return [()]
 
 
 class _BodyWalker:
@@ -177,21 +194,9 @@ class _BodyWalker:
         if isinstance(stmt, ast.CallSub):
             node.calls.append(stmt)
             return True
-        if isinstance(stmt, ast.If):
-            then_completes = self.walk(stmt.then_body)
-            if stmt.else_body:
-                else_completes = self.walk(stmt.else_body)
-            else:
-                else_completes = True  # false condition falls through
-            return then_completes or else_completes
-        if isinstance(stmt, ast.Switch):
-            has_default = any(c.values is None for c in stmt.cases)
-            completes = not has_default  # unmatched selector falls through
-            for case in stmt.cases:
-                if self.walk(case.body):
-                    completes = True
-            return completes
-        return True  # Assign / LocalConst / CallStmt
+        # A straight-line statement completes; a branch completes when
+        # any of its arms does (each arm is walked for its diagnostics).
+        return any([self.walk(arm) for arm in _arms(stmt)])
 
 
 def _span(stmt: object, filename: str) -> Optional[SourceSpan]:
@@ -270,6 +275,22 @@ class PathBudget:
     reg_writes: float = 0.0
     mem_writes: float = 0.0
 
+    @classmethod
+    def unbounded(cls) -> "PathBudget":
+        return cls(_INF, _INF, _INF, _INF, _INF)
+
+    # vars() lists the fields in declaration order, without astuple's
+    # deep copy.
+    def __add__(self, other: "PathBudget") -> "PathBudget":
+        """Both paths, one after the other."""
+        return PathBudget(*map(operator.add, vars(self).values(),
+                               vars(other).values()))
+
+    def peak(self, other: "PathBudget") -> "PathBudget":
+        """The worse of two alternative paths, field by field."""
+        return PathBudget(*map(max, vars(self).values(),
+                               vars(other).values()))
+
     @property
     def bounded(self) -> bool:
         return self.instructions != _INF
@@ -309,18 +330,13 @@ class _BoundSolver:
         if label in self._memo:
             return self._memo[label]
         if label in self._visiting:
-            return PathBudget(_INF, _INF, _INF, _INF, _INF)
+            return PathBudget.unbounded()
         self._visiting.add(label)
         node = self.cfg[label]
         budget = self.program.budgets.get(label)
 
-        result = PathBudget(
-            instructions=1.0,
-            reg_reads=float(budget.reg_reads) if budget else 0.0,
-            mem_reads=float(budget.mem_reads) if budget else 0.0,
-            reg_writes=float(budget.reg_writes) if budget else 0.0,
-            mem_writes=float(budget.mem_writes) if budget else 0.0,
-        )
+        result = PathBudget(1.0, *map(float, vars(budget).values())) \
+            if budget else PathBudget(1.0)
         for call in node.calls:
             if call.label in self._visiting:
                 if call.label not in self._reported_recursion:
@@ -332,30 +348,16 @@ class _BoundSolver:
                         "most 8 levels (§2.2)",
                         _span(call, self.filename),
                     ))
-                sub = PathBudget(_INF, _INF, _INF, _INF, _INF)
+                sub = PathBudget.unbounded()
             else:
                 sub = self.bound(call.label)
-            result.instructions += sub.instructions
-            result.reg_reads += sub.reg_reads
-            result.mem_reads += sub.mem_reads
-            result.reg_writes += sub.reg_writes
-            result.mem_writes += sub.mem_writes
+            result = result + sub
 
         best = PathBudget()  # exit / fall-through path costs nothing more
         for succ in node.successors:
-            if succ in self.extern:
-                continue
-            tail = self.bound(succ)
-            best.instructions = max(best.instructions, tail.instructions)
-            best.reg_reads = max(best.reg_reads, tail.reg_reads)
-            best.mem_reads = max(best.mem_reads, tail.mem_reads)
-            best.reg_writes = max(best.reg_writes, tail.reg_writes)
-            best.mem_writes = max(best.mem_writes, tail.mem_writes)
-        result.instructions += best.instructions
-        result.reg_reads += best.reg_reads
-        result.mem_reads += best.mem_reads
-        result.reg_writes += best.reg_writes
-        result.mem_writes += best.mem_writes
+            if succ not in self.extern:
+                best = best.peak(self.bound(succ))
+        result = result + best
 
         self._visiting.discard(label)
         self._memo[label] = result
@@ -437,18 +439,44 @@ def _check_termination(
 # ---------------------------------------------------------------------------
 
 
-def _expr_reg_reads(expr: object, reg_map: Dict[str, int],
-                    out: List[ast.Name]) -> None:
-    if isinstance(expr, ast.Name):
-        if expr.ident in reg_map:
-            out.append(expr)
-    elif isinstance(expr, ast.Member):
-        _expr_reg_reads(expr.base, reg_map, out)
-    elif isinstance(expr, ast.Unary):
-        _expr_reg_reads(expr.operand, reg_map, out)
-    elif isinstance(expr, ast.Binary):
-        _expr_reg_reads(expr.left, reg_map, out)
-        _expr_reg_reads(expr.right, reg_map, out)
+def _operands(stmt: object) -> List[object]:
+    """The expressions ``stmt`` itself evaluates, in order: an
+    assignment's value then its target, an intrinsic's arguments, an
+    ``if`` condition or a ``switch`` selector (never a nested body)."""
+    if isinstance(stmt, ast.Assign):
+        return [stmt.expr, stmt.target]
+    if isinstance(stmt, ast.LocalConst):
+        return [stmt.expr]
+    if isinstance(stmt, ast.CallStmt):
+        return list(stmt.args)
+    if isinstance(stmt, ast.If):
+        return [stmt.cond]
+    if isinstance(stmt, ast.Switch):
+        return [stmt.selector]
+    return []
+
+
+def _effects(stmt: object, regs: Mapping[str, int]
+             ) -> Tuple[List[ast.Name], Optional[ast.Name]]:
+    """The registers ``stmt`` itself reads, in evaluation order, and the
+    register it writes (``None`` when it writes none).
+
+    The written operand is not a read: an assignment's target name, or
+    an intrinsic's out-register (the XTXN reply lands there).
+    """
+    out: object = None
+    if isinstance(stmt, ast.Assign) and isinstance(stmt.target, ast.Name):
+        out = stmt.target
+    elif isinstance(stmt, ast.CallStmt):
+        spec = SHARED_INTRINSICS.get(stmt.name)
+        if spec is not None and spec.out_reg is not None \
+                and spec.out_reg < len(stmt.args):
+            out = stmt.args[spec.out_reg]
+    reads = [name for expr in _operands(stmt) if expr is not out
+             for name in ast.iter_exprs(expr)
+             if isinstance(name, ast.Name) and name.ident in regs]
+    written = out if isinstance(out, ast.Name) and out.ident in regs else None
+    return reads, written
 
 
 class _DefUse:
@@ -471,6 +499,13 @@ class _DefUse:
         self.filename = filename
         self.regs = set(program.reg_map)
         self.extern = set(program.extern_labels)
+        # Both passes revisit statements until a fixpoint: take each
+        # statement's effects once.
+        self.effects = {
+            id(stmt): _effects(stmt, program.reg_map)
+            for instr in program.instructions.values()
+            for stmt in ast.iter_stmts(instr.body)
+        }
 
     # -- forward must-def -------------------------------------------------
 
@@ -524,31 +559,10 @@ class _DefUse:
                 return False
             if isinstance(stmt, (ast.ExitStmt, ast.ReturnStmt)):
                 return False
-            if isinstance(stmt, ast.Assign):
-                self._check_reads(stmt.expr, defined, flagged, report)
-                if isinstance(stmt.target, ast.Member):
-                    self._check_reads(stmt.target.base, defined, flagged,
-                                      report)
-                elif (isinstance(stmt.target, ast.Name)
-                      and stmt.target.ident in self.regs):
-                    defined.add(stmt.target.ident)
-                continue
-            if isinstance(stmt, ast.LocalConst):
-                self._check_reads(stmt.expr, defined, flagged, report)
-                continue
-            if isinstance(stmt, ast.CallStmt):
-                spec = SHARED_INTRINSICS.get(stmt.name)
-                out_reg = spec.out_reg if spec is not None else None
-                for index, arg in enumerate(stmt.args):
-                    if index != out_reg:
-                        self._check_reads(arg, defined, flagged, report)
-                if out_reg is not None and out_reg < len(stmt.args):
-                    arg = stmt.args[out_reg]
-                    if isinstance(arg, ast.Name) and arg.ident in self.regs:
-                        # The intrinsic writes this register (the XTXN
-                        # reply lands there) — a definition, not a read.
-                        defined.add(arg.ident)
-                continue
+            reads, written = self.effects[id(stmt)]
+            self._check_reads(reads, defined, flagged, report)
+            if written is not None:
+                defined.add(written.ident)
             if isinstance(stmt, ast.CallSub):
                 # Callee reads run under the caller's defined set; its
                 # writes are not guaranteed on every path, so the set is
@@ -556,51 +570,17 @@ class _DefUse:
                 self._propagate_call(stmt.label, defined, outs, flagged,
                                      report)
                 continue
-            if isinstance(stmt, ast.If):
-                self._check_reads(stmt.cond, defined, flagged, report)
-                then_set = set(defined)
-                then_completes = self._walk_must(stmt.then_body, then_set,
-                                                 outs, flagged, report)
-                else_set = set(defined)
-                if stmt.else_body:
-                    else_completes = self._walk_must(
-                        stmt.else_body, else_set, outs, flagged, report)
-                else:
-                    else_completes = True  # false condition falls through
-                completing = [s for s, done in
-                              ((then_set, then_completes),
-                               (else_set, else_completes)) if done]
+            if isinstance(stmt, (ast.If, ast.Switch)):
+                completing: List[Set[str]] = []
+                for arm in _arms(stmt):
+                    arm_set = set(defined)
+                    if self._walk_must(arm, arm_set, outs, flagged, report):
+                        completing.append(arm_set)
                 if not completing:
                     return False
-                joined = completing[0]
-                for arm in completing[1:]:
-                    joined = joined & arm
+                joined = completing[0].intersection(*completing[1:])
                 defined.clear()
                 defined.update(joined)
-                continue
-            if isinstance(stmt, ast.Switch):
-                self._check_reads(stmt.selector, defined, flagged, report)
-                arm_sets: List[Set[str]] = []
-                all_transfer = True
-                has_default = any(c.values is None for c in stmt.cases)
-                for case in stmt.cases:
-                    arm = set(defined)
-                    completes = self._walk_must(case.body, arm, outs,
-                                                flagged, report)
-                    if completes:
-                        arm_sets.append(arm)
-                        all_transfer = False
-                if not has_default:
-                    arm_sets.append(set(defined))
-                    all_transfer = False
-                if all_transfer and not arm_sets:
-                    return False
-                joined = arm_sets[0]
-                for arm in arm_sets[1:]:
-                    joined &= arm
-                defined.clear()
-                defined.update(joined)
-                continue
         return True
 
     def _propagate_call(self, label: str, defined: Set[str],
@@ -614,10 +594,8 @@ class _DefUse:
         self._walk_must(self.cfg[label].instr.body, set(defined), outs,
                         flagged, report)
 
-    def _check_reads(self, expr: object, defined: Set[str],
+    def _check_reads(self, reads: List[ast.Name], defined: Set[str],
                      flagged: Set[Tuple[int, str]], report: bool) -> None:
-        reads: List[ast.Name] = []
-        _expr_reg_reads(expr, self.program.reg_map, reads)
         for name in reads:
             if name.ident in defined:
                 continue
@@ -684,79 +662,48 @@ class _DefUse:
     def _stmt_live(self, stmt: object, live_in: Dict[str, frozenset],
                    all_regs: frozenset, live_out: frozenset,
                    report: bool) -> Set[str]:
-        live = set(live_out)
         if isinstance(stmt, ast.Goto):
             if stmt.label in self.extern or stmt.label not in self.cfg:
                 return set(all_regs)
             return set(live_in[stmt.label])
-        if isinstance(stmt, (ast.ExitStmt, ast.ReturnStmt)):
+        if isinstance(stmt, (ast.ExitStmt, ast.ReturnStmt, ast.CallSub)):
+            # The surrounding codebase reads the register file after an
+            # exit; a called subroutine may read any register.
             return set(all_regs)
-        if isinstance(stmt, ast.Assign):
-            target = stmt.target
-            if isinstance(target, ast.Name) and target.ident in self.regs:
-                if target.ident not in live and report:
-                    self.diagnostics.append(Diagnostic(
-                        "warning", "MC102",
-                        f"dead write to register {target.ident!r}: every "
-                        "following path overwrites it before reading",
-                        _span(target, self.filename),
-                    ))
-                live.discard(target.ident)
-            elif isinstance(target, ast.Member):
-                self._add_reads(target.base, live)
-            self._add_reads(stmt.expr, live)
-            return live
-        if isinstance(stmt, ast.LocalConst):
-            self._add_reads(stmt.expr, live)
-            return live
-        if isinstance(stmt, ast.CallStmt):
-            spec = SHARED_INTRINSICS.get(stmt.name)
-            out_reg = spec.out_reg if spec is not None else None
-            if out_reg is not None and out_reg < len(stmt.args):
-                arg = stmt.args[out_reg]
-                if isinstance(arg, ast.Name) and arg.ident in self.regs:
-                    # Written, not read.  No MC102 here: the load's XTXN
-                    # is a real memory access even if the reply is unused.
-                    live.discard(arg.ident)
-            for index, arg in enumerate(stmt.args):
-                if index != out_reg:
-                    self._add_reads(arg, live)
-            return live
-        if isinstance(stmt, ast.CallSub):
-            # The callee may read any register before control returns.
-            return set(all_regs)
-        if isinstance(stmt, ast.If):
-            then_live = self._seq_live(stmt.then_body, live_in, all_regs,
-                                       live_out, report)
-            else_live = self._seq_live(stmt.else_body, live_in, all_regs,
-                                       live_out, report) \
-                if stmt.else_body else live_out
-            live = set(then_live) | set(else_live)
-            self._add_reads(stmt.cond, live)
-            return live
-        if isinstance(stmt, ast.Switch):
-            merged: Set[str] = set()
-            has_default = False
-            for case in stmt.cases:
-                if case.values is None:
-                    has_default = True
-                merged |= set(self._seq_live(case.body, live_in, all_regs,
-                                             live_out, report))
-            if not has_default:
-                merged |= set(live_out)
-            self._add_reads(stmt.selector, merged)
-            return merged
-        return live
-
-    def _add_reads(self, expr: object, live: Set[str]) -> None:
-        reads: List[ast.Name] = []
-        _expr_reg_reads(expr, self.program.reg_map, reads)
+        live: Set[str] = set()
+        for arm in _arms(stmt):
+            live |= self._seq_live(arm, live_in, all_regs, live_out, report)
+        reads, written = self.effects[id(stmt)]
+        if written is not None:
+            if (isinstance(stmt, ast.Assign) and written.ident not in live
+                    and report):
+                # No MC102 for an intrinsic's out-register: the load's
+                # XTXN is a real memory access even if the reply is unused.
+                self.diagnostics.append(Diagnostic(
+                    "warning", "MC102",
+                    f"dead write to register {written.ident!r}: every "
+                    "following path overwrites it before reading",
+                    _span(written, self.filename),
+                ))
+            live.discard(written.ident)
         live.update(name.ident for name in reads)
+        return live
 
 
 # ---------------------------------------------------------------------------
 # Pointer / layout safety
 # ---------------------------------------------------------------------------
+
+
+def _fold(expr: object, consts: Mapping[str, int],
+          structs: Mapping[str, StructLayout]) -> Optional[int]:
+    """TC's value of ``expr`` (:func:`~repro.microcode.compiler.const_value`),
+    or None where TC would not fold it (or a shift overflows Python's
+    integers)."""
+    try:
+        return const_value(expr, consts, structs)
+    except (MicrocodeError, OverflowError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -779,6 +726,9 @@ class _PointerChecker:
         self.env: Dict[str, List[_AbstractPtr]] = {}
         for name, (struct_name, offset) in program.ptr_map.items():
             self.env[name] = [_AbstractPtr(struct_name, offset)]
+        # Program consts plus the integer local consts whose every
+        # binding folds to the same value (filled in by _collect).
+        self.consts: Dict[str, int] = dict(program.consts)
 
     def run(self) -> None:
         for name, (struct_name, offset) in self.program.ptr_map.items():
@@ -791,45 +741,56 @@ class _PointerChecker:
                     f"extent {extent} exceeds the {self.lmem_bytes}-byte "
                     "thread-local memory (§2.2)",
                 ))
-        # Pass 1: collect typed local-const pointers program-wide.
+        self._collect()
+        # Check every member access: the statement's own operands (an
+        # assignment's target included), every sub-expression.
         for instr in self.program.instructions.values():
-            self._collect(instr.body)
-        # Pass 2: check every member access.
-        for instr in self.program.instructions.values():
-            self._check_body(instr.body)
+            for stmt in ast.iter_stmts(instr.body):
+                for operand in _operands(stmt):
+                    for expr in ast.iter_exprs(operand):
+                        if isinstance(expr, ast.Member):
+                            self._check_member(expr)
 
     # -- collection -------------------------------------------------------
 
-    def _collect(self, body: Sequence[object]) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.LocalConst):
-                value = self._eval_ptr(stmt.expr)
-                if stmt.is_pointer:
-                    if value is None:
-                        value = _AbstractPtr(stmt.type_name, None)
-                    else:
-                        value = _AbstractPtr(stmt.type_name, value.offset)
-                    layout = self.program.structs.get(stmt.type_name)
-                    if layout is not None and value.offset is not None:
-                        extent = value.offset + layout.size_bytes
-                        if value.offset < 0 or extent > self.lmem_bytes:
-                            self.diagnostics.append(Diagnostic(
-                                "error", "MC301",
-                                f"pointer {stmt.name!r} points "
-                                f"{stmt.type_name} at byte {value.offset}: "
-                                f"extent {extent} exceeds the "
-                                f"{self.lmem_bytes}-byte thread-local "
-                                "memory (§2.2)",
-                                _span(stmt, self.filename),
-                            ))
-                if value is not None:
-                    self.env.setdefault(stmt.name, []).append(value)
-            elif isinstance(stmt, ast.If):
-                self._collect(stmt.then_body)
-                self._collect(stmt.else_body)
-            elif isinstance(stmt, ast.Switch):
-                for case in stmt.cases:
-                    self._collect(case.body)
+    def _collect(self) -> None:
+        """Bind every local const program-wide, in source order."""
+        folded: Dict[str, Optional[int]] = {}
+        for instr in self.program.instructions.values():
+            for stmt in ast.iter_stmts(instr.body):
+                if isinstance(stmt, ast.LocalConst):
+                    self._bind(stmt, folded)
+
+    def _bind(self, stmt: ast.LocalConst,
+              folded: Dict[str, Optional[int]]) -> None:
+        value = None if stmt.is_pointer else _fold(stmt.expr, self.consts,
+                                                   self.program.structs)
+        if folded.get(stmt.name, value) != value:
+            value = None  # two bindings disagree: the name stays unknown
+        folded[stmt.name] = value
+        if value is None:
+            self.consts.pop(stmt.name, None)
+        else:
+            self.consts[stmt.name] = value
+        ptr = self._eval_ptr(stmt.expr)
+        if stmt.is_pointer:
+            ptr = _AbstractPtr(stmt.type_name,
+                               ptr.offset if ptr is not None else None)
+            layout = self.program.structs.get(stmt.type_name)
+            if layout is not None and ptr.offset is not None:
+                extent = ptr.offset + layout.size_bytes
+                if ptr.offset < 0 or extent > self.lmem_bytes:
+                    self.diagnostics.append(Diagnostic(
+                        "error", "MC301",
+                        f"pointer {stmt.name!r} points "
+                        f"{stmt.type_name} at byte {ptr.offset}: "
+                        f"extent {extent} exceeds the "
+                        f"{self.lmem_bytes}-byte thread-local "
+                        "memory (§2.2)",
+                        _span(stmt, self.filename),
+                    ))
+        if ptr is not None:
+            self.env.setdefault(stmt.name, []).append(ptr)
 
     def _eval_ptr(self, expr: object) -> Optional[_AbstractPtr]:
         """Abstract pointer value of ``expr``, or None when scalar/unknown."""
@@ -839,79 +800,21 @@ class _PointerChecker:
                 return values[0]
             return None
         if isinstance(expr, ast.Binary) and expr.op == "+":
-            left = self._eval_ptr(expr.left)
-            if left is not None:
-                delta = self._eval_int(expr.right)
-                if left.offset is None or delta is None:
-                    return _AbstractPtr(None, None)
-                return _AbstractPtr(None, left.offset + delta)
-            right = self._eval_ptr(expr.right)
-            if right is not None:
-                delta = self._eval_int(expr.left)
-                if right.offset is None or delta is None:
-                    return _AbstractPtr(None, None)
-                return _AbstractPtr(None, right.offset + delta)
-        return None
-
-    def _eval_int(self, expr: object) -> Optional[int]:
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.SizeOf):
-            layout = self.program.structs.get(expr.type_name)
-            return layout.size_bytes if layout else None
-        if isinstance(expr, ast.Name):
-            return self.program.consts.get(expr.ident)
-        if isinstance(expr, ast.Unary) and expr.op == "-":
-            value = self._eval_int(expr.operand)
-            return -value if value is not None else None
-        if isinstance(expr, ast.Binary):
-            left = self._eval_int(expr.left)
-            right = self._eval_int(expr.right)
-            if left is None or right is None:
-                return None
-            try:
-                return apply_binary(expr.op, left, right)
-            except MicrocodeError:
-                return None
+            for base, delta in ((expr.left, expr.right),
+                                (expr.right, expr.left)):
+                ptr = self._eval_ptr(base)
+                if ptr is not None:
+                    offset = _fold(delta, self.consts, self.program.structs)
+                    if ptr.offset is None or offset is None:
+                        return _AbstractPtr(None, None)
+                    return _AbstractPtr(None, ptr.offset + offset)
         return None
 
     # -- access checks ----------------------------------------------------
 
-    def _check_body(self, body: Sequence[object]) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.Assign):
-                self._check_expr(stmt.expr)
-                if isinstance(stmt.target, ast.Member):
-                    self._check_member(stmt.target)
-            elif isinstance(stmt, ast.LocalConst):
-                self._check_expr(stmt.expr)
-            elif isinstance(stmt, ast.CallStmt):
-                for arg in stmt.args:
-                    self._check_expr(arg)
-            elif isinstance(stmt, ast.If):
-                self._check_expr(stmt.cond)
-                self._check_body(stmt.then_body)
-                self._check_body(stmt.else_body)
-            elif isinstance(stmt, ast.Switch):
-                self._check_expr(stmt.selector)
-                for case in stmt.cases:
-                    self._check_body(case.body)
-
-    def _check_expr(self, expr: object) -> None:
-        if isinstance(expr, ast.Member):
-            self._check_member(expr)
-        elif isinstance(expr, ast.Unary):
-            self._check_expr(expr.operand)
-        elif isinstance(expr, ast.Binary):
-            self._check_expr(expr.left)
-            self._check_expr(expr.right)
-
     def _check_member(self, member: ast.Member) -> None:
         base = member.base
         if isinstance(base, ast.Name) and base.ident in BUILTIN_NAMESPACES:
-            return
-        if isinstance(base, ast.Member):
-            self._check_member(base)
             return
         candidates: List[_AbstractPtr] = []
         if isinstance(base, ast.Name):
@@ -1016,7 +919,9 @@ class _RaceState:
         self.writes: List[_SharedAccess] = []
         # reg name -> plain loads whose value (transitively) reached it
         self.taint: Dict[str, List[_SharedAccess]] = {}
-        self.consts: Dict[str, int] = {}   # local consts with known value
+        # Program consts overlaid with the path's local consts that fold
+        # (an unfoldable local const shadows a program const).
+        self.consts: Dict[str, int] = {}
         self.syms: Dict[str, str] = {}     # local consts, canonical text
 
     def fork(self) -> "_RaceState":
@@ -1059,11 +964,11 @@ class _RaceChecker:
         # Reuse the pointer checker's abstract environment to decide
         # whether an address expression is an LMEM pointer (MC403).
         self._ptrs = _PointerChecker(program, lmem_bytes, [], filename)
-        for instr in program.instructions.values():
-            self._ptrs._collect(instr.body)
+        self._ptrs._collect()
 
     def run(self) -> None:
         state = _RaceState()
+        state.consts.update(self.program.consts)
         self._walk_label(self.program.entry, state)
 
     # -- walking -----------------------------------------------------------
@@ -1112,27 +1017,16 @@ class _RaceChecker:
             for st in out:
                 st.visited.discard(stmt.label)
             return out
-        if isinstance(stmt, ast.If):
-            else_state = state.fork()
-            out = self._walk_body(stmt.then_body, [state], in_sub)
-            if stmt.else_body:
-                out.extend(self._walk_body(stmt.else_body, [else_state],
-                                           in_sub))
-            else:
-                out.append(else_state)
-            return out
-        if isinstance(stmt, ast.Switch):
+        if isinstance(stmt, (ast.If, ast.Switch)):
             out: List[_RaceState] = []
-            has_default = any(c.values is None for c in stmt.cases)
-            for case in stmt.cases:
-                out.extend(self._walk_body(case.body, [state.fork()],
-                                           in_sub))
-            if not has_default:
-                out.append(state)
+            for arm in _arms(stmt):
+                out.extend(self._walk_body(arm, [state.fork()], in_sub))
             return out
         if isinstance(stmt, ast.LocalConst):
-            value = self._eval_int(stmt.expr, state)
-            if value is not None:
+            value = _fold(stmt.expr, state.consts, self.program.structs)
+            if value is None:
+                state.consts.pop(stmt.name, None)
+            else:
                 state.consts[stmt.name] = value
             state.syms[stmt.name] = self._canonical(stmt.expr, state)
             return [state]
@@ -1261,11 +1155,11 @@ class _RaceChecker:
         # MC401 stays a high-confidence error).
 
     def _expr_taint(self, expr: object, state: _RaceState) -> List[_SharedAccess]:
-        reads: List[ast.Name] = []
-        _expr_reg_reads(expr, self.program.reg_map, reads)
         sources: List[_SharedAccess] = []
         seen: Set[int] = set()
-        for name in reads:
+        for name in ast.iter_exprs(expr):
+            if not isinstance(name, ast.Name):
+                continue
             for access in state.taint.get(name.ident, ()):
                 if id(access) not in seen:
                     seen.add(id(access))
@@ -1278,37 +1172,13 @@ class _RaceChecker:
                  state: _RaceState) -> _AccessKey:
         if self._ptrs._eval_ptr(expr) is not None:
             return _AccessKey(kind="lmem")
-        value = self._eval_int(expr, state)
+        value = _fold(expr, state.consts, self.program.structs)
         if value is not None:
             lo = value * spec.addr_scale
             return _AccessKey(kind="num", space=spec.space,
                               lo=lo, hi=lo + spec.size_bytes)
         return _AccessKey(kind="sym", space=spec.space,
                           text=self._canonical(expr, state))
-
-    def _eval_int(self, expr: object, state: _RaceState) -> Optional[int]:
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.SizeOf):
-            layout = self.program.structs.get(expr.type_name)
-            return layout.size_bytes if layout else None
-        if isinstance(expr, ast.Name):
-            if expr.ident in state.consts:
-                return state.consts[expr.ident]
-            return self.program.consts.get(expr.ident)
-        if isinstance(expr, ast.Unary) and expr.op == "-":
-            value = self._eval_int(expr.operand, state)
-            return -value if value is not None else None
-        if isinstance(expr, ast.Binary):
-            left = self._eval_int(expr.left, state)
-            right = self._eval_int(expr.right, state)
-            if left is None or right is None:
-                return None
-            try:
-                return apply_binary(expr.op, left, right)
-            except MicrocodeError:
-                return None
-        return None
 
     def _canonical(self, expr: object, state: _RaceState) -> str:
         """Canonical text for an address we cannot fold to an integer.
@@ -1317,7 +1187,7 @@ class _RaceChecker:
         two intrinsics addressing through the same ``const :`` binding —
         or through its spelled-out equivalent — compare equal.
         """
-        value = self._eval_int(expr, state)
+        value = _fold(expr, state.consts, self.program.structs)
         if value is not None:
             return str(value)
         if isinstance(expr, ast.Name):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Assign",
@@ -28,6 +28,8 @@ __all__ = [
     "Switch",
     "SwitchCase",
     "Unary",
+    "iter_exprs",
+    "iter_stmts",
 ]
 
 
@@ -220,3 +222,37 @@ class Program:
     regs: List[RegDef] = field(default_factory=list)
     ptrs: List[PtrDef] = field(default_factory=list)
     instructions: List[InstructionDef] = field(default_factory=list)
+
+
+# ---------------------------------------------------------------------------
+# Flow-insensitive walks
+# ---------------------------------------------------------------------------
+
+
+def iter_stmts(body: Iterable[object]) -> Iterator[object]:
+    """Every statement of ``body`` in pre-order, descending into the
+    ``if``/``else`` and ``switch`` arms (each arm after its statement)."""
+    for stmt in body:
+        yield stmt
+        if isinstance(stmt, If):
+            yield from iter_stmts(stmt.then_body)
+            yield from iter_stmts(stmt.else_body)
+        elif isinstance(stmt, Switch):
+            for case in stmt.cases:
+                yield from iter_stmts(case.body)
+
+
+def iter_exprs(expr: object) -> Iterator[object]:
+    """``expr`` and every sub-expression in pre-order (left before right,
+    a ``Member`` before its base)."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Member):
+            stack.append(node.base)
+        elif isinstance(node, Unary):
+            stack.append(node.operand)
+        elif isinstance(node, Binary):
+            stack.append(node.right)
+            stack.append(node.left)

@@ -15,7 +15,9 @@ instruction can perform **four register or two local-memory reads**, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple,
+)
 
 from repro.microcode import ast_nodes as ast
 from repro.microcode.errors import AnalysisError, CompileError
@@ -28,6 +30,8 @@ __all__ = [
     "InstructionBudget",
     "TrioCompiler",
     "apply_binary",
+    "apply_unary",
+    "const_value",
 ]
 
 #: Builtin bus variables always available to programs (r_work.pkt_len etc.)
@@ -227,7 +231,7 @@ class TrioCompiler:
         for const in defs:
             if const.name in consts:
                 raise CompileError(f"duplicate const {const.name!r}")
-            consts[const.name] = self._const_eval(const.expr, consts, structs)
+            consts[const.name] = const_value(const.expr, consts, structs)
         return consts
 
     def _assign_registers(self, defs: List[ast.RegDef]) -> Dict[str, int]:
@@ -251,36 +255,9 @@ class TrioCompiler:
                     f"ptr {ptr.name!r} references unknown struct "
                     f"{ptr.struct_name!r}"
                 )
-            offset = self._const_eval(ptr.offset_expr, consts, structs)
+            offset = const_value(ptr.offset_expr, consts, structs)
             ptr_map[ptr.name] = (ptr.struct_name, offset)
         return ptr_map
-
-    def _const_eval(self, expr: object, consts: Dict[str, int],
-                    structs: Dict[str, StructLayout]) -> int:
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.Name):
-            if expr.ident in consts:
-                return consts[expr.ident]
-            raise CompileError(
-                f"line {expr.line}: {expr.ident!r} is not a compile-time "
-                "constant"
-            )
-        if isinstance(expr, ast.SizeOf):
-            if expr.type_name not in structs:
-                raise CompileError(
-                    f"line {expr.line}: sizeof of unknown type "
-                    f"{expr.type_name!r}"
-                )
-            return structs[expr.type_name].size_bytes
-        if isinstance(expr, ast.Unary):
-            value = self._const_eval(expr.operand, consts, structs)
-            return {"-": -value, "~": ~value, "!": int(not value)}[expr.op]
-        if isinstance(expr, ast.Binary):
-            left = self._const_eval(expr.left, consts, structs)
-            right = self._const_eval(expr.right, consts, structs)
-            return apply_binary(expr.op, left, right)
-        raise CompileError("expression is not a compile-time constant")
 
     # ------------------------------------------------------------------
     # Checks
@@ -288,29 +265,18 @@ class TrioCompiler:
 
     def _check_labels(self, instr: ast.InstructionDef,
                       known: Set[str]) -> None:
-        def walk(stmts: List[object]) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, ast.Goto):
-                    if stmt.label not in known:
-                        raise CompileError(
-                            f"line {stmt.line}: goto to undefined label "
-                            f"{stmt.label!r} (declare it as an extern if "
-                            "the existing codebase provides it)"
-                        )
-                elif isinstance(stmt, ast.CallSub):
-                    if stmt.label not in known:
-                        raise CompileError(
-                            f"line {stmt.line}: call to undefined "
-                            f"subroutine {stmt.label!r}"
-                        )
-                elif isinstance(stmt, ast.If):
-                    walk(stmt.then_body)
-                    walk(stmt.else_body)
-                elif isinstance(stmt, ast.Switch):
-                    for case in stmt.cases:
-                        walk(case.body)
-
-        walk(instr.body)
+        for stmt in ast.iter_stmts(instr.body):
+            if isinstance(stmt, ast.Goto) and stmt.label not in known:
+                raise CompileError(
+                    f"line {stmt.line}: goto to undefined label "
+                    f"{stmt.label!r} (declare it as an extern if "
+                    "the existing codebase provides it)"
+                )
+            if isinstance(stmt, ast.CallSub) and stmt.label not in known:
+                raise CompileError(
+                    f"line {stmt.line}: call to undefined "
+                    f"subroutine {stmt.label!r}"
+                )
 
     def _account_stmt(self, stmt: object, budget: InstructionBudget,
                       reg_map: Dict[str, int],
@@ -383,7 +349,7 @@ class TrioCompiler:
                 else:
                     for value in case.values:
                         # Case labels must be compile-time constants.
-                        self._const_eval(value, consts, structs)
+                        const_value(value, consts, structs)
             if default_arms > 1:
                 raise CompileError(
                     f"line {stmt.line}: switch has {default_arms} default "
@@ -431,43 +397,84 @@ class TrioCompiler:
                       ptr_map: Dict[str, Tuple[str, int]],
                       consts: Dict[str, int],
                       local_consts: Set[str], instr_name: str) -> None:
-        if isinstance(expr, ast.IntLit) or isinstance(expr, ast.SizeOf):
-            return
-        if isinstance(expr, ast.Name):
-            ident = expr.ident
-            if ident in reg_map:
-                budget.reg_reads += 1
-            elif (ident in consts or ident in ptr_map
-                  or ident in local_consts
-                  or ident in BUILTIN_NAMESPACES):
-                return  # bus / virtual storage class: free
-            else:
+        # Only register reads and LMEM field reads cost operands: consts,
+        # pointers and the builtin bus variables are free.
+        for node in ast.iter_exprs(expr):
+            if isinstance(node, ast.Name):
+                ident = node.ident
+                if ident in reg_map:
+                    budget.reg_reads += 1
+                elif not (ident in consts or ident in ptr_map
+                          or ident in local_consts
+                          or ident in BUILTIN_NAMESPACES):
+                    raise CompileError(
+                        f"line {node.line}: unknown identifier {ident!r} in "
+                        f"instruction {instr_name!r}"
+                    )
+            elif isinstance(node, ast.Member):
+                base = node.base
+                if node.arrow and not (isinstance(base, ast.Name)
+                                       and base.ident in BUILTIN_NAMESPACES):
+                    budget.mem_reads += 1
+            elif not isinstance(node, (ast.IntLit, ast.SizeOf, ast.Unary,
+                                       ast.Binary)):
                 raise CompileError(
-                    f"line {expr.line}: unknown identifier {ident!r} in "
-                    f"instruction {instr_name!r}"
+                    f"unsupported expression {type(node).__name__}"
                 )
-            return
-        if isinstance(expr, ast.Member):
-            base = expr.base
-            if (isinstance(base, ast.Name)
-                    and base.ident in BUILTIN_NAMESPACES):
-                return  # builtin bus variables are free
-            if expr.arrow:
-                budget.mem_reads += 1
-            self._account_expr(base, budget, reg_map, ptr_map, consts,
-                               local_consts, instr_name)
-            return
-        if isinstance(expr, ast.Unary):
-            self._account_expr(expr.operand, budget, reg_map, ptr_map,
-                               consts, local_consts, instr_name)
-            return
-        if isinstance(expr, ast.Binary):
-            self._account_expr(expr.left, budget, reg_map, ptr_map, consts,
-                               local_consts, instr_name)
-            self._account_expr(expr.right, budget, reg_map, ptr_map, consts,
-                               local_consts, instr_name)
-            return
-        raise CompileError(f"unsupported expression {type(expr).__name__}")
+
+
+def const_value(expr: object, consts: Mapping[str, int],
+                structs: Mapping[str, StructLayout]) -> int:
+    """Fold a compile-time constant expression to its integer value.
+
+    This is the one constant folder of the dialect: TC evaluates ``const``
+    declarations, ``ptr`` offsets and ``case`` labels with it, and the
+    static analyzer folds addresses and pointer offsets with it (layering
+    the local consts it knows over the program's).  Every operand must
+    fold, even the right side of ``&&``/``||``; wherever folding succeeds
+    the value is the one the interpreter computes.  Raises
+    :class:`CompileError` when ``expr`` is not a constant (a register, a
+    field access, an unknown name or type) or an operator fails on its
+    operands (division by zero, a negative shift count).
+    """
+    if isinstance(expr, ast.IntLit):
+        return expr.value
+    if isinstance(expr, ast.Name):
+        if expr.ident in consts:
+            return consts[expr.ident]
+        raise CompileError(
+            f"line {expr.line}: {expr.ident!r} is not a compile-time "
+            "constant"
+        )
+    if isinstance(expr, ast.SizeOf):
+        if expr.type_name not in structs:
+            raise CompileError(
+                f"line {expr.line}: sizeof of unknown type "
+                f"{expr.type_name!r}"
+            )
+        return structs[expr.type_name].size_bytes
+    if isinstance(expr, ast.Unary):
+        return apply_unary(expr.op, const_value(expr.operand, consts, structs))
+    if isinstance(expr, ast.Binary):
+        left = const_value(expr.left, consts, structs)
+        right = const_value(expr.right, consts, structs)
+        return apply_binary(expr.op, left, right)
+    raise CompileError("expression is not a compile-time constant")
+
+
+def apply_unary(op: str, value: int) -> int:
+    """Evaluate one Microcode unary operator over a Python int.
+
+    The unary half of :func:`apply_binary`, shared by the same three
+    consumers.  ``!`` is C's logical not (0 or 1).
+    """
+    if op == "-":
+        return -value
+    if op == "~":
+        return ~value
+    if op == "!":
+        return int(not value)
+    raise CompileError(f"unsupported operator {op!r}")
 
 
 def apply_binary(op: str, left: int, right: int) -> int:
@@ -476,10 +483,10 @@ def apply_binary(op: str, left: int, right: int) -> int:
     This is the single source of truth for the dialect's integer
     semantics (C-style comparisons returning 0/1, floor division,
     short-circuit operators already decided by the caller), shared by
-    TC's constant folder, the interpreter
-    (:mod:`repro.microcode.interp`), and the static analyzer's abstract
-    pointer evaluation.  Raises :class:`CompileError` on division or
-    modulo by zero and on unknown operators.
+    :func:`const_value` (TC and the static analyzer) and the interpreter
+    (:mod:`repro.microcode.interp`).  Raises :class:`CompileError` on
+    division or modulo by zero, a negative shift count, and unknown
+    operators.
     """
     if op == "+":
         return left + right
@@ -501,10 +508,10 @@ def apply_binary(op: str, left: int, right: int) -> int:
         return left | right
     if op == "^":
         return left ^ right
-    if op == "<<":
-        return left << right
-    if op == ">>":
-        return left >> right
+    if op in ("<<", ">>"):
+        if right < 0:
+            raise CompileError("negative shift count")
+        return left << right if op == "<<" else left >> right
     if op == "==":
         return int(left == right)
     if op == "!=":

@@ -94,10 +94,6 @@ class Diagnostic:
     span: Optional[SourceSpan] = None
     notes: List[str] = field(default_factory=list)
 
-    @property
-    def is_error(self) -> bool:
-        return self.severity == "error"
-
     def render(self, source_lines: Optional[Sequence[str]] = None) -> str:
         """Rustc-style rendering, quoting the source line when available."""
         lines = [f"{self.severity}[{self.code}]: {self.message}"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.microcode import ast_nodes as ast
-from repro.microcode.compiler import CompiledProgram, apply_binary
+from repro.microcode.compiler import CompiledProgram, apply_binary, apply_unary
 from repro.microcode.errors import MicrocodeRuntimeError
 from repro.microcode.intrinsics import SHARED_INTRINSICS
 from repro.microcode.layout import StructLayout
@@ -312,12 +312,7 @@ class _ThreadState:
         if isinstance(expr, ast.Member):
             return self.read_member(expr)
         if isinstance(expr, ast.Unary):
-            value = self.eval(expr.operand)
-            if expr.op == "-":
-                return -value
-            if expr.op == "~":
-                return ~value
-            return int(not value)
+            return apply_unary(expr.op, self.eval(expr.operand))
         if isinstance(expr, ast.Binary):
             left = self.eval(expr.left)
             # Short-circuit so && / || behave like the sequencing logic.

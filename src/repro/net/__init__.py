@@ -15,6 +15,7 @@ from repro.net.headers import (
     HeaderError,
     IPv4Header,
     UDPHeader,
+    destination_ip,
     flow_key,
     ipv4_checksum,
     source_key,
@@ -46,6 +47,7 @@ __all__ = [
     "Port",
     "Topology",
     "UDPHeader",
+    "destination_ip",
     "flow_key",
     "ipv4_checksum",
     "source_key",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.net.addressing import IPv4Address, MACAddress
 
@@ -25,6 +25,7 @@ __all__ = [
     "HeaderError",
     "IPv4Header",
     "UDPHeader",
+    "destination_ip",
     "flow_key",
     "ipv4_checksum",
     "source_key",
@@ -66,6 +67,20 @@ def source_key(packet: "Packet") -> int:
     """
     __, ip, __, __ = packet.parse_udp()
     return int(ip.src)
+
+
+def destination_ip(packet: "Packet") -> Optional[IPv4Address]:
+    """The destination address forwarding looks up (PFE, router, Tofino).
+
+    Unlike :func:`flow_key` this never raises: it returns ``None`` when
+    the frame is not Ethernet/IPv4, and the caller drops or punts it.
+    """
+    try:
+        __, rest = packet.parse_ethernet()
+        ip, __ = IPv4Header.parse(rest, verify_checksum=False)
+    except HeaderError:
+        return None
+    return ip.dst
 
 
 def ipv4_checksum(data: bytes) -> int:

@@ -137,10 +137,6 @@ class Link:
         """Total solved fluid rate currently leaving ``src_port``."""
         return sum(self.fluid_flows[src_port].values())
 
-    def fluid_utilisation(self, src_port: Port) -> float:
-        """Fluid load on the ``src_port`` direction as a capacity fraction."""
-        return self.fluid_load_bps(src_port) / self.bandwidth_bps
-
     def other_end(self, port: Port) -> Port:
         """The port on the far side of ``port``."""
         a, b = self.ports

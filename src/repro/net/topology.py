@@ -71,10 +71,6 @@ class Topology:
         self._adjacency = None
         return port
 
-    def port_owner(self, port: Port) -> Optional[str]:
-        """The node name that owns ``port``, or None if unregistered."""
-        return self._port_owner.get(port.name)
-
     def find_path(self, src: str, dst: str) -> List[Hop]:
         """Shortest path from node ``src`` to node ``dst`` as directed hops.
 

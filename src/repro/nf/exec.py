@@ -141,12 +141,6 @@ class ChainRunResult:
     #: Modeled per-packet cost of the placement, seconds.
     per_packet_s: float
 
-    @property
-    def modeled_packets_per_s(self) -> float:
-        if self.per_packet_s <= 0:
-            return float("inf")
-        return 1.0 / self.per_packet_s
-
     def fingerprint(self) -> str:
         """Canonical digest of the semantic results (placement excluded).
 

@@ -73,10 +73,6 @@ class _Metric:
                 f"(expected {self.label_names})"
             ) from None
 
-    @property
-    def series_count(self) -> int:
-        return len(self._series)
-
 
 class Counter(_Metric):
     """Monotonically increasing value per label set."""

@@ -96,10 +96,6 @@ class StageContext:
         self._touched: Set[str] = set()
         self._stage_accesses = 0
 
-    @property
-    def current_stage(self) -> int:
-        return self._current_stage
-
     def stage(self, index: int) -> None:
         """Advance to stage ``index`` (monotonically forward only)."""
         if index < self._current_stage:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.net.addressing import IPv4Address
-from repro.net.headers import HeaderError, IPv4Header
+from repro.net.headers import destination_ip
 from repro.net.link import Port
 from repro.net.packet import Packet
 from repro.sim import Environment
@@ -101,18 +101,9 @@ class TofinoSwitch:
             if port is not None:
                 port.send(packet)
             return
-        dst = self._destination_ip(packet)
+        dst = destination_ip(packet)
         if dst is not None and dst in self.route_table:
             self._ports_by_name[self.route_table[dst]].send(packet)
-
-    @staticmethod
-    def _destination_ip(packet: Packet) -> Optional[IPv4Address]:
-        try:
-            __, rest = packet.parse_ethernet()
-            ip, __ = IPv4Header.parse(rest, verify_checksum=False)
-            return ip.dst
-        except HeaderError:
-            return None
 
     def __repr__(self) -> str:
         return f"<TofinoSwitch {self.name} pipes={len(self.pipelines)}>"

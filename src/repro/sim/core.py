@@ -421,7 +421,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
         env = self.env
-        env._active_process = self
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -429,14 +428,11 @@ class Process(Event):
                 event._defused = True
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            env._active_process = None
             self.fail(exc)
             return
-        env._active_process = None
 
         if isinstance(next_event, Event) and next_event.env is env:
             callbacks = next_event.callbacks
@@ -491,7 +487,6 @@ class Environment:
         self._queue: List[_QueueEntry] = []
         self._scheduled = 0
         self._cancelled = 0
-        self._active_process: Optional[Process] = None
         self._delay_pool: List[_Delay] = []
         self._seed = seed if seed is not None else _DEFAULT_SEED
 
@@ -523,11 +518,6 @@ class Environment:
         if self._seed is None:
             return random.Random(key)
         return random.Random(f"{self._seed}/{key}")
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     @property
     def scheduled_events(self) -> int:

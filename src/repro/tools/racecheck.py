@@ -110,9 +110,6 @@ class _Access:
                 and self.addr < other.addr + other.size
                 and other.addr < self.addr + self.size)
 
-    def overlaps_window(self, other: "_Access") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 class RaceCheckSession(_obs.ObsSession):
     """An obs session that records shared-state access windows."""

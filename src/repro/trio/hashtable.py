@@ -14,6 +14,7 @@ bucket ranges so N timer threads can each walk 1/N of the table (§5,
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
@@ -75,7 +76,7 @@ class HardwareHashTable:
         return self._count
 
     def _bucket_of(self, key: Hashable) -> Dict[Hashable, HashRecord]:
-        idx = hash(key) % self.num_buckets
+        idx = _stable_hash(key) % self.num_buckets
         bucket = self._buckets[idx]
         if bucket is None:
             bucket = self._buckets[idx] = {}
@@ -231,3 +232,28 @@ class HardwareHashTable:
         for bucket in self._buckets:
             if bucket:
                 yield from bucket.values()
+
+
+def _stable_hash(key: Hashable) -> int:
+    """``hash(key)`` with every ``str``/``bytes`` part replaced by its CRC-32.
+
+    Python salts ``str`` and ``bytes`` hashes per interpreter
+    (``PYTHONHASHSEED``), so plain ``hash`` would place a key such as
+    ``("src", ip)`` in a different bucket, and so a different timer-scan
+    segment, from run to run.  Ints hash to themselves, so an int-only
+    key keeps the bucket plain ``hash`` gives it.
+    """
+    if type(key) is tuple:
+        for part in key:
+            if type(part) is not int:
+                return hash(tuple(map(_stable_part, key)))
+        return hash(key)
+    return hash(_stable_part(key))
+
+
+def _stable_part(part: Hashable) -> Hashable:
+    if isinstance(part, str):
+        return zlib.crc32(part.encode())
+    if isinstance(part, bytes):
+        return zlib.crc32(part)
+    return part

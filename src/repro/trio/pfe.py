@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.addressing import IPv4Address
-from repro.net.headers import HeaderError
+from repro.net.headers import destination_ip
 from repro.net.link import Port
 from repro.net.multicast import MulticastGroupTable
 from repro.net.packet import Packet
@@ -150,10 +150,6 @@ class PFE:
     @property
     def threads_in_use(self) -> int:
         return self._thread_slots.in_use
-
-    @property
-    def dispatch_backlog(self) -> int:
-        return len(self._dispatch_queue)
 
     # ------------------------------------------------------------------
     # Ingress path
@@ -374,7 +370,7 @@ class PFE:
                 raise ValueError(f"unknown egress port {egress_port!r}")
             port.send(packet)
             return
-        dst = self._destination_ip(packet)
+        dst = destination_ip(packet)
         if dst is not None and dst.is_multicast:
             members = self.multicast.members(dst)
             if members:
@@ -393,17 +389,6 @@ class PFE:
             self.router.deliver(packet, from_pfe=self)
             return
         self.packets_dropped += 1  # no route: drop
-
-    @staticmethod
-    def _destination_ip(packet: Packet) -> Optional[IPv4Address]:
-        try:
-            __, rest = packet.parse_ethernet()
-            from repro.net.headers import IPv4Header
-
-            ip, __ = IPv4Header.parse(rest, verify_checksum=False)
-            return ip.dst
-        except HeaderError:
-            return None
 
     def __repr__(self) -> str:
         return f"<PFE {self.name} gen{self.config.generation}>"

@@ -217,9 +217,6 @@ class ThreadContext:
         """Write a 64-bit GPR (wraps modulo 2^64)."""
         self.registers[index] = value & (2**64 - 1)
 
-    def get_register(self, index: int) -> int:
-        return self.registers[index]
-
     # ------------------------------------------------------------------
     # Packet tail access (§4: tail data resides in the Memory and
     # Queueing Subsystem and must be read into LMEM before use)

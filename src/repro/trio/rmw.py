@@ -105,11 +105,6 @@ class RMWComplex:
     def cycle_s(self) -> float:
         return 1.0 / self.clock_hz
 
-    @property
-    def add32_rate_ops_s(self) -> float:
-        """Aggregate 32-bit-add rate of the whole complex."""
-        return self.num_engines * self.clock_hz / self.add32_cycles
-
     def engine_for(self, addr: int) -> int:
         """Index of the engine owning ``addr``."""
         return (addr // self.INTERLEAVE_BYTES) % self.num_engines

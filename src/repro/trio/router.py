@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.addressing import IPv4Address
-from repro.net.headers import HeaderError, IPv4Header
+from repro.net.headers import destination_ip
 from repro.net.multicast import MulticastGroupTable
 from repro.net.packet import Packet
 from repro.sim import Environment
@@ -110,7 +110,7 @@ class TrioRouter:
             pfe_name, __, port_name = egress_hint.partition(":")
             self._egress(packet, from_pfe, pfe_name, port_name or egress_hint)
             return
-        dst = self._destination_ip(packet)
+        dst = destination_ip(packet)
         if dst is not None and dst.is_multicast:
             members = self.multicast.members(dst)
             if not members:
@@ -138,15 +138,6 @@ class TrioRouter:
         packet.meta["fabric_purpose"] = "egress"
         packet.meta["fabric_egress_port"] = port_name
         self.fabric.send(from_pfe.name, pfe_name, packet)
-
-    @staticmethod
-    def _destination_ip(packet: Packet) -> Optional[IPv4Address]:
-        try:
-            __, rest = packet.parse_ethernet()
-            ip, __ = IPv4Header.parse(rest, verify_checksum=False)
-            return ip.dst
-        except HeaderError:
-            return None
 
     def __repr__(self) -> str:
         return f"<TrioRouter {self.name} pfes={list(self.pfes)}>"

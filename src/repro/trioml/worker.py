@@ -224,10 +224,6 @@ class TrioMLWorker(Host):
             state.outstanding -= 1
 
     def _send_block(self, block_id: int, gen: int, values: List[int]):
-        if self.straggle_hook is not None:
-            delay = self.straggle_hook(block_id)
-            if delay and delay > 0:
-                yield self.env.delay(delay)
         header = TrioMLHeader(
             job_id=self.job_id,
             block_id=block_id,

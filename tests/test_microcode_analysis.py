@@ -17,6 +17,7 @@ from repro.microcode import (
     analyze_program,
     disassemble,
 )
+from repro.microcode.analysis import _PointerChecker
 from repro.microcode.analysis import analyze_program as analyze_direct, main
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -69,6 +70,45 @@ def test_corpus_bad_pointer_reports_layout_errors():
         d.severity == "error"
         for d in report.diagnostics if d.code in ("MC301", "MC303")
     )
+
+
+def test_corpus_bad_pointer_folded_offsets():
+    # `base + ~(-1277)` and `base + off` (a local const) both fold to
+    # byte 1276: each pointer's extent and each `->b` leave LMEM.
+    report = _analyze_corpus("bad_pointer_folded.mc")
+    found = sorted((d.span.line, d.code) for d in report.diagnostics)
+    assert found == [(20, "MC301"), (21, "MC302"),
+                     (23, "MC301"), (24, "MC302")]
+    assert all(d.severity == "error" for d in report.diagnostics)
+
+
+def test_local_const_folds_only_when_every_binding_agrees():
+    source = """
+    struct hdr_t { a : 32; b : 32; };
+    reg r0;
+    ptr base = hdr_t @ 0;
+    main: begin
+        if (r_work.pkt_len > 64) {
+            const : off = 1276;
+            const hdr_t *p = base + off;
+        } else {
+            const : off = 0;
+        }
+        const : far = 1276;
+        const hdr_t *q = base + far;
+        r0 = q->a;
+        goto out;
+    end
+    """
+    program = TrioCompiler(extern_labels=("out",)).compile(source)
+    report = analyze_program(program, source=source)
+    # `p` is checked at its binding, where `off` is 1276; `far` has one
+    # binding, so `q` is folded and its extent is reported too.
+    assert sorted(d.code for d in report.diagnostics) == ["MC301", "MC301"]
+    checker = _PointerChecker(program, 1280, [], "<test>")
+    checker._collect()
+    assert "off" not in checker.consts  # two bindings disagree
+    assert checker.consts["far"] == 1276
 
 
 def test_corpus_bad_pointer_respects_lmem_size():

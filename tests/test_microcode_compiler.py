@@ -1,6 +1,7 @@
 """Unit tests for the Trio Compiler (TC) and the Microcode executor."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.microcode import (
     CompileError,
@@ -8,6 +9,7 @@ from repro.microcode import (
     MicrocodeRuntimeError,
     TrioCompiler,
 )
+from repro.microcode.analysis import DEFAULT_LMEM_BYTES, _PointerChecker
 from repro.microcode.programs import (
     FILTER_PROGRAM_SOURCE,
     build_filter_executor,
@@ -384,3 +386,74 @@ class TestExecutor:
         proc = env.process(executor.run(tctx, pctx))
         env.run(until=proc)
         assert tctx.registers[program.reg_map["r"]] == 0
+
+
+# ---------------------------------------------------------------------------
+# One expression semantics: TC, the analyzer and the interpreter agree.
+# ---------------------------------------------------------------------------
+
+_UNARY_OPS = ("-", "~", "!")
+_BINARY_OPS = ("+", "-", "*", "/", "%", "&", "|", "^", "==", "!=", "<",
+               ">", "<=", ">=", "&&", "||")
+
+
+def _constant_exprs():
+    """Constant expressions over every operator, as Microcode source.
+
+    A shift count is a small literal, negated or not, so no shift builds
+    a huge integer (a negative count is a compile error).
+    """
+    literals = st.integers(min_value=0, max_value=2**40).map(str)
+    shift_counts = st.integers(min_value=-2, max_value=70).map(
+        lambda n: f"-({-n})" if n < 0 else str(n))
+
+    def grow(children):
+        unary = st.tuples(st.sampled_from(_UNARY_OPS), children).map(
+            lambda t: f"{t[0]}({t[1]})")
+        binary = st.tuples(children, st.sampled_from(_BINARY_OPS),
+                           children).map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+        shift = st.tuples(children, st.sampled_from(("<<", ">>")),
+                          shift_counts).map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+        return unary | binary | shift
+
+    return st.recursive(literals, grow, max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_constant_exprs())
+@example("~(-(65))")
+@example("!((7 % 0))")
+@example("(1 << -(1))")
+def test_constant_expression_has_one_value(expr):
+    # TC: a top-level const.
+    try:
+        expected = TrioCompiler().compile(
+            f"const X = {expr};\nfoo: begin exit; end").consts["X"]
+    except CompileError as exc:
+        expected = exc
+    program = TrioCompiler().compile(f"""
+    reg r;
+    foo:
+    begin
+        const : k = {expr};
+        r = {expr};
+        exit;
+    end
+    """)
+    # The analyzer: the pointer pass's fold of the local const.  It
+    # never folds what TC rejects.
+    checker = _PointerChecker(program, DEFAULT_LMEM_BYTES, [], "<test>")
+    checker._collect()
+    if isinstance(expected, CompileError):
+        assert "k" not in checker.consts
+        return
+    assert checker.consts["k"] == expected
+    # The interpreter: the value a PPE thread writes to its register.
+    env, pfe = make_thread()
+    packet = Packet.udp(
+        src_mac=MACAddress(1), dst_mac=MACAddress(2),
+        src_ip=IPv4Address("10.0.0.1"), dst_ip=IPv4Address("10.0.0.2"),
+        src_port=1, dst_port=2, payload=b"x",
+    )
+    __, tctx = run_program(env, pfe, MicrocodeExecutor(program), packet)
+    assert tctx.registers[program.reg_map["r"]] == expected % 2**64

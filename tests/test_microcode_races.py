@@ -73,6 +73,14 @@ def test_corpus_race_mc401_lost_update():
     assert "MC402" not in _codes(report)
 
 
+def test_corpus_race_mc401_folded_address():
+    # The store address is `~(-65)`: TC's constant semantics fold it to
+    # the loaded word 64, so the pair is the same lost update.
+    report = _analyze_corpus("race_mc401_folded.mc")
+    assert [d.code for d in report.diagnostics] == ["MC401"]
+    assert "dmem[0x40..0x44)" in report.diagnostics[0].message
+
+
 def test_corpus_race_mc402_torn_access():
     report = _analyze_corpus("race_mc402.mc")
     diag = next(d for d in report.diagnostics if d.code == "MC402")

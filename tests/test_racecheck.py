@@ -13,6 +13,7 @@ import repro
 from repro import obs
 from repro.flowsim import packetref, reset_reference_caches
 from repro.harness import experiments
+from repro.microcode import TrioCompiler, analyze_program
 from repro.sim import Environment
 from repro.tools import racecheck as rc
 from repro.tools.racecheck import (
@@ -274,6 +275,32 @@ def test_injected_scenario_reproduces_mc401_lost_update():
     kinds = {f.kind for f in findings}
     assert "lost_update" in kinds
     # Exactly one racy location: the shared counter word.
+    assert {(f.space, f.lo) for f in findings} == {("mem", 64)}
+
+
+def test_static_and_dynamic_verdicts_agree_on_folded_address():
+    # The counter is stored back through `~(-65)`, which folds to the
+    # loaded word 64: the analyzer must report the same one lost update
+    # that concurrent threads really suffer.
+    source = """
+    reg r_cnt;
+    count: begin
+        DmemLoad(r_cnt, 64);
+        r_cnt = r_cnt + 1;
+        DmemStore(~(-65), r_cnt);
+        goto done;
+    end
+    """
+    program = TrioCompiler(extern_labels=("done",)).compile(
+        source, entry="count")
+    report = analyze_program(program, source=source)
+    assert [d.code for d in report.diagnostics] == ["MC401"]
+    active = rc.enable()
+    final, threads = _run_microcode_threads(source, 16)
+    rc.disable()
+    assert final < threads
+    findings = active.analyze()
+    assert "lost_update" in {f.kind for f in findings}
     assert {(f.space, f.lo) for f in findings} == {("mem", 64)}
 
 

@@ -1,7 +1,12 @@
 """Unit tests for the hardware hash table and its REF flags."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.sim import Environment
 from repro.trio import HardwareHashTable
 
@@ -183,3 +188,31 @@ class TestControlPlane:
         env = Environment()
         with pytest.raises(ValueError):
             HardwareHashTable(env, num_buckets=0)
+
+
+class TestBucketPlacement:
+    def test_int_only_keys_keep_their_hash_bucket(self, table_env):
+        __, table = table_env
+        for key in (5, -1, (3, -1), (7, 12), (167772161, 167772162, 80, 9)):
+            bucket = table._bucket_of(key)
+            assert bucket is table._buckets[hash(key) % table.num_buckets]
+
+    def test_placement_ignores_the_string_hash_seed(self):
+        # ("job", i) and ("src", ip) keys carry a str part, whose hash
+        # Python salts per interpreter: two seeds must still give the
+        # same timer-scan ablation and the same DDoS mitigation run.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        ablation = ("-c", "from repro.harness import experiments as exp; "
+                    "print([row.value for row in "
+                    "exp.ablation_scan_threads()])")
+        example = (os.path.join(root, "examples", "ddos_mitigation.py"),)
+
+        def run_with_seed(seed, args):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            return subprocess.run([sys.executable, *args], env=env,
+                                  check=True, capture_output=True,
+                                  text=True).stdout
+
+        for args in (ablation, example):
+            assert run_with_seed(0, args) == run_with_seed(1, args)

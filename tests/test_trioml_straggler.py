@@ -179,3 +179,19 @@ class TestHierarchicalMitigation:
         procs = testbed.run_allreduce([[1] * 128] * 6)
         times = finish_times(env, procs)
         assert times[5] >= straggle
+
+
+def test_straggle_hook_runs_once_per_block():
+    env = Environment()
+    config = TrioMLJobConfig(grads_per_packet=64, window=4)
+    testbed = build_single_pfe_testbed(env, config, num_workers=2)
+    calls = {}
+
+    def hook(block_id):
+        calls[block_id] = calls.get(block_id, 0) + 1
+        return 1e-6
+
+    testbed.workers[1].straggle_hook = hook
+    procs = testbed.run_allreduce([[1] * (64 * 6)] * 2)
+    env.run(until=env.all_of(procs))
+    assert calls == {block_id: 1 for block_id in range(6)}
