@@ -27,8 +27,10 @@ O(distinct paths) variables, not O(flows) — from per-link state kept
 alive across solves.  The engine mirrors that structure in its
 progress accounting: each class carries one cumulative served-bits
 curve and a heap of member completion targets, so a re-solve touches
-only the classes whose allocation actually changed; unchanged classes
-pay nothing — no drain sweep, no rate write-back, no dict rebuild.
+each class whose allocation changed once, whatever its member count;
+classes whose rate and membership held pay nothing — no drain sweep,
+no curve rebase, no dict rebuild.  Per-flow fluid state lives only
+here: the topology's hosts and links carry none.
 Rates come from max-min fair share over the directed link capacities
 of a :class:`repro.net.Topology`, derated by Ethernet/IPv4/UDP framing
 so fluid goodput and packet goodput are the same currency.
@@ -43,7 +45,7 @@ its per-link demand is maintained by deltas.  Escalations are visible
 to :mod:`repro.obs` as counters, instants, and simulated-time spans,
 so a profile shows exactly where the packet level was entered and why.
 
-Cost model: O(path classes + changed classes x members) per re-solve
+Cost model: O(path classes + changed classes) per re-solve
 and ~2 events per flow total, independent of flow *size* — which is
 where the simulated-bytes-per-CPU-second advantage over the packet
 level comes from.
@@ -121,9 +123,9 @@ class FluidEngine:
         self.payload_bytes = payload_bytes
         self._efficiency = wire_efficiency(payload_bytes)
 
-        #: directed-link key -> (link, tx_port); key order is creation
-        #: order, deterministic because paths resolve deterministically.
-        self._dir_links: List[Tuple[object, object]] = []
+        #: (link id, tx port name) -> directed-link key; keys number
+        #: directions in creation order, deterministic because paths
+        #: resolve deterministically.
         self._dir_key: Dict[Tuple[int, str], int] = {}
         self._capacity_bps: Dict[int, float] = {}
         self._path_cache: Dict[Tuple[str, str],
@@ -132,6 +134,7 @@ class FluidEngine:
         self.active: Dict[int, ActiveFlow] = {}
         self.records: List[FlowRecord] = []
         self._service_counts: Dict[str, int] = {}
+        self._fan_in: Dict[str, int] = {}
 
         # Two-level allocation state, alive across solves.
         self._solver = PathClassSolver(self._capacity_bps)
@@ -184,9 +187,8 @@ class FluidEngine:
             dir_id = (id(link), tx_port.name)
             key = self._dir_key.get(dir_id)
             if key is None:
-                key = len(self._dir_links)
+                key = len(self._dir_key)
                 self._dir_key[dir_id] = key
-                self._dir_links.append((link, tx_port))
                 self._capacity_bps[key] = (
                     link.bandwidth_bps * self._efficiency
                 )
@@ -204,6 +206,10 @@ class FluidEngine:
     def service_count(self, service: str) -> int:
         """Active flows carrying ``service`` (including escalated ones)."""
         return self._service_counts.get(service, 0)
+
+    def fan_in(self, host: str) -> int:
+        """Active flows converging on ``host`` (including escalated ones)."""
+        return self._fan_in.get(host, 0)
 
     def group_bottleneck_bps(self, members: List[ActiveFlow]) -> float:
         """Raw bandwidth of the narrowest link the group traverses.
@@ -230,34 +236,18 @@ class FluidEngine:
 
     def start_flow(self, spec: FlowSpec) -> None:
         """Admit ``spec`` at the current simulated time."""
-        if spec.flow_id in self.active:
-            raise ValueError(f"duplicate flow id: {spec.flow_id}")
+        fid = spec.flow_id
+        if fid in self.active:
+            raise ValueError(f"duplicate flow id: {fid}")
         keys, latency = self._resolve_path(spec.src, spec.dst)
-        size_bits = spec.size_bytes * 8.0
-        flow = ActiveFlow(
-            spec=spec,
-            links=keys,
-            remaining_bits=size_bits,
-            latency_s=latency,
-        )
-        self.active[spec.flow_id] = flow
-        self._service_counts[spec.service] = (
-            self._service_counts.get(spec.service, 0) + 1
-        )
-        hosts = self.topology.hosts
-        src_host = hosts.get(spec.src)
-        dst_host = hosts.get(spec.dst)
-        if src_host is not None:
-            src_host.fluid_open(spec.flow_id, "tx")
-            flow.rate_cells.append(src_host.fluid_tx_flows)
-        if dst_host is not None:
-            dst_host.fluid_open(spec.flow_id, "rx")
-            flow.rate_cells.append(dst_host.fluid_rx_flows)
-        dir_links = self._dir_links
-        for key in keys:
-            link, tx_port = dir_links[key]
-            link.fluid_attach(tx_port, spec.flow_id)
-            flow.rate_cells.append(link.fluid_flows[tx_port])
+        flow = ActiveFlow(spec=spec, links=keys, latency_s=latency)
+        self.active[fid] = flow
+        # Counted before classification, so the policy's thresholds see
+        # the arriving flow.
+        counts = self._service_counts
+        counts[spec.service] = counts.get(spec.service, 0) + 1
+        fan_in = self._fan_in
+        fan_in[spec.dst] = fan_in.get(spec.dst, 0) + 1
 
         now = self.env.now
         reason = self.policy.classify(spec, self)
@@ -265,15 +255,15 @@ class FluidEngine:
             flow.escalated = reason
             group = self.policy.group_key(spec, reason)
             flow.group = group
-            flow.meta["escalated_s"] = now
+            flow.escalated_s = now
             self.policy.record(spec, reason, now)
             cls = self._groups.get(group)
             if cls is None:
                 cls = _PathClass(None, now)
                 self._groups[group] = cls
-            # The member's pinned demand and rate write-back land in
-            # the dirty-group refresh at the head of the next solve
-            # (deltas keyed off rate_bps == 0.0).
+            # The member's pinned demand lands in the dirty-group
+            # refresh at the head of the next solve (deltas keyed off
+            # rate_bps == 0.0).
             self._dirty_groups[group] = None
         else:
             cls = self._classes.get(keys)
@@ -282,16 +272,10 @@ class FluidEngine:
                 self._classes[keys] = cls
             self._solver.add(keys)
             self._dirty_classes[keys] = None
-            # Adopt the pre-solve class rate so link/host telemetry
-            # stays coherent even if the upcoming solve leaves the
-            # allocation numerically unchanged.
-            rate = cls.rate_bps
-            if rate > 0.0:
-                flow.rate_bps = rate
-                self._write_flow_rate(flow, rate)
+        size_bits = spec.size_bytes * 8.0
         target = cls.bits + cls.rate_bps * (now - cls.t_base) + size_bits
-        heappush(cls.targets, (target, spec.flow_id))
-        cls.flows[spec.flow_id] = flow
+        heappush(cls.targets, (target, fid))
+        cls.flows[fid] = flow
         self._schedule_solve()
 
     def _finish_flow(self, flow: ActiveFlow, now: float) -> None:
@@ -300,17 +284,7 @@ class FluidEngine:
         fid = spec.flow_id
         del self.active[fid]
         self._service_counts[spec.service] -= 1
-        hosts = self.topology.hosts
-        src_host = hosts.get(spec.src)
-        dst_host = hosts.get(spec.dst)
-        if src_host is not None:
-            src_host.fluid_close(fid, "tx", spec.size_bytes)
-        if dst_host is not None:
-            dst_host.fluid_close(fid, "rx", spec.size_bytes)
-        dir_links = self._dir_links
-        for key in flow.links:
-            link, tx_port = dir_links[key]
-            link.fluid_detach(tx_port, fid)
+        self._fan_in[spec.dst] -= 1
 
         if flow.escalated is None:
             sig = flow.links
@@ -336,7 +310,6 @@ class FluidEngine:
             else:
                 del self._groups[gkey]
                 self._dirty_groups.pop(gkey, None)
-        flow.remaining_bits = 0.0
 
         fct = now - spec.start_s + flow.latency_s
         record = FlowRecord(
@@ -356,60 +329,26 @@ class FluidEngine:
             if flow.escalated is not None:
                 _obs.complete(
                     f"escalated:{flow.escalated}",
-                    flow.meta["escalated_s"], now,
+                    flow.escalated_s, now,
                     track="flowsim/escalations",
                     flow=fid, reason=flow.escalated,
                     dst=spec.dst,
                 )
 
-    # -- per-flow write-back --------------------------------------------
-
-    def _write_flow_rate(self, flow: ActiveFlow, rate: float) -> None:
-        """Push ``rate`` into the flow's link/endpoint telemetry cells.
-
-        The cells were resolved at admission (see ``start_flow``), so
-        this is one dict store per cell — equivalent to calling
-        ``fluid_set_rate`` on every hop and endpoint, without the
-        per-call topology lookups.
-        """
-        fid = flow.spec.flow_id
-        for cell in flow.rate_cells:
-            cell[fid] = rate
-
     # -- class curve maintenance ----------------------------------------
-
-    def _touch(self, cls: _PathClass, now: float) -> None:
-        """Rebase the class curve and refresh its finish projection.
-
-        Called whenever membership changed but the rate did not: a new
-        member may carry the smallest completion target, so the
-        projection must be recomputed even at an unchanged rate.
-        """
-        bits = cls.bits + cls.rate_bps * (now - cls.t_base)
-        cls.bits = bits
-        cls.t_base = now
-        cls.version += 1
-        if cls.targets and cls.rate_bps > 0.0:
-            finish = now + (cls.targets[0][0] - bits) / cls.rate_bps
-            self._finish_seq = seq = self._finish_seq + 1
-            heappush(self._finish_heap, (finish, cls.version, seq, cls))
 
     def _set_class_rate(self, cls: _PathClass, rate: float,
                         now: float) -> None:
-        """Rebase the curve at a new rate and write back to members."""
+        """Rebase the class curve at ``rate`` and re-aim its projection.
+
+        Also called at an unchanged rate when only membership moved: a
+        new member may carry the smallest completion target.
+        """
         bits = cls.bits + cls.rate_bps * (now - cls.t_base)
         cls.bits = bits
         cls.t_base = now
         cls.rate_bps = rate
         cls.version += 1
-        for flow in cls.flows.values():
-            flow.rate_bps = rate
-            # _write_flow_rate, inlined: this is the hottest write-back
-            # loop in the engine (once per member of every class whose
-            # rate moved, every solve).
-            fid = flow.spec.flow_id
-            for cell in flow.rate_cells:
-                cell[fid] = rate
         if cls.targets and rate > 0.0:
             finish = now + (cls.targets[0][0] - bits) / rate
             self._finish_seq = seq = self._finish_seq + 1
@@ -440,16 +379,7 @@ class FluidEngine:
             for key in flow.links:
                 pin(key, delta)
             flow.rate_bps = rate
-            self._write_flow_rate(flow, rate)
-        bits = cls.bits + cls.rate_bps * (now - cls.t_base)
-        cls.bits = bits
-        cls.t_base = now
-        cls.rate_bps = rate
-        cls.version += 1
-        if cls.targets and rate > 0.0:
-            finish = now + (cls.targets[0][0] - bits) / rate
-            self._finish_seq = seq = self._finish_seq + 1
-            heappush(self._finish_heap, (finish, cls.version, seq, cls))
+        self._set_class_rate(cls, rate, now)
 
     # -- the event-driven solve loop ------------------------------------
 
@@ -523,7 +453,7 @@ class FluidEngine:
                     if sig not in changed:
                         cls = classes.get(sig)
                         if cls is not None:
-                            self._touch(cls, now)
+                            self._set_class_rate(cls, cls.rate_bps, now)
         self._dirty_classes.clear()
 
         # Earliest valid projection across all classes.

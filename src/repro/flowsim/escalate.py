@@ -119,8 +119,8 @@ class EscalationPolicy:
     def classify(self, spec: FlowSpec, engine) -> Optional[str]:
         """Reason string if ``spec`` must run at packet level, else None.
 
-        Called at flow arrival, after the flow's endpoints are attached
-        (so fan-in counts include the arriving flow).
+        Called at flow arrival, after the engine has counted the flow
+        (so fan-in and service counts include the arriving flow).
         """
         config = self.config
         if spec.src in self._stragglers:
@@ -129,8 +129,8 @@ class EscalationPolicy:
                 and engine.service_count("aggregation")
                 >= config.pfe_contention_threshold):
             return "pfe-hash"
-        dst_host = engine.topology.hosts.get(spec.dst)
-        fan_in = dst_host.fluid_fan_in if dst_host is not None else 0
+        dst_is_host = spec.dst in engine.topology.hosts
+        fan_in = engine.fan_in(spec.dst) if dst_is_host else 0
         # Service-tagged fan-in classes from the traffic library.  Both
         # are gated on their tag, so workloads that never emit them
         # (every pre-traffic scenario) classify exactly as before.
@@ -139,7 +139,7 @@ class EscalationPolicy:
             return "microburst"
         if spec.service == "ddos" and fan_in >= config.ddos_degree:
             return "ddos"
-        if (dst_host is not None
+        if (dst_is_host
                 and fan_in >= config.incast_degree
                 and spec.size_bytes <= config.incast_max_flow_bytes):
             return "incast"

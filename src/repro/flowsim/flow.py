@@ -12,7 +12,7 @@ comparable with what a packet-level run delivers to the application.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = ["FlowRecord", "FlowSpec", "FRAME_OVERHEAD_BYTES",
@@ -83,32 +83,25 @@ class ActiveFlow:
 
     Progress accounting lives on the flow's *path class*, not here: the
     engine tracks one cumulative served-bits curve per class and a
-    per-class heap of member completion targets, so per-flow state is
-    written only on admission, on a class rate change, and on
-    completion.  ``remaining_bits`` therefore holds the flow's initial
-    size until it finishes (the class curve is authoritative), and the
-    rate last pushed through the link/host hooks is ``rate_bps`` itself
-    — write-backs are skipped per class, not per flow.
+    per-class heap of member completion targets.  An elastic flow's
+    rate is its class's, so nothing here changes while it runs; only
+    an escalated flow carries its own ``rate_bps``, the pinned demand
+    the engine shifts per link by deltas when its group's rate moves.
     """
 
     spec: FlowSpec
     #: Directed-link keys (see the engine) the flow occupies, in path
     #: order.  Doubles as the flow's path-class signature.
     links: Tuple[int, ...]
-    remaining_bits: float
     #: Fixed latency added to the recorded FCT: propagation plus one
     #: MTU store-and-forward serialisation per hop.
     latency_s: float
+    #: Pinned rate of an escalated flow; unused while at flow level.
     rate_bps: float = 0.0
-    #: The telemetry dicts (per-direction link occupancy, endpoint
-    #: tx/rx tables) this flow's solved rate is written into, resolved
-    #: once at admission so a rate write-back is one dict store per
-    #: cell instead of method calls through the topology.
-    rate_cells: list = field(default_factory=list)
     #: Escalation state: reason string, or None while at flow level.
     escalated: Optional[str] = None
     #: Escalation group key (e.g. the incast destination) used to
     #: recompute packet-derived rates as group membership changes.
     group: Optional[Tuple[str, str]] = None
-    #: Extra metadata the policy wants to keep (degree at escalation...).
-    meta: dict = field(default_factory=dict)
+    #: Simulated instant the flow was escalated (its obs span start).
+    escalated_s: float = 0.0

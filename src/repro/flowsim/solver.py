@@ -151,13 +151,13 @@ class PathClassSolver:
     signature; the solver carries one variable per class with an
     integer multiplicity.  Membership mutates through :meth:`add` /
     :meth:`remove` (O(path length) each), pinned per-link demand
-    through :meth:`pin` deltas, and :meth:`solve` allocates from the
+    through :meth:`pin` deltas, and :meth:`resolve` allocates from the
     live state without rebuilding it.
 
     Internally every link key is interned to a dense index on first
     sight, so the hot state is flat lists — per-index capacity, pinned
     demand, unfrozen-flow count, member-class set — rather than dicts;
-    a solve's scratch state is two list copies, not dict rebuilds.
+    a solve's scratch state is four list copies, not dict rebuilds.
 
     The solve consumes a *sorted* seed list — one ``(share, link)``
     entry per live link, kept ascending across solves by every
@@ -176,7 +176,7 @@ class PathClassSolver:
     expanded per-flow inputs (see the module docstring for why).
     """
 
-    __slots__ = ("_capacity", "_key2idx", "_idx2key", "_cap", "_pinned",
+    __slots__ = ("_capacity", "_key2idx", "_cap", "_pinned",
                  "_info", "_counts", "_members", "_nflows",
                  "_remaining0", "_sorted", "_shares", "_epoch", "changed")
 
@@ -186,7 +186,6 @@ class PathClassSolver:
         #: captured when the key is first interned.
         self._capacity = capacity_bps
         self._key2idx: Dict[int, int] = {}
-        self._idx2key: List[int] = []
         self._cap: List[float] = []
         self._pinned: List[float] = []
         #: class signature -> ``[member count, interned signature,
@@ -223,14 +222,13 @@ class PathClassSolver:
         #: solve exactly when its info record carries this stamp.
         self._epoch = 0
         #: Classes whose rate differed from the previous solve, in
-        #: freeze order — the engine's write-back set, so unchanged
+        #: freeze order — the classes the engine rebases, so unchanged
         #: classes cost nothing after the solve.
         self.changed: Dict[PathSig, float] = {}
 
     def _intern(self, key: int) -> int:
-        idx = len(self._idx2key)
+        idx = len(self._cap)
         self._key2idx[key] = idx
-        self._idx2key.append(key)
         self._cap.append(self._capacity[key])
         self._pinned.append(0.0)
         self._counts.append(0)
@@ -344,63 +342,24 @@ class PathClassSolver:
     def resolve(self) -> Dict[PathSig, float]:
         """Re-solve from the live state; return only the *changed* set.
 
-        The engine's per-event entry point: runs the same water-filling
-        as :meth:`solve` but skips materialising the full rates dict —
-        each class's rate lands in its info record, and the return
-        value (also left on :attr:`changed`) maps exactly the classes
-        whose rate differs from the previous solve, in freeze order.
+        The engine's per-event entry point and the one solve: each
+        class's rate lands in its info record, and the return value
+        (also left on :attr:`changed`) maps exactly the classes whose
+        rate differs from the previous solve, in freeze order.  The
+        sorted seed list and zero-round remaining state are maintained
+        by every add/remove/pin delta, so starting a solve is four
+        C-speed list copies — no divisions, no sort.
         """
-        self._run(None)
-        return self.changed
-
-    def solve(self, pinned_bps: Optional[Mapping[int, float]] = None
-              ) -> Dict[PathSig, float]:
-        """Max-min fair rate per path class (every member gets it).
-
-        ``pinned_bps`` overrides the accumulated :meth:`pin` state for
-        this call: per-link inelastic demand subtracted from capacity
-        before sharing, exactly as in :func:`max_min_rates`.  With the
-        default ``None`` the solver's own pinned state applies.
-        """
-        self._run(pinned_bps)
-        return {sig: info[3] for sig, info in self._info.items()}
-
-    def _run(self, pinned_bps: Optional[Mapping[int, float]]) -> None:
         info_map = self._info
         changed: Dict[PathSig, float] = {}
         self.changed = changed
         self._epoch = epoch = self._epoch + 1
         if not info_map:
-            return
-        if pinned_bps is None:
-            # Fast path: the sorted seed list and zero-round remaining
-            # state are maintained by every add/remove/pin delta, so
-            # starting a solve is four C-speed list copies — no
-            # divisions, no sort.
-            counts = self._counts[:]
-            remaining = self._remaining0[:]
-            lst = self._sorted[:]
-            cur = self._shares[:]
-        else:
-            counts = self._counts[:]
-            cap = self._cap
-            n = len(counts)
-            pinned = [pinned_bps.get(key, 0.0) for key in self._idx2key]
-            remaining = [0.0] * n
-            cur = [-1.0] * n
-            lst = []
-            entry = lst.append
-            for idx in range(n):
-                count = counts[idx]
-                left = cap[idx] - pinned[idx]
-                if left < 0.0:
-                    left = 0.0
-                remaining[idx] = left
-                if count > 0:
-                    share = left / count
-                    cur[idx] = share
-                    entry((share, idx))
-            lst.sort()
+            return changed
+        counts = self._counts[:]
+        remaining = self._remaining0[:]
+        lst = self._sorted[:]
+        cur = self._shares[:]
         members = self._members
         min_rate = MIN_RATE_BPS
         pending = len(info_map)
@@ -497,6 +456,16 @@ class PathClassSolver:
                     if info[3] != min_rate:
                         info[3] = min_rate
                         changed[sig] = min_rate
+        return changed
+
+    def solve(self) -> Dict[PathSig, float]:
+        """Max-min fair rate per path class (every member gets it).
+
+        Runs :meth:`resolve` and reports every live class, changed or
+        not.
+        """
+        self.resolve()
+        return {sig: info[3] for sig, info in self._info.items()}
 
 
 def max_min_class_rates(
@@ -506,11 +475,15 @@ def max_min_class_rates(
 ) -> Dict[PathSig, float]:
     """One-shot convenience: class signature+multiplicity -> fair rate.
 
-    Builds a :class:`PathClassSolver`, registers every class, and runs
-    a single solve.  Used by tests comparing the class-level result
-    against the per-flow reference.
+    Builds a :class:`PathClassSolver`, registers every class, pins
+    ``pinned_bps`` (per-link inelastic demand, as in
+    :func:`max_min_rates`) through :meth:`PathClassSolver.pin` as the
+    engine does, and runs a single solve.  Used by tests comparing the
+    class-level result against the per-flow reference.
     """
     solver = PathClassSolver(capacity_bps)
     for sig, count in class_flows.items():
         solver.add(sig, count)
-    return solver.solve(pinned_bps)
+    for key, demand in (pinned_bps or {}).items():
+        solver.pin(key, demand)
+    return solver.solve()

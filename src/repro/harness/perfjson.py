@@ -510,12 +510,12 @@ def collect(quick: bool = False, scale: bool = False) -> Dict:
     ``scale=True`` additionally runs the (minutes-long) million-flow
     cache-scenario point and records it under ``"flowsim_scale"``.
     """
-    scale = 4 if quick else 1
-    delay = bench_delay_path(events=200_000 // scale,
+    shrink = 4 if quick else 1
+    delay = bench_delay_path(events=200_000 // shrink,
                              repeats=3 if quick else 5)
-    timeout = bench_timeout_path(events=200_000 // scale,
+    timeout = bench_timeout_path(events=200_000 // shrink,
                                  repeats=3 if quick else 5)
-    packet = bench_packet_path(blocks=150 // scale,
+    packet = bench_packet_path(blocks=150 // shrink,
                                repeats=2 if quick else 3)
     trainer = bench_trainer_loop(iterations=25_000 if quick else 100_000,
                                  repeats=3 if quick else 5)

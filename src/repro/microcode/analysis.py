@@ -499,6 +499,8 @@ class _DefUse:
         self.filename = filename
         self.regs = set(program.reg_map)
         self.extern = set(program.extern_labels)
+        #: Subroutines on the must-def walk's current call chain.
+        self._calling: Set[str] = set()
         # Both passes revisit statements until a fixpoint: take each
         # statement's effects once.
         self.effects = {
@@ -588,11 +590,15 @@ class _DefUse:
                         flagged: Set[Tuple[int, str]], report: bool) -> None:
         if label in self.extern or label not in self.cfg:
             return
+        if label in self._calling:
+            return  # recursion: MC204's department
         # Reads inside the callee happen with (at least) the caller's
         # defined registers; checking with exactly that set is the
         # intersection semantics the fixpoint would give us.
+        self._calling.add(label)
         self._walk_must(self.cfg[label].instr.body, set(defined), outs,
                         flagged, report)
+        self._calling.discard(label)
 
     def _check_reads(self, reads: List[ast.Name], defined: Set[str],
                      flagged: Set[Tuple[int, str]], report: bool) -> None:
@@ -698,11 +704,10 @@ class _DefUse:
 def _fold(expr: object, consts: Mapping[str, int],
           structs: Mapping[str, StructLayout]) -> Optional[int]:
     """TC's value of ``expr`` (:func:`~repro.microcode.compiler.const_value`),
-    or None where TC would not fold it (or a shift overflows Python's
-    integers)."""
+    or None where TC would not fold it."""
     try:
         return const_value(expr, consts, structs)
-    except (MicrocodeError, OverflowError):
+    except MicrocodeError:
         return None
 
 

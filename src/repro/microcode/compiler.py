@@ -28,6 +28,7 @@ from repro.microcode.parser import parse
 __all__ = [
     "CompiledProgram",
     "InstructionBudget",
+    "MAX_LEFT_SHIFT",
     "TrioCompiler",
     "apply_binary",
     "apply_unary",
@@ -36,6 +37,11 @@ __all__ = [
 
 #: Builtin bus variables always available to programs (r_work.pkt_len etc.)
 BUILTIN_NAMESPACES = frozenset({"r_work"})
+
+#: Largest count a non-zero value may be shifted left by: far above the
+#: 64-bit register width, yet small enough that no fold or register
+#: shift asks Python for an unbounded integer.
+MAX_LEFT_SHIFT = 1024
 
 
 @dataclass
@@ -485,8 +491,8 @@ def apply_binary(op: str, left: int, right: int) -> int:
     short-circuit operators already decided by the caller), shared by
     :func:`const_value` (TC and the static analyzer) and the interpreter
     (:mod:`repro.microcode.interp`).  Raises :class:`CompileError` on
-    division or modulo by zero, a negative shift count, and unknown
-    operators.
+    division or modulo by zero, a negative shift count, a non-zero value
+    shifted left past :data:`MAX_LEFT_SHIFT`, and unknown operators.
     """
     if op == "+":
         return left + right
@@ -511,7 +517,11 @@ def apply_binary(op: str, left: int, right: int) -> int:
     if op in ("<<", ">>"):
         if right < 0:
             raise CompileError("negative shift count")
-        return left << right if op == "<<" else left >> right
+        if op == ">>":
+            return left >> right
+        if right > MAX_LEFT_SHIFT and left:
+            raise CompileError("shift count too large")
+        return left << right
     if op == "==":
         return int(left == right)
     if op == "!=":

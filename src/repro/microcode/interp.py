@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.microcode import ast_nodes as ast
 from repro.microcode.compiler import CompiledProgram, apply_binary, apply_unary
-from repro.microcode.errors import MicrocodeRuntimeError
+from repro.microcode.errors import CompileError, MicrocodeRuntimeError
 from repro.microcode.intrinsics import SHARED_INTRINSICS
 from repro.microcode.layout import StructLayout
 
@@ -327,7 +327,11 @@ class _ThreadState:
                 raise MicrocodeRuntimeError(
                     f"line {expr.line}: unsupported pointer op {expr.op!r}"
                 )
-            return apply_binary(expr.op, left, right)
+            try:
+                return apply_binary(expr.op, left, right)
+            except CompileError as exc:
+                raise MicrocodeRuntimeError(
+                    f"line {expr.line}: {exc}") from None
         raise MicrocodeRuntimeError(
             f"unsupported expression {type(expr).__name__}"
         )

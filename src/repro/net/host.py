@@ -42,16 +42,6 @@ class Host:
         )
         self.inbox: Store = Store(env)
         self.nic.set_rx_callback(self._receive)
-        # Flow-level endpoint state: open fluid flows by id (tx = this
-        # host is the source, rx = the sink) plus byte totals, maintained
-        # by the flow engine through the attach/detach hooks below.  The
-        # packet path never reads these; they exist so figures and the
-        # escalation policy can ask "how many flows converge on this
-        # host?" (the incast test) without scanning every link.
-        self.fluid_tx_flows: dict = {}
-        self.fluid_rx_flows: dict = {}
-        self.fluid_tx_bytes = 0.0
-        self.fluid_rx_bytes = 0.0
 
     @property
     def mac(self) -> MACAddress:
@@ -60,34 +50,6 @@ class Host:
     @property
     def ip(self) -> IPv4Address:
         return self.nic.ip
-
-    # -- flow-level endpoint hooks --------------------------------------
-
-    def fluid_open(self, flow_id: int, role: str) -> None:
-        """Register an open fluid flow; ``role`` is ``"tx"`` or ``"rx"``."""
-        flows = self.fluid_tx_flows if role == "tx" else self.fluid_rx_flows
-        flows[flow_id] = 0.0
-
-    def fluid_set_rate(self, flow_id: int, role: str,
-                       rate_bps: float) -> None:
-        """Record a solved per-flow rate on this endpoint."""
-        flows = self.fluid_tx_flows if role == "tx" else self.fluid_rx_flows
-        if flow_id in flows:
-            flows[flow_id] = rate_bps
-
-    def fluid_close(self, flow_id: int, role: str, size_bytes: float) -> None:
-        """Close a fluid flow, accounting its bytes to this endpoint."""
-        if role == "tx":
-            self.fluid_tx_flows.pop(flow_id, None)
-            self.fluid_tx_bytes += size_bytes
-        else:
-            self.fluid_rx_flows.pop(flow_id, None)
-            self.fluid_rx_bytes += size_bytes
-
-    @property
-    def fluid_fan_in(self) -> int:
-        """Number of fluid flows currently converging on this host."""
-        return len(self.fluid_rx_flows)
 
     def _receive(self, packet: Packet) -> None:
         self.inbox.put_nowait(packet)

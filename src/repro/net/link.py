@@ -107,35 +107,8 @@ class Link:
         a.link = self
         b.link = self
         self._queues = {a: Store(env), b: Store(env)}
-        # Flow-level (fluid) occupancy, per transmit direction: flow_id ->
-        # allocated rate in bps, written back by the flow engine after
-        # every max-min re-solve.  Purely observational bookkeeping for
-        # the packet level — serialisation below never reads it — but it
-        # lets rate hooks, figures, and the escalation policy ask "what
-        # is this link carrying at flow level right now?".
-        self.fluid_flows = {a: {}, b: {}}
         env.process(self._serialise(a, b), name=f"link:{a.name}->{b.name}")
         env.process(self._serialise(b, a), name=f"link:{b.name}->{a.name}")
-
-    # -- flow-level rate hooks ------------------------------------------
-
-    def fluid_attach(self, src_port: Port, flow_id: int,
-                     rate_bps: float = 0.0) -> None:
-        """Register fluid flow ``flow_id`` transmitting out of ``src_port``."""
-        self.fluid_flows[src_port][flow_id] = rate_bps
-
-    def fluid_detach(self, src_port: Port, flow_id: int) -> None:
-        """Remove fluid flow ``flow_id`` from the ``src_port`` direction."""
-        self.fluid_flows[src_port].pop(flow_id, None)
-
-    def fluid_set_rate(self, src_port: Port, flow_id: int,
-                       rate_bps: float) -> None:
-        """Record ``flow_id``'s solved rate on the ``src_port`` direction."""
-        self.fluid_flows[src_port][flow_id] = rate_bps
-
-    def fluid_load_bps(self, src_port: Port) -> float:
-        """Total solved fluid rate currently leaving ``src_port``."""
-        return sum(self.fluid_flows[src_port].values())
 
     def other_end(self, port: Port) -> Port:
         """The port on the far side of ``port``."""

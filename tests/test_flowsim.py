@@ -196,23 +196,6 @@ class TestPathClassSolverEquivalence:
                 assert changed == want
                 last = dict(got)
 
-    def test_pinned_demand_override_equivalence(self):
-        import random
-        rng = random.Random(42)
-        caps, class_flows, _ = _random_instance(rng)
-        solver = PathClassSolver(caps)
-        for sig, mult in class_flows.items():
-            solver.add(sig, mult)
-        # Accumulate unrelated pin state, then override it per call:
-        # the override must win, exactly as in the reference.
-        solver.pin(0, caps[0] * 0.25)
-        for _ in range(8):
-            override = {i: caps[i] * rng.choice([0.0, 0.5, 1.0, 2.0])
-                        for i in rng.sample(range(len(caps)),
-                                            k=len(caps) // 2 or 1)}
-            got = solver.solve(override)
-            assert got == _reference_by_class(class_flows, caps, override)
-
     def test_min_rate_floor_and_saturated_links(self):
         # Every link fully pinned: all classes land exactly on the
         # floor, bit-identical to the reference's `share is None` path.
@@ -338,21 +321,24 @@ class TestFluidEngine:
         with pytest.raises(ValueError, match="duplicate flow id"):
             engine.start_flow(spec)
 
-    def test_fluid_state_cleaned_up_after_completion(self):
-        env, engine = _engine()
-        engine.start_flow(FlowSpec(flow_id=1, src=host_name(0, 0),
-                                   dst=host_name(0, 1),
-                                   size_bytes=1e5, start_s=0.0))
+    def test_fan_in_counts_active_flows_to_a_host(self):
+        # Incast threshold 2: the second arrival escalates, and the
+        # engine's fan-in counts it like the elastic first flow.
+        policy = EscalationPolicy(EscalationConfig(incast_degree=2))
+        env, engine = _engine(policy=policy)
+        dst = host_name(0, 0)
+        for fid in (1, 2):
+            engine.start_flow(FlowSpec(flow_id=fid, src=host_name(0, fid),
+                                       dst=dst, size_bytes=1e5,
+                                       start_s=0.0))
+        assert engine.active[1].escalated is None
+        assert engine.active[2].escalated == "incast"
+        assert engine.fan_in(dst) == 2
+        assert engine.fan_in(host_name(0, 1)) == 0
         env.run()
         assert not engine.active
-        src = engine.topology.hosts[host_name(0, 0)]
-        dst = engine.topology.hosts[host_name(0, 1)]
-        assert not src.fluid_tx_flows and not dst.fluid_rx_flows
-        assert src.fluid_tx_bytes == pytest.approx(1e5)
-        assert dst.fluid_rx_bytes == pytest.approx(1e5)
-        for link in engine.topology.links:
-            for port in link.ports:
-                assert link.fluid_load_bps(port) == 0.0
+        assert len(engine.records) == 2
+        assert engine.fan_in(dst) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,43 @@ def test_corpus_cli_exit_codes(capsys):
     assert main([orphan, "--extern", "out", "--werror"]) == 1
 
 
+def test_corpus_recursive_call_reports_mc204(capsys):
+    # A self call and a mutual pair: def-use stops at a label already
+    # on its call chain, and the bound solver reports each chain once.
+    report = _analyze_corpus("recursive_call.mc")
+    chains = [d for d in report.diagnostics if d.code == "MC204"]
+    assert sorted(d.message.split("'")[1] for d in chains) == ["ping", "spin"]
+    assert all(d.severity == "warning" for d in chains)
+    assert not report.entry_budget().bounded
+    path = os.path.join(CORPUS, "recursive_call.mc")
+    assert main([path, "--extern", "out", "--werror"]) == 1
+    assert "MC204" in capsys.readouterr().out
+
+
+def test_corpus_huge_shift_exits_one_with_diagnostic(capsys):
+    path = os.path.join(CORPUS, "huge_shift.mc")
+    assert main([path, "--extern", "out", "--werror"]) == 1
+    assert "shift count too large" in capsys.readouterr().err
+
+
+def test_huge_local_const_shift_is_left_unfolded():
+    # TC never folds a local const, so this program compiles; the
+    # analyzer's fold treats the over-bound shift as unfoldable.
+    source = """
+    reg r0;
+    main: begin
+        const : k = 1 << (1 << 63);
+        r0 = k;
+        goto out;
+    end
+    """
+    program = TrioCompiler(extern_labels=("out",)).compile(source)
+    assert analyze_program(program, source=source).clean
+    checker = _PointerChecker(program, 1280, [], "<test>")
+    checker._collect()
+    assert "k" not in checker.consts
+
+
 # ---------------------------------------------------------------------------
 # Builtins must be clean, bounded, and round-trippable.
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the Trio Compiler (TC) and the Microcode executor."""
 
+import os
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from repro.microcode import (
     TrioCompiler,
 )
 from repro.microcode.analysis import DEFAULT_LMEM_BYTES, _PointerChecker
+from repro.microcode.compiler import MAX_LEFT_SHIFT
 from repro.microcode.programs import (
     FILTER_PROGRAM_SOURCE,
     build_filter_executor,
@@ -457,3 +460,48 @@ def test_constant_expression_has_one_value(expr):
     )
     __, tctx = run_program(env, pfe, MicrocodeExecutor(program), packet)
     assert tctx.registers[program.reg_map["r"]] == expected % 2**64
+
+
+# ---------------------------------------------------------------------------
+# A huge left shift is a diagnostic, never an unbounded integer.
+# ---------------------------------------------------------------------------
+
+def test_huge_left_shift_is_a_compile_error():
+    path = os.path.join(os.path.dirname(__file__), "corpus", "huge_shift.mc")
+    with open(path, "r", encoding="utf-8") as handle:
+        source = handle.read()
+    with pytest.raises(CompileError, match="shift count too large"):
+        TrioCompiler(extern_labels=("out",)).compile(source)
+    with pytest.raises(CompileError, match="shift count too large"):
+        TrioCompiler().compile(
+            f"const X = 1 << {MAX_LEFT_SHIFT + 1};\nfoo: begin exit; end")
+    # The bound itself, a zero shifted by any count, and a right shift
+    # by any count are still values.
+    consts = TrioCompiler().compile(
+        f"const B = 1 << {MAX_LEFT_SHIFT};\n"
+        "const Z = 0 << (1 << 70);\n"
+        "const R = 5 >> (1 << 70);\n"
+        "foo: begin exit; end").consts
+    assert consts == {"B": 1 << MAX_LEFT_SHIFT, "Z": 0, "R": 0}
+
+
+def test_huge_register_shift_is_a_runtime_error():
+    program = TrioCompiler().compile("""
+    reg n;
+    reg r;
+    foo:
+    begin
+        n = 1 << 63;
+        r = 1 << n;
+        exit;
+    end
+    """)
+    env, pfe = make_thread()
+    packet = Packet.udp(
+        src_mac=MACAddress(1), dst_mac=MACAddress(2),
+        src_ip=IPv4Address("10.0.0.1"), dst_ip=IPv4Address("10.0.0.2"),
+        src_port=1, dst_port=2, payload=b"x",
+    )
+    with pytest.raises(MicrocodeRuntimeError,
+                       match="line 7: shift count too large"):
+        run_program(env, pfe, MicrocodeExecutor(program), packet)

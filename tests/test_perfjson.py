@@ -1,5 +1,6 @@
 """Unit tests for the kernel benchmark recorder/checker."""
 
+import collections
 import json
 
 import pytest
@@ -85,8 +86,16 @@ def test_check_guards_trainer_entry(tmp_path, monkeypatch, capsys):
     assert "trainer.iterations_per_s" in capsys.readouterr().out
 
 
-def test_collect_quick_schema():
+def _fail_scale_point():
+    raise AssertionError("collect() ran the opt-in scale point")
+
+
+def test_collect_quick_schema(monkeypatch):
+    # The million-flow point is opt-in (--scale): a plain collect()
+    # must never run it.
+    monkeypatch.setattr(perfjson, "bench_flowsim_scale", _fail_scale_point)
     doc = perfjson.collect(quick=True)
+    assert "flowsim_scale" not in doc
     assert doc["schema"] == perfjson.SCHEMA
     assert doc["kernel"]["delay_events_per_s"] > 0
     assert doc["kernel"]["timeout_events_per_s"] > 0
@@ -98,6 +107,23 @@ def test_collect_quick_schema():
     assert set(doc["seed_baseline"]) == {
         "delay_events_per_s", "timeout_events_per_s", "fig15_cpu_s",
     }
+
+
+def test_collect_scale_records_flowsim_scale(monkeypatch):
+    # Every bench faked: only the document's shape is under test.  Six
+    # benches return one number, the rest a dict of numbers.
+    scalar = {"bench_delay_path", "bench_timeout_path",
+              "bench_trainer_loop", "bench_solver", "bench_nf_chain",
+              "bench_traffic"}
+    numbers = collections.defaultdict(lambda: 1.0)
+    for name in perfjson.__all__:
+        if name.startswith("bench_"):
+            result = 1.0 if name in scalar else numbers
+            monkeypatch.setattr(perfjson, name,
+                                lambda result=result, **_: result)
+    doc = perfjson.collect(quick=True, scale=True)
+    assert doc["flowsim_scale"]["scenario"] == "cache"
+    assert doc["flowsim_scale"]["solves"] == 1.0
 
 
 def test_main_writes_json(tmp_path, monkeypatch):
