@@ -211,15 +211,15 @@ def test_fig15_driver_parallel_matches_serial():
     )
 
 def test_disabled_obs_probe_under_ceiling():
-    """The zero-overhead contract: a disabled ``obs.probe`` is a global
-    load plus a no-op method call.  The absolute ceiling is generous
-    (tens of ns measured vs a 2000 ns bound) so box noise cannot trip
-    it, but a de-nulled dispatch path — recording while "disabled" —
-    jumps 10-100x and fails immediately."""
+    """The zero-overhead contract: a disabled recording site is an
+    ``obs.session()`` call returning None plus an ``is not None`` test.
+    The absolute ceiling is generous (tens of ns measured vs a 2000 ns
+    bound) so box noise cannot trip it, but a site that records while
+    "disabled" jumps 10-100x and fails immediately."""
     stats = perfjson.bench_obs_overhead(calls=200_000, repeats=3)
     for key in ("null_probe_ns", "null_probe_fields_ns"):
         assert stats[key] <= perfjson.OBS_PROBE_NS_CEILING, (
-            f"disabled obs.probe ({key}) costs {stats[key]:.0f} ns/call, "
+            f"disabled recording site ({key}) costs {stats[key]:.0f} ns/call, "
             f"above the {perfjson.OBS_PROBE_NS_CEILING:.0f} ns ceiling"
         )
 

@@ -323,11 +323,12 @@ class FluidEngine:
         self.completed_payload_bytes += spec.size_bytes
         if flow.escalated is not None:
             self.escalated_completions += 1
-        if _obs.enabled():
-            _obs.observe("flowsim.fct_s", fct, service=spec.service)
-            _obs.probe("flowsim.completed", service=spec.service)
+        obs = _obs.session()
+        if obs is not None:
+            obs.observe("flowsim.fct_s", fct, service=spec.service)
+            obs.probe("flowsim.completed", service=spec.service)
             if flow.escalated is not None:
-                _obs.complete(
+                obs.complete(
                     f"escalated:{flow.escalated}",
                     flow.escalated_s, now,
                     track="flowsim/escalations",
@@ -466,11 +467,12 @@ class FluidEngine:
         next_finish = heap[0][0] if heap else _INF
         self._next_finish_s = next_finish
 
-        if _obs.enabled():
-            _obs.gauge("flowsim.path_classes", float(self.path_classes))
-            _obs.probe("flowsim.class_rate_changes", float(rate_changes))
-            _obs.probe("flowsim.solves")
-            _obs.sample("flowsim/active_flows", now, float(len(self.active)))
+        obs = _obs.session()
+        if obs is not None:
+            obs.gauge("flowsim.path_classes", float(self.path_classes))
+            obs.probe("flowsim.class_rate_changes", float(rate_changes))
+            obs.probe("flowsim.solves")
+            obs.sample("flowsim/active_flows", now, float(len(self.active)))
 
         if next_finish is not _INF:
             self._set_wake(next_finish)

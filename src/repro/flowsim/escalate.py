@@ -205,9 +205,10 @@ class EscalationPolicy:
     def record(self, spec: FlowSpec, reason: str, now_s: float) -> None:
         """Count the escalation and emit the obs instant."""
         self.escalations[reason] = self.escalations.get(reason, 0) + 1
-        if _obs.enabled():
-            _obs.probe("flowsim.escalations", reason=reason)
-            _obs.instant(
+        obs = _obs.session()
+        if obs is not None:
+            obs.probe("flowsim.escalations", reason=reason)
+            obs.instant(
                 f"escalate:{reason}", now_s, track="flowsim/escalations",
                 flow=spec.flow_id, src=spec.src, dst=spec.dst,
                 reason=reason,

@@ -60,11 +60,11 @@ DEFAULT_OUTPUT = "BENCH_kernel.json"
 #: fraction of the committed number (i.e. a >30% regression).
 REGRESSION_TOLERANCE = 0.70
 
-#: Absolute ceiling on one *disabled* ``obs.probe`` call, in
-#: nanoseconds.  The null-sink fast path is a global load plus a no-op
-#: method call — tens of ns on any box — so an absolute bound is immune
-#: to CI noise while still catching the failure it guards against: a
-#: de-nulled dispatch path (recording when it shouldn't) jumps 10–100x.
+#: Absolute ceiling on one *disabled* recording site, in nanoseconds.
+#: The disabled path is an ``obs.session()`` call returning None plus an
+#: ``is not None`` test — tens of ns on any box — so an absolute bound is
+#: immune to CI noise while still catching the failure it guards
+#: against: a site that records while disabled jumps 10–100x.
 OBS_PROBE_NS_CEILING = 2000.0
 
 #: Hard floor on the hybrid flow-level advantage: simulated payload
@@ -443,11 +443,13 @@ def bench_trainer_loop(iterations: int = 100_000,
 
 def bench_obs_overhead(calls: int = 1_000_000,
                        repeats: int = 5) -> Dict[str, float]:
-    """ns/call of a *disabled* ``obs.probe`` (the zero-overhead contract).
+    """ns/call of a *disabled* recording site (the zero-overhead contract).
 
-    Measures the bare counter probe and a probe carrying two label
-    fields; both must stay a global load + no-op method call while no
-    session is enabled.  Asserts observability is actually disabled
+    Times the idiom every site runs, ``s = session()`` then
+    ``if s is not None: s.probe(...)``, once with a bare counter probe
+    and once with two label fields; with no session enabled both must
+    stay one function call returning the module global plus an
+    ``is not None`` test.  Asserts observability is actually disabled
     first — timing the enabled path here would record a meaningless
     number and mask a leaked session.
     """
@@ -458,18 +460,22 @@ def bench_obs_overhead(calls: int = 1_000_000,
                            "the disabled path")
 
     def bare() -> float:
-        probe = obs.probe
+        session = obs.session
         start = time.process_time()  # detlint: ok(benchmark harness)
         for _ in range(calls):
-            probe("bench.probe")
+            s = session()
+            if s is not None:
+                s.probe("bench.probe")
         elapsed = time.process_time() - start  # detlint: ok(benchmark)
         return calls / elapsed
 
     def with_fields() -> float:
-        probe = obs.probe
+        session = obs.session
         start = time.process_time()  # detlint: ok(benchmark harness)
         for _ in range(calls):
-            probe("bench.probe", pfe="pfe1", action="fwd")
+            s = session()
+            if s is not None:
+                s.probe("bench.probe", pfe="pfe1", action="fwd")
         elapsed = time.process_time() - start  # detlint: ok(benchmark)
         return calls / elapsed
 
@@ -660,8 +666,8 @@ def check(path: Path, quick: bool = True) -> int:
         fmt = ",.0f" if old >= 1.0 else ".6f"  # sim-s/cpu-s is fractional
         gate(f"{section}.{key}", ratio >= REGRESSION_TOLERANCE,
              f"committed {old:{fmt}} measured {new:{fmt}} ({ratio:.2f}x)")
-    # Absolute bound, not a ratio: the disabled probe is tens of ns, so
-    # the ceiling is noise-immune yet still trips on a de-nulled path.
+    # Absolute bound, not a ratio: a disabled site is tens of ns, so the
+    # ceiling is noise-immune yet still trips on a site that records.
     for key in ("null_probe_ns", "null_probe_fields_ns"):
         measured = current["obs"][key]
         gate(f"obs.{key}", measured <= OBS_PROBE_NS_CEILING,

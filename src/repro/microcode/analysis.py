@@ -1373,6 +1373,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 source = handle.read()
             report = _analyze_source(source, args.entry, args.externs,
                                      path, args.lmem_bytes)
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"error: {path}: {reason}", file=sys.stderr)
+            failed = True
+            continue
         except MicrocodeError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             failed = True

@@ -400,6 +400,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="treat compile warnings as errors (exit 2)",
     )
     args = parser.parse_args(argv)
+    if args.packets < 1:
+        parser.error("--packets must be >= 1")
 
     try:
         compiled = compile_chain(args.spec)

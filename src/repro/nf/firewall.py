@@ -178,8 +178,9 @@ class DDoSMitigator(TrioApplication):
     def on_install(self, pfe: PFE) -> None:
         self.pfe = pfe
         self.blocked_counter = PacketByteCounter(pfe.memory)
-        if _obs.enabled():
-            _obs.register_collector(self._obs_collect)
+        obs = _obs.session()
+        if obs is not None:
+            obs.register_collector(self._obs_collect)
         pfe.timers.launch_periodic(
             name="ddos-review",
             num_threads=self.review_threads,

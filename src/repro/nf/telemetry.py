@@ -120,8 +120,9 @@ class TelemetryMonitor(TrioApplication):
 
     def on_install(self, pfe: PFE) -> None:
         self.pfe = pfe
-        if _obs.enabled():
-            _obs.register_collector(self._obs_collect)
+        obs = _obs.session()
+        if obs is not None:
+            obs.register_collector(self._obs_collect)
         pfe.timers.launch_periodic(
             name="telemetry-sweep",
             num_threads=self.scan_threads,

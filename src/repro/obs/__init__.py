@@ -8,10 +8,10 @@ Three pieces, one switch:
 * :mod:`repro.obs.trace` — span/instant/counter tracer on the simulated
   clock exporting Chrome ``trace_event`` JSON (Perfetto-loadable) plus
   an ASCII timeline renderer;
-* :mod:`repro.obs.bus` — the probe API (``obs.probe``, ``obs.observe``,
-  ``obs.span``, ``obs.traced``) whose disabled fast path is a
-  module-level null sink, so instrumented code costs nothing when
-  observability is off.
+* :mod:`repro.obs.bus` — the active :class:`ObsSession`, or None while
+  observability is off.  Every recording site asks ``obs.session()``
+  once and records only through the session it returns, so
+  instrumented code costs one ``is not None`` test when off.
 
 Typical use::
 
@@ -35,20 +35,11 @@ snapshot identically to serial ones.
 from repro.obs.bus import (
     CapturedWorker,
     ObsSession,
-    complete,
     disable,
     enable,
     enabled,
-    gauge,
-    instant,
-    observe,
-    probe,
-    register_collector,
-    sample,
     session,
-    span,
     suppressed,
-    traced,
 )
 from repro.obs.metrics import (
     Counter,
@@ -68,20 +59,11 @@ __all__ = [
     "ObsSession",
     "SNAPSHOT_SCHEMA",
     "Tracer",
-    "complete",
     "disable",
     "enable",
     "enabled",
-    "gauge",
-    "instant",
-    "observe",
-    "probe",
-    "register_collector",
     "render_timeline",
-    "sample",
     "session",
-    "span",
     "suppressed",
-    "traced",
     "validate_chrome_trace",
 ]

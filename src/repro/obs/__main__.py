@@ -5,8 +5,9 @@ Usage::
     python -m repro.obs validate trace.json     # Chrome schema check
     python -m repro.obs timeline trace.json     # ASCII timeline render
 
-``validate`` exits non-zero if the trace violates the Chrome
-``trace_event`` schema — CI runs it against the smoke-test trace.
+Both commands exit 1 if the trace violates the Chrome ``trace_event``
+schema, printing the problems; CI runs ``validate`` against the
+smoke-test trace.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     timeline.add_argument("--width", type=int, default=72)
 
     args = parser.parse_args(argv)
+    if args.command == "timeline" and args.width < 1:
+        parser.error("--width must be >= 1")
 
     try:
         with open(args.trace, "r", encoding="utf-8") as handle:
@@ -46,14 +49,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: cannot read {args.trace}: {exc}", file=sys.stderr)
         return 2
 
+    errors = validate_chrome_trace(doc)
+    if errors:
+        for line in errors[:20]:
+            print(f"error: {line}", file=sys.stderr)
+        if len(errors) > 20:
+            print(f"error: ... {len(errors) - 20} more", file=sys.stderr)
+        return 1
+
     if args.command == "validate":
-        errors = validate_chrome_trace(doc)
-        if errors:
-            for line in errors[:20]:
-                print(f"error: {line}", file=sys.stderr)
-            if len(errors) > 20:
-                print(f"error: ... {len(errors) - 20} more", file=sys.stderr)
-            return 1
         events = doc.get("traceEvents", [])
         tracks = sum(1 for e in events
                      if e.get("ph") == "M" and e.get("name") == "thread_name")

@@ -1,16 +1,17 @@
-"""Instrumentation bus: the dispatch layer between probes and sinks.
+"""Instrumentation bus: the active recording session, if any.
 
-Call sites throughout the simulator call the module-level functions
-(:func:`probe`, :func:`observe`, :func:`gauge`, :func:`sample`,
-:func:`instant`, :func:`complete`) unconditionally cheaply *guarded* by
-:func:`enabled`; hot loops hoist a single :func:`enabled`/:func:`session`
-check so a disabled run pays nothing per event.
+Every recording site asks :func:`session` once and records only when a
+session is active; hot loops hoist the check out of the loop::
 
-The zero-overhead contract: ``_sink`` is a module global that is a
-:class:`NullSink` (every method a no-op, ``enabled`` False) until
-:func:`enable` swaps in an :class:`ObsSession`.  A disabled
-``obs.probe(...)`` is therefore one global load + one no-op method call
-— measured by ``perfjson`` as ``obs.null_probe_ns`` and guarded in CI.
+    obs = _obs.session()
+    if obs is not None:
+        obs.probe("hash.scan_sweeps", table=name)
+
+The zero-overhead contract: ``_session`` is a module global that stays
+None until :func:`enable` (or :func:`push`) makes an
+:class:`ObsSession` active.  A disabled site therefore costs one
+function call returning that global and one ``is not None`` test —
+measured by ``perfjson`` as ``obs.null_probe_ns`` and guarded in CI.
 
 Determinism contract (detlint-enforced): sinks never read the wall
 clock, never draw randomness, and never schedule simulation events.
@@ -19,7 +20,6 @@ All timestamps are simulated seconds passed in by the call site.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -32,49 +32,9 @@ __all__ = [
     "disable",
     "enabled",
     "session",
-    "probe",
-    "observe",
-    "gauge",
-    "sample",
-    "instant",
-    "complete",
-    "register_collector",
-    "span",
     "suppressed",
-    "traced",
     "CapturedWorker",
 ]
-
-
-class NullSink:
-    """Disabled-mode sink: every probe is a no-op."""
-
-    __slots__ = ()
-    enabled = False
-
-    def probe(self, name, value=1.0, **fields):
-        pass
-
-    def observe(self, name, value, **labels):
-        pass
-
-    def gauge(self, name, value, **labels):
-        pass
-
-    def sample(self, track, ts_s, value):
-        pass
-
-    def instant(self, name, ts_s, track="events", **args):
-        pass
-
-    def complete(self, name, start_s, end_s, track="spans", **args):
-        pass
-
-    def register_collector(self, fn):
-        pass
-
-
-NULL_SINK = NullSink()
 
 
 class ObsSession:
@@ -86,8 +46,6 @@ class ObsSession:
     (PPE busy time, RMW stats, app counters) into the snapshot.
     """
 
-    enabled = True
-
     def __init__(self, scope: str = "main"):
         self.scope = scope
         self.registry = MetricsRegistry()
@@ -95,7 +53,7 @@ class ObsSession:
         self._collectors: List[Callable[[MetricsRegistry], None]] = []
         self._finalized = False
 
-    # -- probe surface (same shape as NullSink) ------------------------
+    # -- probe surface --------------------------------------------------
 
     def probe(self, name: str, value: float = 1.0, **fields) -> None:
         """Increment counter ``name``; keyword args become labels."""
@@ -168,10 +126,11 @@ class ObsSession:
 
 
 # ----------------------------------------------------------------------
-# Module-level state + dispatch
+# Module-level state
 # ----------------------------------------------------------------------
 
-_sink = NULL_SINK
+#: The active session, or None while recording is off.
+_session: Optional[ObsSession] = None
 _stack: List[ObsSession] = []
 
 
@@ -181,59 +140,31 @@ def enable(scope: str = "main") -> ObsSession:
 
 
 def push(new_session: ObsSession) -> ObsSession:
-    """Make ``new_session`` the active sink until :func:`disable`."""
-    global _sink
+    """Make ``new_session`` the active session until :func:`disable`."""
+    global _session
     _stack.append(new_session)
-    _sink = new_session
+    _session = new_session
     return new_session
 
 
 def disable() -> Optional[ObsSession]:
     """Stop the active session and return it (finalized)."""
-    global _sink
+    global _session
     if not _stack:
         return None
     finished = _stack.pop()
     finished.finalize()
-    _sink = _stack[-1] if _stack else NULL_SINK
+    _session = _stack[-1] if _stack else None
     return finished
 
 
 def enabled() -> bool:
-    return _sink.enabled
+    return _session is not None
 
 
 def session() -> Optional[ObsSession]:
     """The active session, or None when observability is disabled."""
-    return _sink if _sink.enabled else None
-
-
-def probe(name, value=1.0, **fields):
-    _sink.probe(name, value, **fields)
-
-
-def observe(name, value, **labels):
-    _sink.observe(name, value, **labels)
-
-
-def gauge(name, value, **labels):
-    _sink.gauge(name, value, **labels)
-
-
-def sample(track, ts_s, value):
-    _sink.sample(track, ts_s, value)
-
-
-def instant(name, ts_s, track="events", **args):
-    _sink.instant(name, ts_s, track=track, **args)
-
-
-def complete(name, start_s, end_s, track="spans", **args):
-    _sink.complete(name, start_s, end_s, track=track, **args)
-
-
-def register_collector(fn):
-    _sink.register_collector(fn)
+    return _session
 
 
 class suppressed:
@@ -243,8 +174,8 @@ class suppressed:
     packet-level escalation and calibration runs — whose internal
     environments start at time zero and have no relation to the outer
     simulated timeline.  Recording their spans would splice bogus
-    timestamps into the active trace, so the bus is pointed at the null
-    sink for the duration; the enclosing session resumes untouched. ::
+    timestamps into the active trace, so :func:`session` returns None
+    for the duration; the enclosing session resumes untouched. ::
 
         with obs.bus.suppressed():
             result = packet_fan_in(32, 20_000)
@@ -253,81 +184,15 @@ class suppressed:
     __slots__ = ("_saved",)
 
     def __enter__(self):
-        global _sink
-        self._saved = _sink
-        _sink = NULL_SINK
+        global _session
+        self._saved = _session
+        _session = None
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _sink
-        _sink = self._saved
+        global _session
+        _session = self._saved
         return False
-
-
-# ----------------------------------------------------------------------
-# Span helpers
-# ----------------------------------------------------------------------
-
-class span:
-    """Context manager recording a complete span off a simulated clock.
-
-    ``clock`` is any object with a ``now`` attribute in simulated
-    seconds (an ``Environment`` or a PPE ``ThreadContext``)::
-
-        with obs.span("aggregate", env, track="trioml/blocks", job=3):
-            ...
-    """
-
-    __slots__ = ("name", "clock", "track", "args", "_start", "_sink")
-
-    def __init__(self, name: str, clock, track: str = "spans", **args):
-        self.name = name
-        self.clock = clock
-        self.track = track
-        self.args = args
-        self._start = 0.0
-        self._sink = None
-
-    def __enter__(self):
-        self._sink = _sink
-        if self._sink.enabled:
-            self._start = self.clock.now
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._sink.enabled:
-            self._sink.complete(self.name, self._start, self.clock.now,
-                                track=self.track, **self.args)
-        return False
-
-
-def traced(name: Optional[str] = None, track: str = "spans",
-           clock: str = "env"):
-    """Decorator tracing an instance method as a complete span.
-
-    ``clock`` names the attribute on ``self`` holding the simulated
-    clock (default ``env``).  Overhead when disabled is one global load
-    + attribute check per call, so reserve it for non-hot methods.
-    """
-
-    def decorate(fn):
-        span_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(self, *args, **kwargs):
-            active = _sink
-            if not active.enabled:
-                return fn(self, *args, **kwargs)
-            clk = getattr(self, clock)
-            start = clk.now
-            try:
-                return fn(self, *args, **kwargs)
-            finally:
-                active.complete(span_name, start, clk.now, track=track)
-
-        return wrapper
-
-    return decorate
 
 
 # ----------------------------------------------------------------------

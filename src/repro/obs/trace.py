@@ -157,15 +157,6 @@ class Tracer:
                 event["args"] = args
             out.append(event)
 
-    # ------------------------------------------------------------------
-    # Rendering
-    # ------------------------------------------------------------------
-
-    def render_timeline(self, width: int = 72,
-                        max_rows_per_track: int = 8) -> str:
-        return render_timeline(self.to_chrome(), width=width,
-                               max_rows_per_track=max_rows_per_track)
-
 
 # ----------------------------------------------------------------------
 # Chrome trace-event schema validation

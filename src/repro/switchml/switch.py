@@ -92,8 +92,9 @@ class SwitchMLProgram(P4Program):
         self._slot_open_ts: Dict[int, float] = {}
 
     def on_install(self, pipeline) -> None:
-        if self.is_first and _obs.enabled():
-            _obs.register_collector(self._obs_collect)
+        obs = _obs.session()
+        if obs is not None and (self.is_first or self.is_last):
+            obs.register_collector(self._obs_collect)
         pool = self.job.pool_size
         stage = 0
         accesses_left = StageContext.MAX_ACCESSES_PER_STAGE
@@ -189,20 +190,27 @@ class SwitchMLProgram(P4Program):
         return PassResult(emit=self._build_results(header, result_values))
 
     def _obs_collect(self, registry) -> None:
-        """Export the program's counters (runs once at finalize)."""
+        """Export the counters this program owns (runs once at finalize).
+
+        The last program of the chain emits the results; the first
+        keeps the worker bitmaps and slot-open times.
+        """
         pipe = str(self.chain_position)
-        registry.counter(
-            "switchml.results_emitted", "completed pool slots", ("pipeline",)
-        ).inc(self.results_emitted, pipeline=pipe)
-        registry.counter(
-            "switchml.duplicates_dropped", "retransmissions ignored",
-            ("pipeline",)
-        ).inc(self.duplicates_dropped, pipeline=pipe)
-        registry.gauge(
-            "switchml.slots_stalled",
-            "slots still waiting on a contribution at finalize",
-            ("pipeline",)
-        ).set(len(self._slot_open_ts), pipeline=pipe)
+        if self.is_last:
+            registry.counter(
+                "switchml.results_emitted", "completed pool slots",
+                ("pipeline",)
+            ).inc(self.results_emitted, pipeline=pipe)
+        if self.is_first:
+            registry.counter(
+                "switchml.duplicates_dropped", "retransmissions ignored",
+                ("pipeline",)
+            ).inc(self.duplicates_dropped, pipeline=pipe)
+            registry.gauge(
+                "switchml.slots_stalled",
+                "slots still waiting on a contribution at finalize",
+                ("pipeline",)
+            ).set(len(self._slot_open_ts), pipeline=pipe)
 
     def _build_results(self, header: SwitchMLHeader,
                        result_values: Dict[int, int]

@@ -483,14 +483,21 @@ def lint_file(path: str) -> List[Diagnostic]:
         return lint_source(handle.read(), filename=path)
 
 
+def _tree_files(root: str) -> List[str]:
+    """Every ``.py`` file under ``root``, in deterministic order."""
+    paths: List[str] = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        paths.extend(os.path.join(dirpath, name)
+                     for name in sorted(filenames) if name.endswith(".py"))
+    return paths
+
+
 def lint_tree(root: str) -> List[Diagnostic]:
     """Lint every ``.py`` file under ``root`` (deterministic order)."""
     diagnostics: List[Diagnostic] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        for name in sorted(filenames):
-            if name.endswith(".py"):
-                diagnostics.extend(lint_file(os.path.join(dirpath, name)))
+    for path in _tree_files(root):
+        diagnostics.extend(lint_file(path))
     return diagnostics
 
 
@@ -513,12 +520,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.paths:
         parser.error("give files or directories to lint")
 
-    diagnostics: List[Diagnostic] = []
+    files: List[str] = []
     for path in args.paths:
-        if os.path.isdir(path):
-            diagnostics.extend(lint_tree(path))
-        else:
+        files.extend(_tree_files(path) if os.path.isdir(path) else [path])
+    diagnostics: List[Diagnostic] = []
+    unreadable = False
+    for path in files:
+        try:
             diagnostics.extend(lint_file(path))
+        except (OSError, UnicodeDecodeError, SyntaxError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"error: {path}: {reason}", file=sys.stderr)
+            unreadable = True
 
     sources: Dict[str, str] = {}
     for diag in diagnostics:
@@ -536,7 +549,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     errors = sum(1 for d in diagnostics if d.severity == "error")
     warnings = len(diagnostics) - errors
     print(f"detlint: {errors} error(s), {warnings} warning(s)")
-    return 1 if diagnostics else 0
+    return 1 if diagnostics or unreadable else 0
 
 
 if __name__ == "__main__":

@@ -122,10 +122,11 @@ class PFE:
         self.packets_forwarded = 0
         self.packets_dropped = 0
         self.packets_consumed = 0
-        if _obs.enabled():
+        obs = _obs.session()
+        if obs is not None:
             self.memory.rmw.obs_name = f"{name}.rmw"
             self.hash_table.obs_name = f"{name}.hash"
-            _obs.register_collector(self._obs_collect)
+            obs.register_collector(self._obs_collect)
         env.process(self._dispatch_loop(), name=f"{name}:dispatch")
 
     # ------------------------------------------------------------------

@@ -180,8 +180,9 @@ class TrioMLAggregator(TrioApplication):
     def on_install(self, pfe: PFE) -> None:
         self.pfe = pfe
         self.drop_counter = PacketByteCounter(pfe.memory)
-        if _obs.enabled():
-            _obs.register_collector(self._obs_collect)
+        obs = _obs.session()
+        if obs is not None:
+            obs.register_collector(self._obs_collect)
 
     def _obs_collect(self, registry) -> None:
         """Export the aggregator's own counters (runs once at finalize)."""

@@ -355,6 +355,19 @@ def test_lint_tree_and_cli(tmp_path, capsys):
     assert main([str(good)]) == 0
 
 
+def test_cli_reports_missing_and_unparsable_files(tmp_path, capsys):
+    broken = tmp_path / "broken.py"
+    broken.write_text("def f(:\n")
+    bad = tmp_path / "bad.py"
+    bad.write_text("import random\nx = random.random()\n")
+    missing = tmp_path / "missing.py"
+    assert main([str(missing), str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {missing}: No such file or directory" in captured.err
+    assert f"error: {broken}: invalid syntax" in captured.err
+    assert "DET101" in captured.out  # the parsable file is still linted
+
+
 def test_repo_sources_are_clean():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     diags = lint_tree(src)

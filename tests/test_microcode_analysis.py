@@ -147,6 +147,20 @@ def test_corpus_cli_exit_codes(capsys):
     assert main([orphan, "--extern", "out", "--werror"]) == 1
 
 
+def test_cli_reports_unreadable_files_and_goes_on(tmp_path, capsys):
+    binary = tmp_path / "binary.mc"
+    binary.write_bytes(b"\xff\xfe not utf-8")
+    missing = tmp_path / "missing.mc"
+    clean = os.path.join(CORPUS, "unreachable.mc")
+    assert main([str(missing), str(tmp_path), str(binary), clean,
+                 "--extern", "out"]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {missing}: No such file or directory" in captured.err
+    assert f"error: {tmp_path}: Is a directory" in captured.err
+    assert f"error: {binary}: 'utf-8' codec can't decode" in captured.err
+    assert f"== {clean}" in captured.out  # the readable file still ran
+
+
 def test_corpus_recursive_call_reports_mc204(capsys):
     # A self call and a mutual pair: def-use stops at a label already
     # on its call chain, and the bound solver reports each chain once.

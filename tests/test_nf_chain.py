@@ -287,3 +287,10 @@ class TestCli:
         assert chain_main([DEFAULT_CHAIN, "--placement", "trio,host,pisa",
                            "--packets", "256"]) == 0
         assert "placement: trio,host,pisa" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("packets", ["0", "-5"])
+    def test_packets_below_one_is_a_usage_error(self, capsys, packets):
+        with pytest.raises(SystemExit) as exit_info:
+            chain_main(["--packets", packets])
+        assert exit_info.value.code == 2
+        assert "--packets must be >= 1" in capsys.readouterr().err

@@ -214,76 +214,45 @@ class TestBus:
     def test_disabled_is_inert(self):
         assert not bus.enabled()
         assert bus.session() is None
-        # No-ops, no errors, no state:
-        bus.probe("x", pfe="p")
-        bus.observe("y", 1.0)
-        bus.sample("t", 0.0, 1.0)
+        # Nothing to record into, and suppressing keeps it that way:
+        with bus.suppressed():
+            assert bus.session() is None
+        assert bus.disable() is None
 
     def test_enable_records_disable_restores(self):
         session = bus.enable(scope="test")
         assert bus.enabled() and bus.session() is session
-        bus.probe("hits", kind="a")
-        bus.probe("hits", 2.0, kind="a")
+        bus.session().probe("hits", kind="a")
+        bus.session().probe("hits", 2.0, kind="a")
         finished = bus.disable()
         assert finished is session
-        assert not bus.enabled()
+        assert not bus.enabled() and bus.session() is None
         counter = session.registry.get("hits")
         assert counter.value(kind="a") == 3.0
 
     def test_sessions_stack(self):
         outer = bus.enable(scope="outer")
         inner = bus.enable(scope="inner")
-        bus.probe("n")
+        bus.session().probe("n")
         assert bus.disable() is inner
         assert bus.session() is outer
-        bus.probe("n")
+        bus.session().probe("n")
         bus.disable()
+        assert bus.session() is None
         assert inner.registry.get("n").value() == 1.0
         assert outer.registry.get("n").value() == 1.0
 
     def test_collectors_run_once_at_finalize(self):
         calls = []
         bus.enable()
-        bus.register_collector(lambda registry: calls.append(1))
+        bus.session().register_collector(lambda registry: calls.append(1))
         session = bus.disable()
         session.export()  # finalize is idempotent
         assert calls == [1]
 
-    def test_span_context_manager(self):
-        class Clock:
-            now = 0.0
-
-        clock = Clock()
-        bus.enable()
-        with obs.span("phase", clock, track="t", step=1):
-            clock.now = 2e-6
-        session = bus.disable()
-        exported = session.tracer.export()
-        kind, track, name, ts, dur, args = exported["events"][0]
-        assert (kind, track, name) == ("X", "t", "phase")
-        assert dur == pytest.approx(2e-6)
-        assert args == {"step": 1}
-
-    def test_traced_decorator(self):
-        class Model:
-            def __init__(self, env):
-                self.env = env
-
-            @obs.traced(track="model")
-            def step(self):
-                list(range(10))
-
-        env = Environment()
-        model = Model(env)
-        model.step()  # disabled: plain call
-        bus.enable()
-        model.step()
-        session = bus.disable()
-        assert len(session.tracer) == 1
-
     def test_captured_worker_roundtrip(self):
         def worker(point):
-            bus.probe("work.items", float(point))
+            bus.session().probe("work.items", float(point))
             return point * 2
 
         result, exported = obs.CapturedWorker(worker)((3, 5))
@@ -474,3 +443,29 @@ class TestProfileCLI:
         path.write_text(json.dumps(tracer.to_chrome()))
         assert main(["timeline", str(path)]) == 0
         assert "timeline" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc", [{"traceEvents": 5}, [1, 2]])
+    def test_timeline_cli_rejects_malformed_trace(self, tmp_path, capsys,
+                                                  doc):
+        from repro.obs.__main__ import main
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["timeline", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert main(["validate", str(path)]) == 1
+        assert err == capsys.readouterr().err  # validate's error lines
+
+    @pytest.mark.parametrize("width", ["0", "-3"])
+    def test_timeline_cli_rejects_width_below_one(self, tmp_path, capsys,
+                                                  width):
+        from repro.obs.__main__ import main
+
+        tracer = Tracer()
+        tracer.instant("tick", 1e-6, track="t")
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(tracer.to_chrome()))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["timeline", str(path), "--width", width])
+        assert exit_info.value.code == 2
+        assert "--width must be >= 1" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.net import IPv4Address, MACAddress, Topology
 from repro.pisa import PipelineError
 from repro.pisa.pipeline import PisaPipeline
@@ -225,3 +226,34 @@ class TestRetransmission:
         env.run(until=env.all_of(procs))
         assert all(w.retransmissions == 0 for w in workers)
         assert programs[0].duplicates_dropped == 0
+
+
+class TestObsExport:
+    """Each program exports the counters it keeps: in a chain the last
+    pipeline emits the results, the first keeps the worker bitmaps."""
+
+    @pytest.mark.parametrize("grads_per_packet, chain", [
+        (64, (0,)),             # SwitchML-64: one pipeline
+        (256, (0, 1, 2, 3)),    # SwitchML-256: the four-pipeline chain
+    ])
+    def test_results_emitted_sum_to_chunk_count(self, grads_per_packet,
+                                                chain):
+        chunks = 8
+        session = obs.enable(scope="test")
+        try:
+            env = Environment()
+            __, __, programs, workers = build_cluster(
+                env, num_workers=2, pool_size=8,
+                grads_per_packet=grads_per_packet, chain=chain)
+            procs = [env.process(w.allreduce([1] * grads_per_packet * chunks))
+                     for w in workers]
+            env.run(until=env.all_of(procs))
+        finally:
+            obs.disable()
+        assert programs[-1].results_emitted == chunks
+        snapshot = session.registry.snapshot()["metrics"]
+        emitted = snapshot["switchml.results_emitted"]["series"]
+        assert emitted == [{"labels": [str(len(chain) - 1)],
+                            "value": chunks}]
+        dropped = snapshot["switchml.duplicates_dropped"]["series"]
+        assert dropped == [{"labels": ["0"], "value": 0}]
