@@ -29,6 +29,7 @@ Run from the test suite and CI as
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -205,6 +206,12 @@ def main(argv=None) -> int:
         help="also write the report to PATH (CI artifact)",
     )
     args = parser.parse_args(argv)
+    if args.out is not None:
+        folder = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(folder):
+            print(f"error: --out {args.out}: no directory {folder}",
+                  file=sys.stderr)
+            return 2
     cases = calibrate()
     return verdict(render_calibration(cases), cases, "cases", args.werror,
                    out=args.out)

@@ -45,10 +45,15 @@ its per-link demand is maintained by deltas.  Escalations are visible
 to :mod:`repro.obs` as counters, instants, and simulated-time spans,
 so a profile shows exactly where the packet level was entered and why.
 
-Cost model: O(path classes + changed classes) per re-solve
-and ~2 events per flow total, independent of flow *size* — which is
-where the simulated-bytes-per-CPU-second advantage over the packet
-level comes from.
+Cost model: a re-solve costs what its deltas reach.  The solver
+re-levels the region of classes an arrival or departure can reach along
+the last solve's bottleneck structure (a few of ~50-100 live classes on
+the bench workloads), and the engine then rebases the changed classes
+only.  A delta on a shared bottleneck that reaches a quarter of the
+live classes costs one full solve, O(path classes).  There are ~2
+events per flow in total, independent of flow *size* — which is where
+the simulated-bytes-per-CPU-second advantage over the packet level
+comes from.
 """
 
 from __future__ import annotations

@@ -12,27 +12,27 @@ Two implementations share that semantics:
 * :func:`max_min_rates` — the from-scratch per-flow reference.  It
   rebuilds the per-link state on every call and scans every unfrozen
   flow per water-filling iteration: O(flows x path length) per
-  iteration.  Kept as the executable specification the property tests
-  compare against.
+  iteration.  Kept as the executable specification the tests compare
+  against.
 * :class:`PathClassSolver` — the incremental *path-class* solver the
   engine uses.  Flows sharing an identical directed-link signature
   collapse into one variable carrying a multiplicity, so a solve runs
-  over O(distinct paths) variables regardless of flow count; the
-  bottleneck search is heap-based instead of a full per-iteration link
-  scan; and per-link flow counts plus link->class membership stay alive
-  across solves so arrivals/departures are O(path length) deltas.
+  over O(distinct paths) variables regardless of flow count.  Per-link
+  state and the last solve's bottleneck structure stay alive across
+  solves, arrivals/departures/pins are O(path length) deltas, and a
+  solve re-levels only the region of classes those deltas can reach.
 
-The two are **bit-identical** — not merely approximately equal.  The
-class-level freeze applies the same clamped-at-zero capacity
-subtraction once per member flow (in a tight loop) rather than a fused
-``mult * share`` multiply, because repeated float subtraction rounds
-differently from a single multiply and the reference subtracts
-per-flow.  Within one water-filling iteration every frozen flow
-subtracts the *same* share, so the subtraction sequence on any link is
-a fixed number of identical operations — order-independent — and the
-class-grouped order reproduces the reference's flow-ordered result
-exactly.  ``tests/test_flowsim.py`` enforces this on randomized
-instances.
+The solver's rates are **max-min optimal**: no link carries more than
+its capacity less pinned demand (unless every class crossing it sits
+at the rate floor), and every class above the floor crosses a
+saturated link on which no class has a higher rate.  They agree with
+:func:`max_min_rates` over the expanded per-flow inputs to a relative
+1e-9 — in practice to ~1e-13, rounding only: a link drains by
+``count * share`` at once where the reference drains one flow at a
+time, and a region solve reads what the outside classes leave of a
+link off per-link loads kept by deltas.  ``tests/test_flowsim.py``
+checks optimality directly after every solve, and the agreement with
+the reference and with a fresh solve, on randomized churn.
 
 Two extensions the hybrid engine needs:
 
@@ -45,13 +45,14 @@ Two extensions the hybrid engine needs:
   is far below any rate that could influence a calibrated result).
 
 Everything is deterministic: bottleneck ties resolve to the smallest
-link index, the changed set fills in freeze order, and the result is a
-pure function of the inputs.
+link index, regions and link sets are insertion-ordered dicts, the
+changed set fills in freeze order, and the result is a pure function
+of the sequence of deltas.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -66,6 +67,9 @@ MIN_RATE_BPS = 1e3
 
 #: A path class's directed-link signature: the link keys in path order.
 PathSig = Tuple[int, ...]
+
+#: Relative tolerance of the region solve's max-min check.
+_TOL = 1e-9
 
 
 def max_min_rates(
@@ -151,34 +155,64 @@ class PathClassSolver:
     signature; the solver carries one variable per class with an
     integer multiplicity.  Membership mutates through :meth:`add` /
     :meth:`remove` (O(path length) each), pinned per-link demand
-    through :meth:`pin` deltas, and :meth:`resolve` allocates from the
-    live state without rebuilding it.
+    through :meth:`pin` deltas, and :meth:`resolve` re-solves only the
+    classes those deltas can reach.
 
-    Internally every link key is interned to a dense index on first
-    sight, so the hot state is flat lists — per-index capacity, pinned
-    demand, unfrozen-flow count, member-class set — rather than dicts;
-    a solve's scratch state is four list copies, not dict rebuilds.
+    Every link key is interned to a dense index on first sight, so the
+    per-link state is flat lists: capacity, pinned demand, the
+    water-filling start level (capacity less pinned demand, clamped at
+    0), the flow-traversal count, the member classes, the elastic load
+    ``sum(multiplicity * rate)``, and the classes *bottlenecked* there
+    (frozen at that link by the last solve).  Each class keeps its rate
+    and its bottleneck link.  The load is kept by deltas, and resets to
+    exactly 0 when a link's last flow leaves.
 
-    The solve consumes a *sorted* seed list — one ``(share, link)``
-    entry per live link, kept ascending across solves by every
-    add/remove/pin delta — with an index pointer in place of heap pops:
-    water-filling visits links in nondecreasing share order, so the
-    bottleneck search is a plain walk, saturated links are the walked
-    prefix at or below the freeze threshold, and a round's refreshed
-    shares re-enter via ``bisect.insort`` at or after the pointer
-    (refreshed shares cannot sort before links already frozen).  Stale
-    entries — superseded by a later insert — are skipped on walk: an
-    entry is current exactly when its share equals the link's live
-    share.  This enumerates exactly the saturated set the reference
-    implementation finds by scanning every link per iteration.
+    **The region.**  A solve starts from the deltas since the previous
+    one: new classes, and links whose count or pinned demand moved.  It
+    seeds the region with the new classes and the classes bottlenecked
+    at a changed link, then grows it along the previous solve's
+    bottleneck structure (Ros-Giralt et al., "On the Bottleneck
+    Structure of Congestion-Controlled Networks", SIGMETRICS 2020): a
+    region class's links, the classes bottlenecked there, their links,
+    and so on.  The region water-fills over what the classes outside it
+    leave of each link.  Then every touched link (a changed link or a
+    region class's link) is checked against the max-min conditions, to
+    a relative tolerance of :data:`_TOL`.  An outside class crossing it
+    joins the region when the link is overloaded and the class is above
+    :data:`MIN_RATE_BPS`, or when its rate exceeds that of a region
+    class bottlenecked there.  (Growth already took in every class
+    bottlenecked at a touched link, so no outside class is.)  Joiners
+    grow the region the same way, and the region is solved again.
+    Max-min rates are unique, so neither ties nor visiting order can
+    change a rate.
 
-    Results are bit-identical to :func:`max_min_rates` called with the
-    expanded per-flow inputs (see the module docstring for why).
+    **One water-filling loop** (:meth:`_fill`) serves the region and
+    the full solve.  A region that holds every live class is the full
+    solve, which needs no check; the solver takes it once the region
+    outgrows a quarter of the live classes.  A shared bottleneck that
+    reaches most classes from one delta is caught while the region
+    grows, before any region water-filling.  The loop walks a sorted
+    ``(share, link)`` seed list with an index pointer instead of heap
+    pops: water-filling visits links in nondecreasing share order, so
+    the saturated links of a round are the walked prefix at or below
+    the freeze threshold, and a round's refreshed shares re-enter via
+    ``bisect.insort`` at or after the pointer.  Stale entries,
+    superseded by a later insert, are skipped: an entry is current
+    exactly when its share equals the link's live share.
+
+    **Cost.**  A region pass costs O(region classes x path length) plus
+    one sweep over the members of each touched link where a region
+    class froze or that is overloaded; a solve takes 1.05-1.5 passes on
+    the bench workloads.  A full solve costs O(live links log live
+    links + live classes x path length).  Either way, only classes
+    whose rate or bottleneck moved update the per-link load and
+    bottleneck sets.
     """
 
     __slots__ = ("_capacity", "_key2idx", "_cap", "_pinned",
-                 "_info", "_counts", "_members", "_nflows",
-                 "_remaining0", "_sorted", "_shares", "_epoch", "changed")
+                 "_remaining0", "_counts", "_members", "_load",
+                 "_bneck", "_info", "_nflows", "_new", "_dirty",
+                 "_stamp", "changed")
 
     def __init__(self, capacity_bps: Mapping[int, float]):
         #: Live view of directed-link capacities; the engine grows it
@@ -188,40 +222,35 @@ class PathClassSolver:
         self._key2idx: Dict[int, int] = {}
         self._cap: List[float] = []
         self._pinned: List[float] = []
-        #: class signature -> ``[member count, interned signature,
-        #: freeze-epoch stamp, previous solved rate (None before the
-        #: first solve)]``.  One record per class, shared by reference
-        #: with every ``_members`` row it appears in, so the solve's
-        #: freeze loop reads and writes all per-class state with zero
-        #: extra dict lookups: frozen-this-solve is an epoch compare,
-        #: and changed-since-last-solve is a compare against the
-        #: record's own previous rate.
-        self._info: Dict[PathSig, list] = {}
-        #: dense index -> unfrozen flow-traversal count (one per
-        #: occurrence of the link in a member's signature).
+        #: dense index -> capacity minus pinned demand, clamped at 0:
+        #: the water-filling start level.
+        self._remaining0: List[float] = []
+        #: dense index -> flow-traversal count (one per occurrence of
+        #: the link in a member's signature).
         self._counts: List[int] = []
         #: dense index -> insertion-ordered map of member class
         #: signature -> its shared ``_info`` record.
         self._members: List[Dict[PathSig, list]] = []
+        #: dense index -> elastic load, sum of multiplicity x rate.
+        self._load: List[float] = []
+        #: dense index -> the classes the last solve froze at that link.
+        self._bneck: List[Dict[PathSig, list]] = []
+        #: class signature -> ``[member count, interned signature,
+        #: stamp, rate, bottleneck index, rate before this solve]``.
+        #: One record per class, shared by reference with every
+        #: ``_members`` and ``_bneck`` row it appears in.  The rate is
+        #: ``None`` before the class's first solve, and the bottleneck
+        #: -1 when it froze at none of its links.  The stamp places the
+        #: class in the current solve: below ``_stamp`` outside the
+        #: region, ``_stamp`` in it and unfrozen, ``_stamp + 1`` frozen.
+        self._info: Dict[PathSig, list] = {}
         self._nflows = 0
-        #: dense index -> capacity minus pinned demand, clamped at 0 —
-        #: the water-filling start state, maintained by deltas so a
-        #: solve copies it instead of recomputing it.
-        self._remaining0: List[float] = []
-        #: Ascending (share, idx) seeds, exactly one per *live* link
-        #: (count > 0), maintained sorted by every add/remove/pin
-        #: delta; a solve starts from a plain C-speed list copy —
-        #: no divisions, no sort, no heapify.
-        self._sorted: List[Tuple[float, int]] = []
-        #: dense index -> that link's live share, or -1.0 when it has
-        #: no unfrozen flows.  A seed entry is *current* exactly when
-        #: its share equals this value, so stale-entry detection is one
-        #: list index instead of a division per visit.
-        self._shares: List[float] = []
-        #: Monotone solve counter; a class is frozen in the current
-        #: solve exactly when its info record carries this stamp.
-        self._epoch = 0
-        #: Classes whose rate differed from the previous solve, in
+        #: The deltas since the last solve: classes created, and links
+        #: whose count or pinned demand moved (insertion-ordered).
+        self._new: Dict[PathSig, list] = {}
+        self._dirty: Dict[int, None] = {}
+        self._stamp = 0
+        #: Classes whose rate differs from the previous solve, in
         #: freeze order — the classes the engine rebases, so unchanged
         #: classes cost nothing after the solve.
         self.changed: Dict[PathSig, float] = {}
@@ -231,25 +260,12 @@ class PathClassSolver:
         self._key2idx[key] = idx
         self._cap.append(self._capacity[key])
         self._pinned.append(0.0)
+        self._remaining0.append(self._cap[idx])
         self._counts.append(0)
         self._members.append({})
-        self._remaining0.append(self._cap[idx])
-        self._shares.append(-1.0)
+        self._load.append(0.0)
+        self._bneck.append({})
         return idx
-
-    def _reseed(self, idx: int) -> None:
-        """Refresh the sorted solve-start seed for ``idx`` after a delta."""
-        shares = self._shares
-        old = shares[idx]
-        if old != -1.0:
-            self._sorted.pop(bisect_left(self._sorted, (old, idx)))
-        count = self._counts[idx]
-        if count > 0:
-            share = self._remaining0[idx] / count
-            shares[idx] = share
-            insort(self._sorted, (share, idx))
-        else:
-            shares[idx] = -1.0
 
     # -- membership / demand deltas -------------------------------------
 
@@ -258,12 +274,14 @@ class PathClassSolver:
         info = self._info.get(sig)
         self._nflows += count
         counts = self._counts
+        dirty = self._dirty
         if info is None:
             # A class created (or re-created after dying) carries no
             # previous rate, so its first solve back always reports it
             # in ``changed``, whatever rate it gets.
-            info = [count, (), 0, None]
+            info = [count, (), 0, None, -1, None]
             self._info[sig] = info
+            self._new[sig] = info
             key2idx = self._key2idx
             members = self._members
             idxs = []
@@ -274,13 +292,17 @@ class PathClassSolver:
                 idxs.append(idx)
                 counts[idx] += count
                 members[idx][sig] = info
-                self._reseed(idx)
+                dirty[idx] = None
             info[1] = tuple(idxs)
         else:
             info[0] += count
+            rate = info[3]
+            carried = 0.0 if rate is None else count * rate
+            load = self._load
             for idx in info[1]:
                 counts[idx] += count
-                self._reseed(idx)
+                load[idx] += carried
+                dirty[idx] = None
 
     def remove(self, sig: PathSig, count: int = 1) -> None:
         """Remove ``count`` flows from the class with signature ``sig``."""
@@ -292,19 +314,24 @@ class PathClassSolver:
             )
         self._nflows -= count
         counts = self._counts
-        idxs = info[1]
+        load = self._load
+        dirty = self._dirty
+        rate = info[3]
+        drop = 0.0 if rate is None else count * rate
         if have:
             info[0] = have
-            for idx in idxs:
-                counts[idx] -= count
-                self._reseed(idx)
         else:
             del self._info[sig]
+            self._new.pop(sig, None)
+            if info[4] >= 0:
+                del self._bneck[info[4]][sig]
             members = self._members
-            for idx in idxs:
-                counts[idx] -= count
+            for idx in info[1]:
                 members[idx].pop(sig, None)
-                self._reseed(idx)
+        for idx in info[1]:
+            counts[idx] -= count
+            load[idx] = load[idx] - drop if counts[idx] else 0.0
+            dirty[idx] = None
 
     def pin(self, key: int, delta_bps: float) -> None:
         """Shift the inelastic (pinned) demand on ``key`` by a delta.
@@ -320,7 +347,7 @@ class PathClassSolver:
         self._pinned[idx] += delta_bps
         left = self._cap[idx] - self._pinned[idx]
         self._remaining0[idx] = left if left > 0.0 else 0.0
-        self._reseed(idx)
+        self._dirty[idx] = None
 
     def pinned_demand(self, key: int) -> float:
         """Current pinned demand on link ``key`` (0.0 if never seen)."""
@@ -340,31 +367,140 @@ class PathClassSolver:
     # -- the solve -------------------------------------------------------
 
     def resolve(self) -> Dict[PathSig, float]:
-        """Re-solve from the live state; return only the *changed* set.
+        """Re-solve what the deltas reach; return only the *changed* set.
 
-        The engine's per-event entry point and the one solve: each
-        class's rate lands in its info record, and the return value
-        (also left on :attr:`changed`) maps exactly the classes whose
-        rate differs from the previous solve, in freeze order.  The
-        sorted seed list and zero-round remaining state are maintained
-        by every add/remove/pin delta, so starting a solve is four
-        C-speed list copies — no divisions, no sort.
+        The engine's per-event entry point: each class's rate lands in
+        its info record, and the return value (also left on
+        :attr:`changed`) maps exactly the classes whose rate differs
+        from the previous solve, in freeze order.
         """
-        info_map = self._info
+        self._stamp = stamp = self._stamp + 2
         changed: Dict[PathSig, float] = {}
         self.changed = changed
-        self._epoch = epoch = self._epoch + 1
-        if not info_map:
-            return changed
+        limit = len(self._info) >> 2
+        bneck = self._bneck
+        region: Dict[PathSig, list] = {}
+        # Touched links: the changed ones and every region class's.
+        links: Dict[int, None] = {}
+        grow: List[list] = []
+
+        def join(sig: PathSig, info: list) -> None:
+            info[2] = stamp
+            info[5] = info[3]
+            region[sig] = info
+            grow.append(info)
+
+        for sig, info in self._new.items():
+            join(sig, info)
+        for idx in self._dirty:
+            links[idx] = None
+            for sig, info in bneck[idx].items():
+                if info[2] < stamp:
+                    join(sig, info)
+        self._new.clear()
+        self._dirty.clear()
+        while True:
+            # Grow along the bottleneck structure: a region class's
+            # links, then the classes frozen there.
+            while grow and len(region) <= limit:
+                for idx in grow.pop()[1]:
+                    if idx not in links:
+                        links[idx] = None
+                        for sig, info in bneck[idx].items():
+                            if info[2] < stamp:
+                                join(sig, info)
+            if len(region) > limit:
+                break
+            self._fill_region(region, stamp, changed)
+            violators = self._violators(links, stamp)
+            if not violators:
+                return changed
+            changed.clear()
+            for sig, info in violators.items():
+                join(sig, info)
+        changed.clear()
+        self._fill_all(stamp, changed)
+        return changed
+
+    def _fill_all(self, stamp: int, changed: Dict[PathSig, float]) -> None:
+        """Water-fill every live class from the full link state."""
+        info_map = self._info
+        for info in info_map.values():
+            if info[2] < stamp:
+                info[5] = info[3]
+            info[2] = stamp
         counts = self._counts[:]
         remaining = self._remaining0[:]
-        lst = self._sorted[:]
-        cur = self._shares[:]
-        members = self._members
+        cur = [-1.0] * len(counts)
+        seeds = []
+        for idx, count in enumerate(counts):
+            if count:
+                cur[idx] = share = remaining[idx] / count
+                seeds.append((share, idx))
+        seeds.sort()
+        self._fill(self._members, counts, remaining, seeds, cur, info_map,
+                   stamp, changed)
+
+    def _fill_region(self, region: Dict[PathSig, list], stamp: int,
+                     changed: Dict[PathSig, float]) -> None:
+        """Water-fill ``region`` over the capacity outside classes leave."""
+        counts: Dict[int, int] = {}
+        inside: Dict[int, float] = {}
+        rows: Dict[int, Dict[PathSig, list]] = {}
+        for sig, info in region.items():
+            info[2] = stamp
+            m = info[0]
+            rate = info[3]
+            carried = m * rate if rate is not None else 0.0
+            for idx in info[1]:
+                row = rows.get(idx)
+                if row is None:
+                    rows[idx] = {sig: info}
+                    counts[idx] = m
+                    inside[idx] = carried
+                else:
+                    row[sig] = info
+                    counts[idx] += m
+                    inside[idx] += carried
+        all_counts = self._counts
+        load = self._load
+        remaining0 = self._remaining0
+        remaining: Dict[int, float] = {}
+        cur: Dict[int, float] = {}
+        seeds = []
+        for idx, count in counts.items():
+            left = remaining0[idx]
+            if count != all_counts[idx]:
+                left -= load[idx] - inside[idx]
+                if left < 0.0:
+                    left = 0.0
+            remaining[idx] = left
+            cur[idx] = share = left / count
+            seeds.append((share, idx))
+        seeds.sort()
+        self._fill(rows, counts, remaining, seeds, cur, region, stamp,
+                   changed)
+
+    def _fill(self, rows, counts, remaining, seeds, cur,
+              classes: Dict[PathSig, list], stamp: int,
+              changed: Dict[PathSig, float]) -> None:
+        """The water-filling loop, over ``classes`` (each stamped
+        ``stamp``).
+
+        ``rows`` maps a link index to the classes crossing it,
+        ``counts`` and ``remaining`` give each link's unfrozen flow
+        count and spare capacity, and ``seeds`` lists ``(share, link)``
+        ascending, with ``cur`` holding each link's live share.  A
+        frozen class gets its rate, bottleneck, load deltas and
+        ``changed`` entry here.
+        """
+        load = self._load
+        bneck = self._bneck
         min_rate = MIN_RATE_BPS
-        pending = len(info_map)
+        frozen = stamp + 1
+        pending = len(classes)
         p = 0
-        end = len(lst)
+        end = len(seeds)
         while pending and p < end:
             # Bottleneck: the smallest *current* share.  An entry is
             # current exactly when its share equals ``cur[idx]`` (every
@@ -377,7 +513,7 @@ class PathClassSolver:
             # advancing ``p`` never skips a live link.
             share = -1.0
             while p < end:
-                s, idx = lst[p]
+                s, idx = seeds[p]
                 p += 1
                 if s == cur[idx]:
                     share = s
@@ -388,41 +524,45 @@ class PathClassSolver:
                 share = min_rate
             threshold = share * (1.0 + 1e-12)
             # Freeze every class crossing a saturated link at the
-            # share.  The freeze sweep only *tallies* frozen
-            # occurrences per touched link; counts, the clamped
-            # capacity drains (one subtraction per member flow, to
-            # match the reference's per-flow rounding bit-for-bit),
-            # ``cur``, and the fresh seed entries are all applied once
-            # per unique link after the whole round.  Saturation is
-            # judged against round-start shares throughout — exactly
-            # the semantics of the reference's scan-then-subtract
-            # round, and within a round every subtraction uses the
-            # same share, so regrouping them per link is
-            # order-independent.
+            # share.  The sweep only tallies frozen occurrences per
+            # touched link; counts, the clamped capacity drains,
+            # ``cur`` and the fresh seed entries are applied once per
+            # link after the whole round, so saturation is judged
+            # against round-start shares throughout.
             touched: Dict[int, int] = {}
             while True:
-                for sig, info in members[idx].items():
-                    if info[2] == epoch:
+                for sig, info in rows[idx].items():
+                    if info[2] != stamp:
                         continue
-                    info[2] = epoch
-                    if info[3] != share:
-                        info[3] = share
-                        changed[sig] = share
+                    info[2] = frozen
                     pending -= 1
                     m = info[0]
-                    for jdx in info[1]:
+                    idxs = info[1]
+                    for jdx in idxs:
                         if jdx in touched:
                             touched[jdx] += m
                         else:
                             touched[jdx] = m
+                    prev = info[3]
+                    if share != prev:
+                        info[3] = share
+                        moved = m * (share - prev if prev is not None
+                                     else share)
+                        for jdx in idxs:
+                            load[jdx] += moved
+                    if share != info[5]:
+                        changed[sig] = share
+                    if info[4] != idx:
+                        if info[4] >= 0:
+                            del bneck[info[4]][sig]
+                        bneck[idx][sig] = info
+                        info[4] = idx
                 # Next saturated link at (or numerically below) the
-                # threshold; the list is sorted and every entry before
-                # the pointer is consumed, so walking to the threshold
-                # enumerates exactly the saturated set the reference
-                # scans out.
+                # threshold: the list is sorted and every entry before
+                # the pointer is consumed.
                 idx = -1
-                while p < end and lst[p][0] <= threshold:
-                    s, idx = lst[p]
+                while p < end and seeds[p][0] <= threshold:
+                    s, idx = seeds[p]
                     p += 1
                     if s == cur[idx]:
                         break
@@ -431,32 +571,67 @@ class PathClassSolver:
                     break
             for idx, drains in touched.items():
                 counts[idx] = count = counts[idx] - drains
-                left = remaining[idx]
-                while drains:
-                    left -= share
-                    if left < 0.0:
-                        left = 0.0
-                        break
-                    drains -= 1
+                left = remaining[idx] - drains * share
+                if left < 0.0:
+                    left = 0.0
                 remaining[idx] = left
                 if count > 0:
                     s = left / count
                     cur[idx] = s
-                    insort(lst, (s, idx), p)
+                    insort(seeds, (s, idx), p)
                     end += 1
                 else:
                     cur[idx] = -1.0
-        if pending:
-            # Classes whose every link ran out of unfrozen counts (or
-            # that traverse no links at all) get the liveness floor —
-            # the reference's `share is None` branch.
-            for sig, info in info_map.items():
-                if info[2] != epoch:
-                    info[2] = epoch
-                    if info[3] != min_rate:
-                        info[3] = min_rate
-                        changed[sig] = min_rate
-        return changed
+        if not pending:
+            return
+        # Classes whose every link ran out of unfrozen counts, or that
+        # traverse no links at all, get the liveness floor: the
+        # reference's ``share is None`` branch.
+        for sig, info in classes.items():
+            if info[2] != stamp:
+                continue
+            info[2] = frozen
+            prev = info[3]
+            if prev != min_rate:
+                info[3] = min_rate
+                moved = info[0] * (min_rate - prev if prev is not None
+                                   else min_rate)
+                for idx in info[1]:
+                    load[idx] += moved
+            if info[5] != min_rate:
+                changed[sig] = min_rate
+            if info[4] >= 0:
+                del bneck[info[4]][sig]
+                info[4] = -1
+
+    def _violators(self, links: Dict[int, None],
+                   stamp: int) -> Dict[PathSig, list]:
+        """Outside classes breaking a max-min condition on a touched link.
+
+        On each touched link: when it carries more than its capacity
+        less pinned demand, every outside class above the rate floor;
+        otherwise, when a region class froze there, every outside
+        class whose rate exceeds that level.
+        """
+        members = self._members
+        bneck = self._bneck
+        load = self._load
+        remaining0 = self._remaining0
+        over = 1.0 + _TOL
+        found: Dict[PathSig, list] = {}
+        for idx in links:
+            if load[idx] > remaining0[idx] * over:
+                ceiling = MIN_RATE_BPS
+            elif bneck[idx]:
+                # The classes frozen at one link froze in one round, at
+                # one share.
+                ceiling = next(iter(bneck[idx].values()))[3] * over
+            else:
+                continue
+            for sig, info in members[idx].items():
+                if info[2] < stamp and info[3] > ceiling:
+                    found[sig] = info
+        return found
 
     def solve(self) -> Dict[PathSig, float]:
         """Max-min fair rate per path class (every member gets it).

@@ -27,6 +27,7 @@ JSON, loadable in Perfetto) and metrics snapshot (``--metrics``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from functools import partial
@@ -149,6 +150,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.parallel is not None and args.parallel < 1:
         parser.error("--parallel must be >= 1")
+    # Check output paths now, not after a run that may take minutes.
+    for flag, path in (("--trace", args.trace), ("--metrics", args.metrics)):
+        if path is None:
+            continue
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            print(f"error: {flag} {path}: no directory {folder}",
+                  file=sys.stderr)
+            return 2
     if args.seed is not None:
         from repro.sim import set_default_seed
 

@@ -634,24 +634,33 @@ def check(path: Path, quick: bool = True) -> int:
 
     Returns a process exit code: 0 when every kernel events/s figure is
     within :data:`REGRESSION_TOLERANCE` of the committed value (or
-    faster), 1 on regression.
+    faster), 1 on regression, 2 when ``path`` is not a benchmark record
+    (checked before measuring).
     """
-    committed = json.loads(path.read_text())
+    try:
+        committed = json.loads(path.read_text())
+        checks = [("kernel", "delay_events_per_s"),
+                  ("kernel", "timeout_events_per_s")]
+        if "trainer" in committed:
+            checks.append(("trainer", "iterations_per_s"))
+        if "sim_seconds_per_cpu_s" in committed.get("macro", {}):
+            checks.append(("macro", "sim_seconds_per_cpu_s"))
+        if "flowsim" in committed:
+            checks.append(("flowsim", "simulated_bytes_per_cpu_s"))
+        if "solver_flows_per_s" in committed.get("flowsim", {}):
+            checks.append(("flowsim", "solver_flows_per_s"))
+        if "nf" in committed:
+            checks.append(("nf", "chain_packets_per_s"))
+        if "traffic" in committed:
+            checks.append(("traffic", "flows_generated_per_s"))
+        for section, key in checks:
+            float(committed[section][key])
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+        print(f"error: {path} is not a benchmark record ({exc!r}); run "
+              "`python -m repro.harness.perfjson` to record one",
+              file=sys.stderr)
+        return 2
     current = collect(quick=quick)
-    checks = [("kernel", "delay_events_per_s"),
-              ("kernel", "timeout_events_per_s")]
-    if "trainer" in committed:
-        checks.append(("trainer", "iterations_per_s"))
-    if "sim_seconds_per_cpu_s" in committed.get("macro", {}):
-        checks.append(("macro", "sim_seconds_per_cpu_s"))
-    if "flowsim" in committed:
-        checks.append(("flowsim", "simulated_bytes_per_cpu_s"))
-    if "solver_flows_per_s" in committed.get("flowsim", {}):
-        checks.append(("flowsim", "solver_flows_per_s"))
-    if "nf" in committed:
-        checks.append(("nf", "chain_packets_per_s"))
-    if "traffic" in committed:
-        checks.append(("traffic", "flows_generated_per_s"))
     failures = []
 
     def gate(name: str, ok: bool, detail: str) -> None:

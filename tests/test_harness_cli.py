@@ -32,6 +32,18 @@ class TestCLI:
             "backends", "calibrate", "hybrid", "chains", "traffic",
         }
 
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+    def test_output_path_checked_before_running(self, tmp_path, monkeypatch,
+                                                capsys, flag):
+        def run_nothing(**_kwargs):
+            raise AssertionError("ran before checking the output path")
+
+        monkeypatch.setattr(exp, "profile_dataplane_slice", run_nothing)
+        path = tmp_path / "missing" / "out.json"
+        assert main(["profile", "fig15", "--fast", flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {path}")
+
     def test_fast_fig14_runs(self, capsys):
         assert main(["fig14", "--fast"]) == 0
         out = capsys.readouterr().out

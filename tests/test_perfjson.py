@@ -135,3 +135,17 @@ def test_main_writes_json(tmp_path, monkeypatch):
     assert perfjson.main(["--output", str(out), "--quick"]) == 0
     doc = json.loads(out.read_text())
     assert doc["kernel"]["delay_events_per_s"] == 2_000_000
+
+
+@pytest.mark.parametrize("text", ["", "{not json", "[]", '{"kernel": {}}',
+                                  '{"kernel": {"delay_events_per_s": 1, '
+                                  '"timeout_events_per_s": "fast"}}'])
+def test_check_rejects_malformed_record(tmp_path, monkeypatch, capsys, text):
+    """An empty or malformed record is named with a non-zero exit, before
+    any measurement runs."""
+    record = tmp_path / "bench.json"
+    record.write_text(text)
+    monkeypatch.setattr(perfjson, "collect", _fail_scale_point)
+    assert perfjson.main(["--check", "--output", str(record)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(record) in err
