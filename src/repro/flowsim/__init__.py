@@ -16,11 +16,14 @@ traffic at a few megabytes per CPU-second.  This package adds a flow
 * :mod:`repro.flowsim.escalate` — the explicit escalation boundary:
   incast fan-in, straggler windows, and hash-table-contended PFE paths
   run at packet level and pin their rates into the solver;
-* :mod:`repro.flowsim.packetref` — the packet-level reference
-  microsimulations escalation and calibration are pinned to;
-* :mod:`repro.flowsim.scenario` — the leaf/spine ``FabricShape``, the
-  one fluid runner ``run_flows``, and the canonical seeded workload for
-  benchmarks and sweeps;
+* :mod:`repro.flowsim.fabric` — the leaf/spine ``FabricShape`` both
+  levels run on, its builder ``build_leaf_spine`` (store-and-forward
+  forwarding by destination at leaves and spine), and the one
+  packet-level runner ``run_packet_flows``;
+* :mod:`repro.flowsim.packetref` — the cached packet-level references
+  escalation is pinned to, each a ``run_packet_flows`` call on one leaf;
+* :mod:`repro.flowsim.scenario` — the one fluid runner ``run_flows``
+  and the canonical seeded workload for benchmarks and sweeps;
 * :mod:`repro.flowsim.calibrate` — the CI-gated calibration bridge
   (``python -m repro.flowsim.calibrate --werror``).
 """
@@ -35,25 +38,28 @@ from repro.flowsim.escalate import (
     EscalationPolicy,
     reset_reference_caches,
 )
+from repro.flowsim.fabric import (
+    FabricShape,
+    build_leaf_spine,
+    run_packet_flows,
+)
 from repro.flowsim.flow import (
     ActiveFlow,
     DEFAULT_MTU_PAYLOAD_BYTES,
     FRAME_OVERHEAD_BYTES,
     FlowRecord,
     FlowSpec,
+    mean_fct_s,
     wire_efficiency,
 )
 from repro.flowsim.packetref import (
-    PacketRefResult,
     packet_fan_in,
     packet_pair,
     packet_pfe_goodput,
 )
 from repro.flowsim.scenario import (
-    FabricShape,
     ScenarioConfig,
     ScenarioResult,
-    build_leaf_spine,
     generate_flows,
     run_flows,
     run_scenario,
@@ -77,18 +83,19 @@ __all__ = [
     "FluidEngine",
     "MIN_RATE_BPS",
     "PathClassSolver",
-    "PacketRefResult",
     "ScenarioConfig",
     "ScenarioResult",
     "build_leaf_spine",
     "generate_flows",
     "max_min_class_rates",
     "max_min_rates",
+    "mean_fct_s",
     "packet_fan_in",
     "packet_pair",
     "packet_pfe_goodput",
     "reset_reference_caches",
     "run_flows",
+    "run_packet_flows",
     "run_scenario",
     "wire_efficiency",
 ]

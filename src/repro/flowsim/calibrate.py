@@ -2,10 +2,12 @@
 
 The hybrid simulation is only trustworthy if the fast level agrees with
 the slow one where their domains overlap.  This module runs matched
-pairs of simulations — the same flows once through the
-:class:`~repro.flowsim.engine.FluidEngine` and once through the real
-packet-level :mod:`repro.net` stack — and asserts the flow-level FCT
-and goodput land inside a declared band of the packet-level truth.
+pairs of simulations — one ``FlowSpec`` list on one fabric, once through
+the fluid runner (:func:`~repro.flowsim.scenario.run_flows`) and once
+frame by frame through the real :mod:`repro.net` stack
+(:func:`~repro.flowsim.fabric.run_packet_flows`) — and asserts the
+flow-level FCT and goodput land inside a declared band of the
+packet-level truth.
 
 Three cases, one per modelling regime:
 
@@ -32,12 +34,13 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
-from repro.flowsim import packetref
 from repro.flowsim.escalate import EscalationConfig
-from repro.flowsim.flow import FlowRecord, FlowSpec
-from repro.flowsim.scenario import FabricShape, host_name, run_flows
+from repro.flowsim.fabric import FabricShape, host_name, run_packet_flows
+from repro.flowsim.flow import FlowRecord, FlowSpec, mean_fct_s
+from repro.flowsim.packetref import fan_in_flows
+from repro.flowsim.scenario import run_flows
 from repro.tools.band import band_cell, verdict, within_band
 
 __all__ = [
@@ -45,7 +48,6 @@ __all__ = [
     "SHARED_BAND",
     "INCAST_BAND",
     "CalibrationCase",
-    "FlowCalibrationSpec",
     "calibrate",
     "main",
     "render_calibration",
@@ -59,23 +61,21 @@ PAIR_BAND = 1.10
 SHARED_BAND = 1.15
 INCAST_BAND = 1.8
 
+#: Sizing of the matched runs: small enough to run inside the test
+#: suite, large enough that both levels reach steady behaviour.  Both
+#: sides are deterministic discrete-event simulations, so the derived
+#: ratios are exactly reproducible.
+BANDWIDTH_BPS = 100e9
+PAIR_FLOW_BYTES = 200_000
+SHARED_SENDERS = 6
+SHARED_FLOW_BYTES = 300_000
+INCAST_SENDERS = 12
+INCAST_FLOW_BYTES = 40_000
 
-@dataclass(frozen=True)
-class FlowCalibrationSpec:
-    """Sizing of the matched fluid/packet calibration runs.
-
-    Small enough to run inside the test suite, large enough that both
-    levels reach steady behaviour.  Both sides are deterministic
-    discrete-event simulations, so the derived ratios are exactly
-    reproducible.
-    """
-
-    bandwidth_bps: float = 100e9
-    pair_flow_bytes: int = 200_000
-    shared_senders: int = 6
-    shared_flow_bytes: int = 300_000
-    incast_senders: int = 12
-    incast_flow_bytes: int = 40_000
+#: The one-leaf fabric every case runs on, at both levels.
+FABRIC = FabricShape(leaves=1, hosts_per_leaf=16,
+                     host_bandwidth_bps=BANDWIDTH_BPS,
+                     uplink_bandwidth_bps=4 * BANDWIDTH_BPS)
 
 
 @dataclass(frozen=True)
@@ -99,76 +99,51 @@ class CalibrationCase:
         return within_band(self.ratio, self.band)
 
 
-def _run_fluid(specs: List[FlowSpec],
-               bandwidth_bps: float) -> List[FlowRecord]:
-    """Run explicit flows through the fluid engine on a one-leaf fabric."""
-    fabric = FabricShape(leaves=1, hosts_per_leaf=16,
-                         host_bandwidth_bps=bandwidth_bps,
-                         uplink_bandwidth_bps=4 * bandwidth_bps)
-    return run_flows(fabric, EscalationConfig(), lambda env: specs).records
+def _run_both(flows: List[FlowSpec]
+              ) -> Tuple[List[FlowRecord], List[FlowRecord]]:
+    """(fluid, packet) records of one flow list on :data:`FABRIC`."""
+    fluid = run_flows(FABRIC, EscalationConfig(), lambda env: flows)
+    return fluid.records, run_packet_flows(FABRIC, flows)
 
 
-def _fan_in(senders: int, flow_bytes: int,
-            service: str = "bulk") -> List[FlowSpec]:
-    """``senders`` flows of ``flow_bytes`` into host 0, all at t = 0."""
-    return [
-        FlowSpec(flow_id=index, src=host_name(0, 1 + index),
-                 dst=host_name(0, 0), size_bytes=float(flow_bytes),
-                 start_s=0.0, service=service)
-        for index in range(senders)
-    ]
+def _goodput(records: List[FlowRecord]) -> float:
+    """Aggregate goodput (bps) of flows that all start at t = 0."""
+    bits = 8 * sum(record.spec.size_bytes for record in records)
+    return bits / max(record.finish_s for record in records)
 
 
-def _mean_fct(records: List[FlowRecord]) -> float:
-    return sum(record.fct_s for record in records) / len(records)
-
-
-def calibrate(spec: Optional[FlowCalibrationSpec] = None
-              ) -> Dict[str, CalibrationCase]:
+def calibrate() -> Dict[str, CalibrationCase]:
     """Run all matched pairs; returns one record per case."""
-    spec = spec or FlowCalibrationSpec()
-    bw = spec.bandwidth_bps
     cases: Dict[str, CalibrationCase] = {}
 
     # -- pair: one flow, no contention ----------------------------------
-    fluid = _run_fluid(
+    fluid, packet = _run_both(
         [FlowSpec(flow_id=0, src=host_name(0, 0), dst=host_name(0, 1),
-                  size_bytes=float(spec.pair_flow_bytes), start_s=0.0)],
-        bw,
-    )
-    packet = packetref.packet_pair(spec.pair_flow_bytes, bandwidth_bps=bw)
+                  size_bytes=float(PAIR_FLOW_BYTES), start_s=0.0)])
     cases["pair"] = CalibrationCase(
         case="pair", quantity="mean FCT (s)",
-        fluid_value=_mean_fct(fluid), packet_value=packet.mean_fct_s,
+        fluid_value=mean_fct_s(fluid), packet_value=mean_fct_s(packet),
         band=PAIR_BAND,
     )
 
     # -- shared: elastic fair share over one bottleneck ------------------
-    fluid = _run_fluid(_fan_in(spec.shared_senders, spec.shared_flow_bytes),
-                       bw)
+    fluid, packet = _run_both(fan_in_flows(SHARED_SENDERS, SHARED_FLOW_BYTES))
     assert all(record.escalated is None for record in fluid), \
         "shared case must stay elastic"
-    packet = packetref.packet_fan_in(
-        spec.shared_senders, spec.shared_flow_bytes, bandwidth_bps=bw)
-    total_bits = spec.shared_senders * spec.shared_flow_bytes * 8
-    fluid_goodput = total_bits / max(r.finish_s for r in fluid)
     cases["shared"] = CalibrationCase(
         case="shared", quantity="aggregate goodput (bps)",
-        fluid_value=fluid_goodput,
-        packet_value=packet.aggregate_goodput_bps,
+        fluid_value=_goodput(fluid), packet_value=_goodput(packet),
         band=SHARED_BAND,
     )
 
     # -- incast: the escalation boundary end to end ----------------------
-    fluid = _run_fluid(_fan_in(spec.incast_senders, spec.incast_flow_bytes,
-                               service="incast"), bw)
+    fluid, packet = _run_both(fan_in_flows(INCAST_SENDERS, INCAST_FLOW_BYTES,
+                                           service="incast"))
     assert any(record.escalated == "incast" for record in fluid), \
         "incast case must cross the escalation boundary"
-    packet = packetref.packet_fan_in(
-        spec.incast_senders, spec.incast_flow_bytes, bandwidth_bps=bw)
     cases["incast"] = CalibrationCase(
         case="incast", quantity="mean FCT (s)",
-        fluid_value=_mean_fct(fluid), packet_value=packet.mean_fct_s,
+        fluid_value=mean_fct_s(fluid), packet_value=mean_fct_s(packet),
         band=INCAST_BAND,
     )
     return cases

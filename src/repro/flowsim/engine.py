@@ -372,10 +372,9 @@ class FluidEngine:
         if cls is None or not cls.flows:
             return
         members = list(cls.flows.values())
-        rates = self.policy.pinned_rates(gkey, members, self)
-        # Uniform per group by the policy contract; members may still
-        # take different paths, so demand deltas apply per flow.
-        rate = rates[members[0].spec.flow_id]
+        rate = self.policy.pinned_rate(gkey, members, self)
+        # Members may take different paths, so demand deltas apply per
+        # flow.
         pin = self._solver.pin
         for flow in members:
             old = flow.rate_bps

@@ -16,9 +16,9 @@ is *wrong* where contention dynamics matter:
 The :class:`EscalationPolicy` classifies flows at arrival into one of
 these reasons (or none) and, for escalated flows, supplies a *pinned*
 rate derived from a matched packet-level reference run
-(:mod:`repro.flowsim.packetref`).  Pinned rates are recomputed on every
-re-solve as group membership changes (an incast with 12 members is a
-different packet-level system than one with 3) and enter the max-min
+(:mod:`repro.flowsim.packetref`).  A group's pinned rate is recomputed
+whenever its membership changes (an incast with 12 members is a
+different packet-level system than one with 3) and enters the max-min
 solver as inelastic demand; elastic flows share what remains.
 
 Reference runs are memoised per bucket and executed with observability
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.flowsim.flow import ActiveFlow, FlowSpec
+from repro.flowsim.flow import ActiveFlow, FlowSpec, mean_fct_s
 from repro.flowsim import packetref
 from repro.obs import bus as _obs
 
@@ -155,24 +155,14 @@ class EscalationPolicy:
 
     # -- packet-derived rates -------------------------------------------
 
-    def pinned_rates(self, group: Tuple[str, str],
-                     members: List[ActiveFlow],
-                     engine) -> Dict[int, float]:
-        """Per-flow pinned rate (bps) for one escalation group.
+    def pinned_rate(self, group: Tuple[str, str],
+                    members: List[ActiveFlow], engine) -> float:
+        """The pinned rate (bps) every member of one escalation group
+        runs at.
 
-        Recomputed every re-solve: the reference lookup is keyed by the
-        group's *current* degree bucket, so rates track membership.
-
-        Uniform-rate contract: every member of a group gets the *same*
-        rate (the dict fans one scalar out per flow id).  The
-        incremental engine relies on this — a pinned flow's demand
-        enters the path-class solver as per-link capacity deltas
-        (:meth:`PathClassSolver.pin`), and a group rate change is
-        applied as ``new - old`` per member without re-deriving any
-        per-flow split.  A future policy that differentiates rates
-        within a group must still return one entry per member; only
-        the per-member delta bookkeeping in ``FluidEngine`` consumes
-        the values.
+        A pure function of the group's membership: the reference lookup
+        is keyed by the group's degree bucket, so the engine recomputes
+        it only when membership changes.
         """
         reason = group[0]
         config = self.config
@@ -187,18 +177,18 @@ class EscalationPolicy:
                     degree, config.reference_flow_bytes,
                     bandwidth_bps=bottleneck,
                 )
-                rate = config.reference_flow_bytes * 8 / ref.mean_fct_s
+                rate = config.reference_flow_bytes * 8 / mean_fct_s(ref)
             elif reason == "straggler":
                 ref = packetref.packet_pair(
                     config.reference_flow_bytes,
                     bandwidth_bps=engine.group_bottleneck_bps(members),
                     tx_overhead_s=config.straggler_tx_overhead_s,
                 )
-                rate = config.reference_flow_bytes * 8 / ref.mean_fct_s
+                rate = config.reference_flow_bytes * 8 / mean_fct_s(ref)
             else:  # pfe-hash
                 per_worker = packetref.packet_pfe_goodput()
                 rate = per_worker / max(1, len(members))
-        return {flow.spec.flow_id: rate for flow in members}
+        return rate
 
     # -- bookkeeping ----------------------------------------------------
 

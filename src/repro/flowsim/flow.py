@@ -13,10 +13,11 @@ comparable with what a packet-level run delivers to the application.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from math import inf
+from typing import Optional, Sequence, Tuple
 
 __all__ = ["FlowRecord", "FlowSpec", "FRAME_OVERHEAD_BYTES",
-           "DEFAULT_MTU_PAYLOAD_BYTES", "wire_efficiency"]
+           "DEFAULT_MTU_PAYLOAD_BYTES", "mean_fct_s", "wire_efficiency"]
 
 #: Ethernet (14) + IPv4 (20) + UDP (8) header bytes per frame — the
 #: framing :meth:`repro.net.packet.Packet.udp` puts on the wire.
@@ -51,10 +52,17 @@ class FlowSpec:
     service: str = "bulk"
 
     def __post_init__(self):
-        if self.size_bytes <= 0:
-            raise ValueError(f"flow size must be positive: {self.size_bytes}")
-        if self.start_s < 0:
-            raise ValueError(f"negative start time: {self.start_s}")
+        # A chained comparison also rejects NaN and costs little; every
+        # drawn flow is built through this check.
+        if not 0 < self.size_bytes < inf:
+            raise ValueError(
+                f"flow size must be positive and finite: {self.size_bytes}")
+        if not 0 <= self.start_s < inf:
+            raise ValueError(
+                f"start time must be non-negative and finite: {self.start_s}")
+        if self.src == self.dst:
+            raise ValueError(f"flow {self.flow_id} sends to its own "
+                             f"source {self.src!r}")
 
 
 @dataclass
@@ -75,6 +83,11 @@ class FlowRecord:
     @property
     def flow_id(self) -> int:
         return self.spec.flow_id
+
+
+def mean_fct_s(records: Sequence[FlowRecord]) -> float:
+    """Mean flow completion time of ``records``, summed in order."""
+    return sum(record.fct_s for record in records) / len(records)
 
 
 @dataclass

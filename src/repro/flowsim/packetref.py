@@ -1,16 +1,14 @@
-"""Packet-level reference scenarios for the hybrid flow simulation.
+"""Packet-level reference runs for the hybrid flow simulation.
 
-These are the *ground truth* the fluid level is pinned to.  Each
-scenario builds a small, fully packet-level simulation out of the real
-:mod:`repro.net` stack — hosts with NICs, store-and-forward switching,
-serialising links — runs it to completion, and reports per-flow
-completion times and goodputs.
+These are the *ground truth* the fluid level is pinned to.  The two
+flow references run a fan-in flow list frame by frame through
+:func:`~repro.flowsim.fabric.run_packet_flows` on a one-leaf
+:class:`~repro.flowsim.fabric.FabricShape` and return its per-flow
+records:
 
-Three shapes cover the escalation triggers and the calibration bridge:
-
-* :func:`packet_pair` — one sender through a switch to one receiver.
-  The no-contention baseline; calibrates the fluid level's closed-form
-  FCT (rate + fixed path latency).
+* :func:`packet_pair` — one sender through the leaf to one receiver.
+  The no-contention baseline; with a per-packet transmit cost it is
+  the straggler reference.
 * :func:`packet_fan_in` — N synchronised senders converging on one
   receiver through a single egress (the incast shape).  The measured
   per-flow FCT embeds the queue-drain behaviour an equal-share fluid
@@ -26,154 +24,61 @@ caches them per escalation bucket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
 
-from repro.flowsim.flow import DEFAULT_MTU_PAYLOAD_BYTES
-from repro.net import IPv4Address, MACAddress, Topology
-from repro.net.host import Host
-from repro.net.link import Port
-from repro.net.packet import Packet
-from repro.sim import Environment
+from repro.flowsim.fabric import FabricShape, host_name, run_packet_flows
+from repro.flowsim.flow import FlowRecord, FlowSpec
 
 __all__ = [
-    "PacketRefResult",
+    "fan_in_flows",
     "packet_fan_in",
     "packet_pair",
     "packet_pfe_goodput",
 ]
 
-#: UDP ports used by the reference flows (arbitrary, fixed).
-_SRC_PORT = 40000
-_DST_PORT = 9000
+
+def fan_in_flows(senders: int, flow_bytes: float,
+                 service: str = "bulk") -> List[FlowSpec]:
+    """``senders`` flows of ``flow_bytes`` from hosts 1.. of leaf 0 into
+    its host 0, all at t = 0."""
+    return [
+        FlowSpec(flow_id=index, src=host_name(0, 1 + index),
+                 dst=host_name(0, 0), size_bytes=float(flow_bytes),
+                 start_s=0.0, service=service)
+        for index in range(senders)
+    ]
 
 
-@dataclass(frozen=True)
-class PacketRefResult:
-    """Measured outcome of one packet-level reference run."""
-
-    #: Per-sender flow completion time (seconds), in sender order.
-    fct_s: Tuple[float, ...]
-    #: Payload bytes each sender delivered.
-    flow_bytes: float
-    #: Aggregate receiver goodput over the run (bps).
-    aggregate_goodput_bps: float
-
-    @property
-    def mean_fct_s(self) -> float:
-        return sum(self.fct_s) / len(self.fct_s)
-
-
-def _sender(host: Host, dst_mac, dst_ip, size_bytes: int,
-            payload_bytes: int):
-    """Send ``size_bytes`` of payload as back-to-back UDP frames."""
-    remaining = int(size_bytes)
-    while remaining > 0:
-        chunk = min(payload_bytes, remaining)
-        pending = host.try_send_udp(
-            dst_mac, dst_ip, _SRC_PORT, _DST_PORT, bytes(chunk)
-        )
-        if pending is not None:
-            yield pending
-        remaining -= chunk
-
-
-def _run_fan_in(num_senders: int, flow_bytes: int, bandwidth_bps: float,
-                propagation_s: float, payload_bytes: int,
-                tx_overhead_s: float) -> PacketRefResult:
-    env = Environment()
-    topology = Topology(env)
-    receiver = Host(env, "ref-rx", MACAddress(0xFF00), IPv4Address("10.99.0.1"))
-    topology.add_host(receiver)
-
-    # Store-and-forward switch: every ingress port forwards to the one
-    # egress port toward the receiver, whose link is the fan-in
-    # bottleneck.
-    egress = Port(env, "ref-sw:out")
-    topology.register_port(egress, "ref-sw")
-    topology.connect(egress, receiver.nic.port,
-                     bandwidth_bps=bandwidth_bps,
-                     propagation_delay_s=propagation_s)
-
-    def forward(packet: Packet, port: Port) -> None:
-        egress.send(packet)
-
-    senders: List[Host] = []
-    for index in range(num_senders):
-        host = Host(
-            env, f"ref-tx{index}", MACAddress(0x1000 + index),
-            IPv4Address(f"10.99.{1 + index // 250}.{2 + index % 250}"),
-            tx_overhead_s=tx_overhead_s,
-        )
-        topology.add_host(host)
-        ingress = Port(env, f"ref-sw:in{index}", rx_handler=forward)
-        topology.register_port(ingress, "ref-sw")
-        topology.connect(host.nic.port, ingress,
-                         bandwidth_bps=bandwidth_bps,
-                         propagation_delay_s=propagation_s)
-        senders.append(host)
-
-    finish_s = [0.0] * num_senders
-    received = [0] * num_senders
-    ip_to_index = {str(host.ip): i for i, host in enumerate(senders)}
-    done = env.event()
-    outstanding = [num_senders]
-
-    def sink():
-        while True:
-            frame = yield receiver.recv()
-            __, ip, __, payload = frame.parse_udp()
-            index = ip_to_index[str(ip.src)]
-            received[index] += len(payload)
-            if received[index] >= flow_bytes:
-                finish_s[index] = env.now
-                outstanding[0] -= 1
-                if outstanding[0] == 0:
-                    done.succeed()
-                    return
-
-    env.process(sink(), name="ref-sink")
-    for host in senders:
-        env.process(
-            _sender(host, receiver.mac, receiver.ip, flow_bytes,
-                    payload_bytes),
-            name=f"ref-flow:{host.name}",
-        )
-    env.run(until=done)
-    total_bits = flow_bytes * 8 * num_senders
-    return PacketRefResult(
-        fct_s=tuple(finish_s),
-        flow_bytes=float(flow_bytes),
-        aggregate_goodput_bps=total_bits / env.now,
-    )
+def _one_leaf_fan_in(senders: int, flow_bytes: int, bandwidth_bps: float,
+                     tx_overhead_s: float) -> Tuple[FlowRecord, ...]:
+    """:func:`fan_in_flows` on a one-leaf fabric just big enough for it,
+    every sender paying ``tx_overhead_s`` per packet."""
+    fabric = FabricShape(leaves=1, hosts_per_leaf=1 + senders,
+                         host_bandwidth_bps=bandwidth_bps)
+    flows = fan_in_flows(senders, flow_bytes)
+    return tuple(run_packet_flows(
+        fabric, flows, {spec.src: tx_overhead_s for spec in flows}))
 
 
 @lru_cache(maxsize=256)
 def packet_fan_in(num_senders: int, flow_bytes: int,
-                  bandwidth_bps: float = 100e9,
-                  propagation_s: float = 1e-6,
-                  payload_bytes: int = DEFAULT_MTU_PAYLOAD_BYTES,
-                  ) -> PacketRefResult:
+                  bandwidth_bps: float = 100e9) -> Tuple[FlowRecord, ...]:
     """N synchronised senders, one receiver, one bottleneck egress."""
     if num_senders < 1:
         raise ValueError(f"need at least one sender, got {num_senders}")
-    return _run_fan_in(num_senders, flow_bytes, bandwidth_bps,
-                       propagation_s, payload_bytes, tx_overhead_s=0.0)
+    return _one_leaf_fan_in(num_senders, flow_bytes, bandwidth_bps, 0.0)
 
 
 @lru_cache(maxsize=64)
 def packet_pair(flow_bytes: int, bandwidth_bps: float = 100e9,
-                propagation_s: float = 1e-6,
-                payload_bytes: int = DEFAULT_MTU_PAYLOAD_BYTES,
-                tx_overhead_s: float = 0.0) -> PacketRefResult:
-    """One sender through the switch to one receiver.
+                tx_overhead_s: float = 0.0) -> Tuple[FlowRecord, ...]:
+    """One sender through the leaf to one receiver.
 
     ``tx_overhead_s`` models a straggling host's per-packet DPDK-side
     cost; the measured goodput is then the straggler's sustainable rate.
     """
-    return _run_fan_in(1, flow_bytes, bandwidth_bps, propagation_s,
-                       payload_bytes, tx_overhead_s=tx_overhead_s)
+    return _one_leaf_fan_in(1, flow_bytes, bandwidth_bps, tx_overhead_s)
 
 
 @lru_cache(maxsize=16)

@@ -1,12 +1,11 @@
 """Canonical hybrid-simulation scenarios: fabric + seeded workload.
 
-One fabric type (:class:`FabricShape`, a leaf/spine Clos, the topology
-of the paper's testbed rack writ small), one runner (:func:`run_flows`)
-with one result, and one workload generator (Poisson arrivals,
-exponential sizes, with configurable incast bursts, ``"aggregation"``
-traffic that exercises the PFE escalation path, and straggler hosts)
-cover the benchmark, the traffic families, the calibration bridge, and
-the determinism tests.
+One fluid runner (:func:`run_flows`, over the one fabric type,
+:class:`~repro.flowsim.fabric.FabricShape`) with one result, and one
+workload generator (Poisson arrivals, exponential sizes, with
+configurable incast bursts, ``"aggregation"`` traffic that exercises the
+PFE escalation path, and straggler hosts) cover the benchmark, the
+traffic families, the calibration bridge, and the determinism tests.
 
 Everything is a pure function of the config plus the environment's seed
 tree: flow ids, arrival times, sizes, and endpoints come from
@@ -17,7 +16,7 @@ tree: flow ids, arrival times, sizes, and endpoints come from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List
 
 from repro.flowsim.engine import FluidEngine
 from repro.flowsim.escalate import (
@@ -25,77 +24,17 @@ from repro.flowsim.escalate import (
     EscalationPolicy,
     reset_reference_caches,
 )
+from repro.flowsim.fabric import FabricShape, build_leaf_spine, host_name
 from repro.flowsim.flow import FlowRecord, FlowSpec
-from repro.net import IPv4Address, MACAddress, Topology
-from repro.net.host import Host
-from repro.net.link import Port
 from repro.sim import Environment
 
 __all__ = [
-    "FabricShape",
     "ScenarioConfig",
     "ScenarioResult",
-    "build_leaf_spine",
     "generate_flows",
     "run_flows",
     "run_scenario",
 ]
-
-
-def host_name(leaf: int, index: int) -> str:
-    return f"h{leaf:02d}-{index:02d}"
-
-
-@dataclass(frozen=True)
-class FabricShape:
-    """A single-spine leaf/spine Clos with oversubscribed uplinks.
-
-    Hosts are named ``h<leaf>-<index>`` and addressed
-    ``10.<leaf>.0.<index + 1>``; :func:`build_leaf_spine` builds it.
-    """
-
-    leaves: int = 4
-    hosts_per_leaf: int = 16
-    host_bandwidth_bps: float = 100e9
-    #: Leaf->spine uplink speed; at the default 800G a leaf of sixteen
-    #: 100G hosts is 2:1 oversubscribed, so uplinks genuinely contend
-    #: (uplink utilisation ~0.76 at the default load) while the system
-    #: stays stable — offered load must remain below every bottleneck
-    #: or the active-flow set grows without bound.
-    uplink_bandwidth_bps: float = 800e9
-    propagation_s: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.leaves < 1 or self.hosts_per_leaf < 1:
-            raise ValueError(
-                f"fabric needs >= 1 leaf and host: {self.leaves}, "
-                f"{self.hosts_per_leaf}"
-            )
-
-    @property
-    def num_hosts(self) -> int:
-        return self.leaves * self.hosts_per_leaf
-
-    @property
-    def aggregate_access_bps(self) -> float:
-        return self.num_hosts * self.host_bandwidth_bps
-
-    def arrival_rate(self, load: float, mean_flow_bytes: float) -> float:
-        """Poisson flow starts per second that offer ``load`` of the
-        aggregate host access bandwidth at this mean flow size."""
-        return self.aggregate_access_bps * load / (mean_flow_bytes * 8.0)
-
-    def host_names(self) -> List[str]:
-        return [host_name(leaf, index)
-                for leaf in range(self.leaves)
-                for index in range(self.hosts_per_leaf)]
-
-    def host_address(self, host_index: int) -> Tuple[int, int]:
-        """(leaf, index-within-leaf) of a flat host index."""
-        return divmod(host_index, self.hosts_per_leaf)
-
-    def host_ip(self, leaf: int, index: int) -> IPv4Address:
-        return IPv4Address(f"10.{leaf}.0.{index + 1}")
 
 
 @dataclass(frozen=True)
@@ -153,46 +92,12 @@ class ScenarioResult:
     wake: Dict[str, int] = field(default_factory=dict)
 
 
-def build_leaf_spine(env: Environment,
-                     fabric: FabricShape) -> Topology:
-    """The fabric's hosts, leaves, and spine, wired up in ``env``."""
-    topology = Topology(env)
-    for leaf in range(fabric.leaves):
-        for index in range(fabric.hosts_per_leaf):
-            host = Host(
-                env,
-                host_name(leaf, index),
-                MACAddress(0x0200_0000 + leaf * 256 + index),
-                fabric.host_ip(leaf, index),
-            )
-            topology.add_host(host)
-            down = Port(env, f"leaf{leaf}:down{index}")
-            topology.register_port(down, f"leaf{leaf}")
-            topology.connect(
-                host.nic.port, down,
-                bandwidth_bps=fabric.host_bandwidth_bps,
-                propagation_delay_s=fabric.propagation_s,
-            )
-        up = Port(env, f"leaf{leaf}:up")
-        topology.register_port(up, f"leaf{leaf}")
-        spine_port = Port(env, f"spine:leaf{leaf}")
-        topology.register_port(spine_port, "spine")
-        topology.add_device(f"leaf{leaf}", up)
-        topology.connect(
-            up, spine_port,
-            bandwidth_bps=fabric.uplink_bandwidth_bps,
-            propagation_delay_s=fabric.propagation_s,
-        )
-    topology.add_device("spine", None)
-    return topology
-
-
 def generate_flows(env: Environment,
                    config: ScenarioConfig) -> List[FlowSpec]:
     """The scenario's flow list, drawn from the environment's seed tree."""
     # Imported here, not at module level: repro.traffic imports this
-    # module for the fabric and the runner (FabricShape, run_flows), so
-    # a top-level import back into repro.traffic would be circular.
+    # module for the runner (run_flows), so a top-level import back into
+    # repro.traffic would be circular.
     from repro.traffic.samplers import (
         Burst,
         ExponentialSizes,

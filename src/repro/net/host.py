@@ -74,30 +74,6 @@ class Host:
         )
         return self.nic.send(packet)
 
-    def try_send_udp(
-        self,
-        dst_mac: MACAddress,
-        dst_ip: IPv4Address,
-        src_port: int,
-        dst_port: int,
-        payload: bytes,
-    ):
-        """Like :meth:`send_udp`, but grants synchronously when possible.
-
-        Returns None when the NIC ring accepted the frame immediately;
-        otherwise returns the pending ack event to ``yield`` on.
-        """
-        packet = Packet.udp(
-            src_mac=self.mac,
-            dst_mac=dst_mac,
-            src_ip=self.ip,
-            dst_ip=dst_ip,
-            src_port=src_port,
-            dst_port=dst_port,
-            payload=payload,
-        )
-        return self.nic.try_send(packet)
-
     def recv(self):
         """Event yielding the next received packet."""
         return self.inbox.get()

@@ -23,7 +23,7 @@ Layout mirrors the other pluggable subsystems:
   NF-chain packet streams (:func:`packet_stream`).
 """
 
-from repro.flowsim.scenario import FabricShape
+from repro.flowsim.fabric import FabricShape
 from repro.traffic.adapters import (
     packet_stream,
     run_fluid,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
+from repro.flowsim.escalate import EscalationConfig
 from repro.flowsim.flow import DEFAULT_MTU_PAYLOAD_BYTES
 from repro.flowsim.scenario import ScenarioResult, run_flows
 from repro.net import IPv4Address, MACAddress
@@ -38,8 +39,9 @@ __all__ = [
 def run_fluid(scenario: TrafficScenario,
               num_flows: int) -> ScenarioResult:
     """Run ``num_flows`` of ``scenario`` through the fluid engine on the
-    scenario's fabric, with the scenario's escalation thresholds."""
-    return run_flows(scenario.fabric, scenario.escalation(),
+    scenario's fabric, with the default escalation thresholds (they
+    carry the microburst and DDoS classes)."""
+    return run_flows(scenario.fabric, EscalationConfig(),
                      lambda env: scenario.generate(env, num_flows))
 
 

@@ -1,7 +1,7 @@
 """Scenario interface for the datacenter traffic generator.
 
 A :class:`TrafficScenario` is a *workload description* on a
-:class:`~repro.flowsim.scenario.FabricShape`: given an
+:class:`~repro.flowsim.fabric.FabricShape`: given an
 :class:`~repro.sim.Environment` and a flow budget it produces a
 :class:`~repro.flowsim.flow.FlowSpec` list, drawing every random choice
 from the environment's named stream ``traffic/<scenario-name>``.  The
@@ -22,9 +22,8 @@ import abc
 from random import Random
 from typing import List
 
-from repro.flowsim.escalate import EscalationConfig
+from repro.flowsim.fabric import FabricShape
 from repro.flowsim.flow import FlowSpec
-from repro.flowsim.scenario import FabricShape
 from repro.sim import Environment
 
 __all__ = [
@@ -61,14 +60,6 @@ class TrafficScenario(abc.ABC):
     def generate(self, env: Environment,
                  num_flows: int) -> List[FlowSpec]:
         """Produce exactly ``num_flows`` flow specs, start-time ordered."""
-
-    def escalation(self) -> EscalationConfig:
-        """Escalation thresholds for fluid runs of this scenario.
-
-        The default config already carries the microburst/DDoS classes;
-        scenarios with stragglers or unusual burst geometry override.
-        """
-        return EscalationConfig()
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.flowsim.flow import FlowSpec
-from repro.flowsim.scenario import FabricShape
+from repro.flowsim.fabric import FabricShape
 from repro.sim import Environment
 from repro.traffic.base import TrafficScenario
 from repro.traffic.registry import register_scenario
@@ -74,7 +74,7 @@ class MixedScenario(TrafficScenario):
 
     Arrival rate is sized so offered load is ``load`` times the
     aggregate host access bandwidth
-    (:meth:`~repro.flowsim.scenario.FabricShape.arrival_rate`).  With
+    (:meth:`~repro.flowsim.fabric.FabricShape.arrival_rate`).  With
     ``burst_arrivals`` the Poisson process is replaced by an on/off
     modulated one at the same long-run rate; with ``dst_skew`` /
     ``src_skew`` endpoints are drawn Zipf(popularity rank = host

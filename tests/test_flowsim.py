@@ -16,6 +16,7 @@ from repro.flowsim import (
     DEFAULT_MTU_PAYLOAD_BYTES,
     EscalationConfig,
     EscalationPolicy,
+    FabricShape,
     FlowSpec,
     FluidEngine,
     MIN_RATE_BPS,
@@ -25,15 +26,19 @@ from repro.flowsim import (
     generate_flows,
     max_min_class_rates,
     max_min_rates,
+    mean_fct_s,
     packet_fan_in,
     packet_pair,
     reset_reference_caches,
+    run_flows,
+    run_packet_flows,
     run_scenario,
     wire_efficiency,
 )
-from repro.flowsim.calibrate import FlowCalibrationSpec, calibrate
+from repro.flowsim import fabric as fabric_module
+from repro.flowsim.calibrate import PAIR_BAND, calibrate
 from repro.flowsim.escalate import _degree_bucket
-from repro.flowsim.scenario import host_name
+from repro.flowsim.fabric import host_name
 from repro.sim import FLOW_LEVEL_PRIORITY, PACKET_LEVEL_PRIORITY, Environment
 
 
@@ -429,6 +434,29 @@ class TestPathClassSolverEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# Flow specs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("size_bytes", 0.0, "size"),
+    ("size_bytes", -1.0, "size"),
+    ("size_bytes", float("nan"), "size"),
+    ("size_bytes", float("inf"), "size"),
+    ("start_s", -1e-9, "start"),
+    ("start_s", float("nan"), "start"),
+    ("start_s", float("inf"), "start"),
+    ("dst", host_name(0, 0), "its own source"),
+])
+def test_flow_no_run_can_finish_is_rejected(field, value, match):
+    fields = dict(flow_id=1, src=host_name(0, 0), dst=host_name(0, 1),
+                  size_bytes=1e4, start_s=0.0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=match):
+        FlowSpec(**fields)
+
+
+# ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
 
@@ -669,19 +697,19 @@ class TestEscalation:
 
 class TestPacketReferences:
     def test_pair_fct_close_to_serialisation_time(self):
-        result = packet_pair(100_000, bandwidth_bps=100e9,
-                             propagation_s=1e-6)
+        result = packet_pair(100_000, bandwidth_bps=100e9)
         wire = 100_000 * 8 / (100e9 * wire_efficiency())
-        # FCT = serialisation + 2 hops of propagation + pipeline fill
-        # (one extra frame per store-and-forward stage).
-        assert wire < result.mean_fct_s < wire + 3e-6
+        # FCT = serialisation + 2 hops of propagation (1 us each) +
+        # pipeline fill (one extra frame per store-and-forward stage).
+        assert wire < mean_fct_s(result) < wire + 3e-6
 
     def test_fan_in_degrades_per_flow_fct(self):
         lone = packet_pair(20_000, bandwidth_bps=100e9)
         crowd = packet_fan_in(8, 20_000, bandwidth_bps=100e9)
-        assert crowd.mean_fct_s > 3 * lone.mean_fct_s
+        assert mean_fct_s(crowd) > 3 * mean_fct_s(lone)
         # Aggregate goodput still approaches the bottleneck capacity.
-        assert crowd.aggregate_goodput_bps > 0.5 * 100e9
+        bits = 8 * sum(record.spec.size_bytes for record in crowd)
+        assert bits / max(record.finish_s for record in crowd) > 0.5 * 100e9
 
     def test_reference_results_are_cached_and_deterministic(self):
         reset_reference_caches()
@@ -690,6 +718,68 @@ class TestPacketReferences:
         reset_reference_caches()
         again = packet_fan_in(4, 20_000)
         assert again == first and again is not first
+
+    def test_records_in_flow_order(self):
+        records = packet_fan_in(4, 20_000)
+        assert [record.flow_id for record in records] == [0, 1, 2, 3]
+        assert all(record.escalated is None for record in records)
+
+
+class TestPacketFlows:
+    """``run_packet_flows`` over the leaf/spine fabric the fluid level
+    runs on."""
+
+    def test_cross_leaf_flow_crosses_the_spine(self, monkeypatch):
+        built = []
+        build = fabric_module.build_leaf_spine
+
+        def capture(env, fabric):
+            built.append(build(env, fabric))
+            return built[-1]
+
+        monkeypatch.setattr(fabric_module, "build_leaf_spine", capture)
+        fabric = FabricShape(leaves=2, hosts_per_leaf=2)
+        spec = FlowSpec(flow_id=7, src=host_name(0, 1), dst=host_name(1, 0),
+                        size_bytes=100_000.0, start_s=0.0)
+        (packet,) = run_packet_flows(fabric, [spec])
+        frames = -(-100_000 // DEFAULT_MTU_PAYLOAD_BYTES)
+        (topology,) = built
+        spine_in = topology.find_port("spine:leaf0")
+        spine_out = topology.find_port("spine:leaf1")
+        assert spine_in.rx_packets == spine_out.tx_packets == frames
+        assert packet.spec is spec and packet.escalated is None
+        fluid = run_flows(fabric, EscalationConfig(),
+                          lambda env: [spec]).records[0]
+        assert 1 / PAIR_BAND <= fluid.fct_s / packet.fct_s <= PAIR_BAND
+
+    def test_flows_start_at_their_start_time(self):
+        fabric = FabricShape(leaves=1, hosts_per_leaf=3)
+        early = FlowSpec(flow_id=0, src=host_name(0, 1), dst=host_name(0, 0),
+                         size_bytes=3000.0, start_s=0.0)
+        late = FlowSpec(flow_id=1, src=host_name(0, 2), dst=host_name(0, 0),
+                        size_bytes=3000.0, start_s=1e-3)
+        first, second = run_packet_flows(fabric, [early, late])
+        # Alone on the path, the late flow sees the early flow's FCT.
+        assert second.finish_s == pytest.approx(1e-3 + first.fct_s)
+        assert second.fct_s == pytest.approx(first.fct_s)
+        assert first.goodput_bps == pytest.approx(3000 * 8 / first.fct_s)
+
+    def test_unknown_host_is_a_value_error(self):
+        spec = FlowSpec(flow_id=3, src=host_name(1, 0), dst=host_name(0, 0),
+                        size_bytes=1000.0, start_s=0.0)
+        with pytest.raises(ValueError, match="flow 3: unknown host 'h01-00'"):
+            run_packet_flows(FabricShape(leaves=1, hosts_per_leaf=2), [spec])
+
+    def test_straggler_overhead_slows_only_its_host(self):
+        fabric = FabricShape(leaves=1, hosts_per_leaf=3)
+        flows = [FlowSpec(flow_id=i, src=host_name(0, 1 + i),
+                          dst=host_name(0, 0) if i else host_name(0, 2),
+                          size_bytes=20_000.0, start_s=0.0)
+                 for i in range(2)]
+        lone = run_packet_flows(fabric, flows)
+        slowed = run_packet_flows(fabric, flows, {host_name(0, 1): 2e-6})
+        assert slowed[0].fct_s > 5 * lone[0].fct_s
+        assert slowed[1].fct_s == lone[1].fct_s
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +828,21 @@ class TestScenario:
         with pytest.raises(ValueError, match="rate must be positive"):
             generate_flows(Environment(), ScenarioConfig(load=0.0))
 
+    @pytest.mark.parametrize("field", ["leaves", "hosts_per_leaf"])
+    @pytest.mark.parametrize("value", [0, 300])
+    def test_unaddressable_fabric_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FabricShape(**{field: value})
+
+    @pytest.mark.parametrize("shape", [
+        FabricShape(leaves=256, hosts_per_leaf=1),
+        FabricShape(leaves=1, hosts_per_leaf=255),
+    ])
+    def test_largest_addressable_fabric_builds(self, shape):
+        topology = build_leaf_spine(Environment(), shape)
+        addresses = {int(host.ip) for host in topology.hosts.values()}
+        assert len(addresses) == shape.num_hosts
+
     def test_find_path_routes_across_leaves(self):
         env = Environment()
         topology = build_leaf_spine(env, ScenarioConfig())
@@ -751,7 +856,7 @@ class TestScenario:
 
 class TestCalibration:
     def test_all_cases_within_band(self):
-        cases = calibrate(FlowCalibrationSpec())
+        cases = calibrate()
         assert set(cases) == {"pair", "shared", "incast"}
         for case in cases.values():
             assert case.within_band, (

@@ -400,29 +400,3 @@ class TestNICTrySend:
         # slot, p2 had to wait for back-pressure.
         assert log == [(b"p2", 0.0)]
         assert len(received) == 3
-
-    def test_host_try_send_udp(self):
-        from repro.net.addressing import IPv4Address, MACAddress
-        from repro.net.host import Host
-        from repro.net.link import Link
-
-        env = Environment()
-        alice = Host(env, "alice", MACAddress("02:00:00:00:00:0a"),
-                     IPv4Address("10.0.0.10"))
-        bob = Host(env, "bob", MACAddress("02:00:00:00:00:0b"),
-                   IPv4Address("10.0.0.11"))
-        Link(env, alice.nic.port, bob.nic.port)
-        pending = alice.try_send_udp(
-            dst_mac=bob.mac, dst_ip=bob.ip,
-            src_port=9, dst_port=9, payload=b"ping",
-        )
-        assert pending is None
-        log = []
-
-        def reader():
-            payload = yield from bob.recv_udp_payload()
-            log.append(payload)
-
-        env.process(reader())
-        env.run()
-        assert log == [b"ping"]
