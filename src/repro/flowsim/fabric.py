@@ -68,6 +68,15 @@ class FabricShape:
                 raise ValueError(
                     f"fabric {name} must be in [1, {most}] to address "
                     f"hosts as 10.<leaf>.0.<index + 1>: {value}")
+        # Chained bounds: NaN fails them, where it passes `<= 0`.
+        for name in ("host_bandwidth_bps", "uplink_bandwidth_bps"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"fabric {name} must be positive and finite: {value}")
+        if not 0 <= self.propagation_s < math.inf:
+            raise ValueError(f"fabric propagation_s must be non-negative "
+                             f"and finite: {self.propagation_s}")
 
     @property
     def num_hosts(self) -> int:

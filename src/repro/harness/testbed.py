@@ -11,7 +11,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.topology import Topology
@@ -46,7 +48,7 @@ class _Testbed:
     handle: JobHandle
     topology: Topology
 
-    def run_allreduce(self, gradient_vectors: List[List[int]]):
+    def run_allreduce(self, gradient_vectors: Sequence[Sequence[int]]):
         """Start one allreduce per worker; returns the processes."""
         return [
             self.env.process(worker.allreduce(vector))
@@ -134,7 +136,7 @@ def run_single_pfe_allreduce(config: TrioMLJobConfig, blocks: int,
                                        **testbed_args)
     if tail_chunk_bytes is not None:
         testbed.handle.aggregator.tail_chunk_bytes = tail_chunk_bytes
-    vector = [1] * (config.grads_per_packet * blocks)
+    vector = np.ones(config.grads_per_packet * blocks, dtype="<i4")
     procs = testbed.run_allreduce([vector] * num_workers)
     env.run(until=env.all_of(procs))
     return testbed, procs

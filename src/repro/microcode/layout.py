@@ -120,6 +120,12 @@ class StructLayout:
                 f"(has: {sorted(self.fields)})"
             ) from None
 
+    def shift_mask(self, name: str) -> Tuple[int, int]:
+        """(shift, mask) of field ``name`` within an instance read as one
+        big-endian integer: the field is ``(window >> shift) & mask``."""
+        self.field(name)  # raises the descriptive KeyError
+        return self._extract[name]
+
     def read(self, buf: Sequence[int], base_byte: int, field_name: str) -> int:
         """Read field ``field_name`` of an instance at ``base_byte``."""
         layout = self.field(field_name)

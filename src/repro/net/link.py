@@ -10,6 +10,7 @@ depends on.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Optional
 
 from repro.net.packet import Packet
@@ -87,10 +88,13 @@ class Link:
         """``loss_rate`` is the per-frame drop probability (transient
         congestion / corruption), applied independently per direction
         with a deterministic seeded RNG."""
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
-        if propagation_delay_s < 0:
-            raise ValueError(f"negative propagation delay: {propagation_delay_s}")
+        # Chained bounds: NaN fails them, where it passes `<= 0`.
+        if not 0 < bandwidth_bps < math.inf:
+            raise ValueError(
+                f"bandwidth_bps must be positive and finite, got {bandwidth_bps}")
+        if not 0 <= propagation_delay_s < math.inf:
+            raise ValueError(f"propagation_delay_s must be non-negative and "
+                             f"finite, got {propagation_delay_s}")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss rate must be in [0, 1): {loss_rate}")
         if a.connected or b.connected:

@@ -193,6 +193,9 @@ class _DramCache:
     def __init__(self, capacity_bytes: int):
         self.capacity_lines = max(1, capacity_bytes // _LINE_SIZE)
         self._lines: "OrderedDict[int, None]" = OrderedDict()
+        #: Lines of the last access when it spanned several and at most
+        #: ``capacity_lines``: all present, the most recent in address order.
+        self._mru_span: Optional[range] = None
         self.hits = 0
         self.misses = 0
 
@@ -203,6 +206,7 @@ class _DramCache:
         last = (addr + max(size, 1) - 1) // _LINE_SIZE
         if first == last:
             # Fast path: the 8-64 B XTXNs live in one line.
+            self._mru_span = None
             if first in lines:
                 lines.move_to_end(first)
                 self.hits += 1
@@ -212,8 +216,14 @@ class _DramCache:
             if len(lines) > self.capacity_lines:
                 lines.popitem(last=False)
             return False
+        span = range(first, last + 1)
+        if span == self._mru_span:
+            # The same lines again with nothing in between: each one hits,
+            # and moving each to the back in address order keeps the order.
+            self.hits += len(span)
+            return True
         all_hit = True
-        for line in range(first, last + 1):
+        for line in span:
             if line in lines:
                 lines.move_to_end(line)
                 self.hits += 1
@@ -223,6 +233,9 @@ class _DramCache:
                 lines[line] = None
                 if len(lines) > self.capacity_lines:
                     lines.popitem(last=False)
+        # A walk only evicts lines it has not touched yet, so a span that
+        # fits ends it wholly present and most recent, in address order.
+        self._mru_span = span if len(span) <= self.capacity_lines else None
         return all_hit
 
 

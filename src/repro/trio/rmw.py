@@ -232,18 +232,20 @@ class RMWComplex:
 
         Generator — the calling thread blocks for the complex's aggregate
         service time of ``len(values)`` adds, FCFS against all other bulk
-        work.  Values and memory words wrap modulo 2^32 (the aggregation
-        semantics of int32 gradient summation).
+        work.  ``values`` is a list or an integer array (the int32 view
+        the Trio-ML decoder returns); values and memory words wrap modulo
+        2^32 (the aggregation semantics of int32 gradient summation).
         """
         n_ops = len(values)
         if n_ops == 0:
             return
         yield from self._bulk(n_ops * self.add32_cycles, n_ops, 4 * n_ops)
         raw = self.storage.read_raw(addr, 4 * n_ops)
-        current = np.frombuffer(raw, dtype="<u4").astype(np.int64)
-        # One final mask suffices: (a + b) mod 2^32 == (a + b mod 2^32).
-        summed = (current + np.asarray(values, dtype=np.int64)) & 0xFFFFFFFF
-        self.storage.write_raw(addr, summed.astype("<u4").tobytes())
+        # The cast to uint32 wraps each addend modulo 2^32, and so does
+        # the uint32 sum: (a + b) mod 2^32 == (a + b mod 2^32).
+        summed = (np.frombuffer(raw, dtype="<u4")
+                  + np.asarray(values).astype("<u4"))
+        self.storage.write_raw(addr, summed.tobytes())
 
     def bulk_transfer(self, nbytes: int):
         """Charge bulk read/write bandwidth for ``nbytes`` (no mutation).

@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
+import numpy as np
+
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.headers import HeaderError
 from repro.net.packet import Packet
@@ -62,6 +64,17 @@ STATIC_PROGRAM_INSTRUCTIONS = 60
 COMPLETED_HISTORY = 65536
 #: Completed Results kept for loss-recovery replay (§7).
 RESULT_CACHE_MAX = 8192
+
+
+def _tail_loop_cost(tail_grads: int, chunk_grads: int) -> Tuple[int, int]:
+    """(chunks, run-time instructions) of Figure 10's tail loop over
+    ``tail_grads`` gradients, ``chunk_grads`` per chunk: the full chunks
+    cost alike, then one partial chunk holds the rest."""
+    full, rest = divmod(tail_grads, chunk_grads)
+    instructions = full * math.ceil(chunk_grads * INSTRUCTIONS_PER_GRADIENT)
+    if not rest:
+        return full, instructions
+    return full + 1, instructions + math.ceil(rest * INSTRUCTIONS_PER_GRADIENT)
 
 
 @dataclass
@@ -395,7 +408,7 @@ class TrioMLAggregator(TrioApplication):
         return block
 
     def _aggregate_gradients(self, tctx: ThreadContext, pctx: PacketContext,
-                             block: BlockRecord, gradients: List[int]):
+                             block: BlockRecord, gradients: np.ndarray):
         """Figure 10's two aggregation phases.
 
         Phase one covers the gradients whose bytes arrived in the packet
@@ -410,14 +423,9 @@ class TrioMLAggregator(TrioApplication):
         instructions = 0
         if head_grads:
             instructions += math.ceil(head_grads * INSTRUCTIONS_PER_GRADIENT)
-        remaining = n - head_grads
-        chunk_capacity = self.tail_chunk_bytes // 4
-        num_chunks = 0
-        while remaining > 0:
-            chunk_grads = min(remaining, chunk_capacity)
-            instructions += math.ceil(chunk_grads * INSTRUCTIONS_PER_GRADIENT)
-            num_chunks += 1
-            remaining -= chunk_grads
+        num_chunks, tail_instructions = _tail_loop_cost(
+            n - head_grads, self.tail_chunk_bytes // 4)
+        instructions += tail_instructions
         if num_chunks:
             # First chunk through the byte-copying path (keeps the LMEM
             # behaviour observable); the rest as lumped equivalent latency.

@@ -9,9 +9,8 @@ integers (converted from floating point with ATP's scaling approach).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +53,18 @@ TRIO_ML_HEADER_LAYOUT = StructLayout(
 assert TRIO_ML_HEADER_LAYOUT.size_bytes == 12, "Figure 8 says 12 bytes"
 
 
+#: (shift, mask) of each field within the header read as one integer.
+_JOB_ID = TRIO_ML_HEADER_LAYOUT.shift_mask("job_id")
+_BLOCK_ID = TRIO_ML_HEADER_LAYOUT.shift_mask("block_id")
+_SRC_ID = TRIO_ML_HEADER_LAYOUT.shift_mask("src_id")
+_GRAD_CNT = TRIO_ML_HEADER_LAYOUT.shift_mask("grad_cnt")
+_GEN_ID = TRIO_ML_HEADER_LAYOUT.shift_mask("gen_id")
+_AGE_OP = TRIO_ML_HEADER_LAYOUT.shift_mask("age_op")
+_FINAL = TRIO_ML_HEADER_LAYOUT.shift_mask("final")
+_DEGRADED = TRIO_ML_HEADER_LAYOUT.shift_mask("degraded")
+_SRC_CNT = TRIO_ML_HEADER_LAYOUT.shift_mask("src_cnt")
+
+
 @dataclass
 class TrioMLHeader:
     """Parsed Trio-ML header (Figure 8)."""
@@ -85,22 +96,32 @@ class TrioMLHeader:
 
     @classmethod
     def unpack(cls, data: Sequence[int]) -> "TrioMLHeader":
-        fields = TRIO_ML_HEADER_LAYOUT.unpack(data)
+        chunk = data[:cls.SIZE]
+        if len(chunk) != cls.SIZE:
+            raise ValueError(
+                f"struct {TRIO_ML_HEADER_LAYOUT.name}: need {cls.SIZE} bytes "
+                f"at offset 0, buffer has {len(chunk)}"
+            )
+        word = int.from_bytes(chunk, "big")
         return cls(
-            job_id=fields["job_id"],
-            block_id=fields["block_id"],
-            src_id=fields["src_id"],
-            grad_cnt=fields["grad_cnt"],
-            gen_id=fields["gen_id"],
-            age_op=fields["age_op"],
-            final=bool(fields["final"]),
-            degraded=bool(fields["degraded"]),
-            src_cnt=fields["src_cnt"],
+            (word >> _JOB_ID[0]) & _JOB_ID[1],
+            (word >> _BLOCK_ID[0]) & _BLOCK_ID[1],
+            (word >> _SRC_ID[0]) & _SRC_ID[1],
+            (word >> _GRAD_CNT[0]) & _GRAD_CNT[1],
+            (word >> _GEN_ID[0]) & _GEN_ID[1],
+            (word >> _AGE_OP[0]) & _AGE_OP[1],
+            bool((word >> _FINAL[0]) & _FINAL[1]),
+            bool((word >> _DEGRADED[0]) & _DEGRADED[1]),
+            (word >> _SRC_CNT[0]) & _SRC_CNT[1],
         )
 
 
 def encode_trio_ml(header: TrioMLHeader, gradients: Sequence[int]) -> bytes:
-    """Build the UDP payload: 12-byte header + little-endian int32 grads."""
+    """Build the UDP payload: 12-byte header + little-endian int32 grads.
+
+    ``gradients`` is a list or an integer array; every value wraps modulo
+    2^32 (the integer cast truncates, i.e. the ``& 0xFFFFFFFF``).
+    """
     if len(gradients) != header.grad_cnt:
         raise ValueError(
             f"header says {header.grad_cnt} gradients, got {len(gradients)}"
@@ -110,21 +131,24 @@ def encode_trio_ml(header: TrioMLHeader, gradients: Sequence[int]) -> bytes:
             f"{header.grad_cnt} gradients exceeds the {MAX_GRADIENTS_PER_PACKET} "
             "per-packet maximum (Figure 7)"
         )
-    # int64 -> uint32 cast truncates modulo 2^32, i.e. the & 0xFFFFFFFF.
-    ticks = np.asarray(gradients, dtype=np.int64).astype("<u4")
-    return header.pack() + ticks.tobytes()
+    return header.pack() + np.asarray(gradients).astype("<i4").tobytes()
 
 
-def decode_trio_ml(payload: bytes) -> Tuple[TrioMLHeader, List[int]]:
-    """Parse a Trio-ML UDP payload into (header, signed int32 gradients)."""
+def decode_trio_ml(payload: bytes) -> Tuple[TrioMLHeader, np.ndarray]:
+    """Parse a Trio-ML UDP payload into (header, gradients).
+
+    The gradients are a read-only little-endian int32 view of
+    ``payload``: no copy, and no Python int per gradient.
+    """
     if len(payload) < TrioMLHeader.SIZE:
         raise ValueError(f"payload too short for Trio-ML header: {len(payload)}")
-    header = TrioMLHeader.unpack(payload[: TrioMLHeader.SIZE])
-    body = payload[TrioMLHeader.SIZE: TrioMLHeader.SIZE + 4 * header.grad_cnt]
-    if len(body) != 4 * header.grad_cnt:
+    header = TrioMLHeader.unpack(payload)
+    body_bytes = len(payload) - TrioMLHeader.SIZE
+    if body_bytes < 4 * header.grad_cnt:
         raise ValueError(
             f"payload truncated: expected {4 * header.grad_cnt} gradient "
-            f"bytes, got {len(body)}"
+            f"bytes, got {body_bytes}"
         )
-    gradients = np.frombuffer(body, dtype="<i4").tolist()
+    gradients = np.frombuffer(payload, dtype="<i4", count=header.grad_cnt,
+                              offset=TrioMLHeader.SIZE)
     return header, gradients

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.headers import HeaderError
 from repro.net.host import Host
@@ -120,16 +122,18 @@ class TrioMLWorker(Host):
 
     # ------------------------------------------------------------------
 
-    def split_blocks(self, gradients: Sequence[int]) -> List[List[int]]:
-        """Chunk a gradient vector into per-packet blocks (last one padded)."""
+    def split_blocks(self, gradients: Sequence[int]) -> List[np.ndarray]:
+        """Chunk a gradient vector into per-packet blocks (last one padded).
+
+        The vector is converted once, each value wrapping modulo 2^32, to
+        a zero-padded little-endian int32 array; the blocks are views of
+        it.
+        """
         per = self.grads_per_packet
-        blocks: List[List[int]] = []
-        for start in range(0, len(gradients), per):
-            block = list(gradients[start:start + per])
-            if len(block) < per:
-                block.extend([0] * (per - len(block)))
-            blocks.append(block)
-        return blocks
+        ticks = np.asarray(gradients).astype("<i4")
+        padded = np.zeros(-(-len(ticks) // per) * per, dtype="<i4")
+        padded[:len(ticks)] = ticks
+        return list(padded.reshape(-1, per))
 
     def allreduce(self, gradients: Sequence[int]):
         """Aggregate ``gradients`` across the job's workers.
@@ -223,7 +227,7 @@ class TrioMLWorker(Host):
         if result.block_id in state.sent:
             state.outstanding -= 1
 
-    def _send_block(self, block_id: int, gen: int, values: List[int]):
+    def _send_block(self, block_id: int, gen: int, values: np.ndarray):
         header = TrioMLHeader(
             job_id=self.job_id,
             block_id=block_id,
@@ -260,7 +264,7 @@ class TrioMLWorker(Host):
             return None
         return BlockResult(
             block_id=header.block_id,
-            values=values,
+            values=values.tolist(),
             src_cnt=header.src_cnt,
             degraded=header.degraded,
             gen_id=header.gen_id,

@@ -6,6 +6,7 @@ boundary (classification, packet-pinned rates, obs visibility), and the
 fluid/packet calibration bridge.
 """
 
+import math
 import random
 
 import pytest
@@ -831,6 +832,20 @@ class TestScenario:
     @pytest.mark.parametrize("field", ["leaves", "hosts_per_leaf"])
     @pytest.mark.parametrize("value", [0, 300])
     def test_unaddressable_fabric_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FabricShape(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("host_bandwidth_bps", math.nan),
+        ("host_bandwidth_bps", math.inf),
+        ("host_bandwidth_bps", 0.0),
+        ("uplink_bandwidth_bps", -1.0),
+        ("uplink_bandwidth_bps", math.nan),
+        ("propagation_s", math.nan),
+        ("propagation_s", math.inf),
+        ("propagation_s", -1e-6),
+    ])
+    def test_bad_link_parameter_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             FabricShape(**{field: value})
 

@@ -1,5 +1,7 @@
 """Unit tests for ports, links, NICs, hosts, and multicast tables."""
 
+import math
+
 import pytest
 
 from repro.net import (
@@ -83,6 +85,19 @@ class TestLink:
             Link(env, a, b, bandwidth_bps=0)
         with pytest.raises(ValueError):
             Link(env, a, b, propagation_delay_s=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("bandwidth_bps", math.nan),
+        ("bandwidth_bps", math.inf),
+        ("bandwidth_bps", -1.0),
+        ("propagation_delay_s", math.nan),
+        ("propagation_delay_s", math.inf),
+    ])
+    def test_non_finite_parameter_names_the_field(self, field, value):
+        env = Environment()
+        a, b = Port(env, "a"), Port(env, "b")
+        with pytest.raises(ValueError, match=field):
+            Link(env, a, b, **{field: value})
 
     def test_port_counters(self):
         env = Environment()

@@ -75,6 +75,26 @@ class TestPacket:
         with pytest.raises(HeaderError):
             packet.parse_udp()
 
+    @pytest.mark.parametrize("dst_mac,dst_ip", [
+        (MACAddress(2), IPv4Address("10.0.0.2")),
+        (MACAddress("01:00:5e:01:02:03"), IPv4Address("239.1.2.3")),
+    ], ids=["unicast", "multicast"])
+    def test_built_frame_carries_its_parse(self, monkeypatch, dst_mac,
+                                           dst_ip):
+        packet = make_udp(bytearray(b"grads" * 9), dst_mac=dst_mac,
+                          dst_ip=dst_ip, ttl=17)
+        parsed = Packet(packet.data).parse_udp()
+
+        def no_parse(data):
+            raise AssertionError("a built frame was parsed again")
+
+        monkeypatch.setattr(EthernetHeader, "parse", no_parse)
+        for frame in (packet, packet.copy()):
+            stack = frame.parse_udp()
+            assert stack == parsed
+            assert repr(stack) == repr(parsed)
+            assert type(stack[3]) is bytes
+
     def test_payload_trimmed_to_udp_length(self):
         # Ethernet frames can carry padding beyond the UDP datagram.
         packet = make_udp(b"abc")

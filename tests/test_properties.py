@@ -12,7 +12,12 @@ from repro.sim import Environment
 from repro.trio.chipset import GENERATIONS
 from repro.trio.memory import SharedMemorySystem
 from repro.trio.reorder import ReorderEngine
-from repro.trioml.protocol import TrioMLHeader, decode_trio_ml, encode_trio_ml
+from repro.trioml.protocol import (
+    TRIO_ML_HEADER_LAYOUT,
+    TrioMLHeader,
+    decode_trio_ml,
+    encode_trio_ml,
+)
 from repro.trioml.records import BlockRecord, JobRecord
 
 
@@ -129,6 +134,19 @@ def test_udp_frame_roundtrip(payload, src_port, dst_port):
 _int32 = st.integers(min_value=-2**31, max_value=2**31 - 1)
 
 
+@given(data=st.binary(min_size=12, max_size=12))
+def test_trio_ml_header_unpack_matches_layout(data):
+    fields = TRIO_ML_HEADER_LAYOUT.unpack(data)
+    header = TrioMLHeader.unpack(data)
+    assert header == TrioMLHeader(
+        job_id=fields["job_id"], block_id=fields["block_id"],
+        src_id=fields["src_id"], grad_cnt=fields["grad_cnt"],
+        gen_id=fields["gen_id"], age_op=fields["age_op"],
+        final=bool(fields["final"]), degraded=bool(fields["degraded"]),
+        src_cnt=fields["src_cnt"])
+    assert type(header.final) is bool and type(header.degraded) is bool
+
+
 @given(
     job_id=st.integers(min_value=0, max_value=255),
     block_id=st.integers(min_value=0, max_value=2**32 - 1),
@@ -141,7 +159,7 @@ def test_trio_ml_payload_roundtrip(job_id, block_id, src_id, gen_id,
     header = TrioMLHeader(job_id=job_id, block_id=block_id, src_id=src_id,
                           grad_cnt=len(gradients), gen_id=gen_id)
     parsed, decoded = decode_trio_ml(encode_trio_ml(header, gradients))
-    assert decoded == gradients
+    assert decoded.tolist() == gradients
     assert (parsed.job_id, parsed.block_id, parsed.src_id, parsed.gen_id) == (
         job_id, block_id, src_id, gen_id
     )

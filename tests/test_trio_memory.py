@@ -1,11 +1,17 @@
 """Unit tests for the Shared Memory System, RMW engines, and chipset table."""
 
+import random
+from collections import OrderedDict
+
+import numpy as np
 import pytest
 
 from repro.sim import Environment
 from repro.trio import GENERATIONS, SharedMemorySystem, MemoryError_
 from repro.trio.chipset import TrioChipsetConfig
+from repro.trio.memory import _DramCache
 from repro.trio.rmw import RMWOpKind
+from repro.trioml.protocol import TrioMLHeader, decode_trio_ml, encode_trio_ml
 
 
 @pytest.fixture
@@ -127,6 +133,34 @@ class TestXTXNs:
         # Fresh env time offset fine; reuse same env.
         t_dram = run_op(env, timed_read(dram))
         assert t_dram > t_sram
+
+    @pytest.mark.parametrize("capacity_lines", [3, 8, 64])
+    def test_dram_cache_keeps_per_line_lru(self, capacity_lines):
+        """Hits, misses and LRU order match a per-line walk, for caches
+        smaller than, equal to and larger than one access span."""
+        cache = _DramCache(capacity_lines * 64)
+        lines: "OrderedDict[int, None]" = OrderedDict()
+        hits = misses = 0
+        rng = random.Random(capacity_lines)
+        spans = [(0, 512), (512, 512), (64, 8), (1024, 256), (576, 64)]
+        for __ in range(400):
+            addr, size = rng.choice(spans)
+            if rng.random() < 0.3:
+                addr, size = rng.randrange(0, 2048, 8), 8
+            all_hit = True
+            for line in range(addr // 64, (addr + size - 1) // 64 + 1):
+                if line in lines:
+                    lines.move_to_end(line)
+                    hits += 1
+                else:
+                    all_hit = False
+                    misses += 1
+                    lines[line] = None
+                    if len(lines) > capacity_lines:
+                        lines.popitem(last=False)
+            assert cache.access(addr, size) == all_hit
+            assert (cache.hits, cache.misses) == (hits, misses)
+            assert list(cache._lines) == list(lines)
 
     def test_dram_cache_hit_is_faster(self, mem):
         env, memory = mem
@@ -268,6 +302,22 @@ class TestRMWEngines:
                   for i in range(4)]
         assert values[:3] == [11, 22, 33]
         assert values[3] == (-44) & 0xFFFFFFFF
+
+    def test_bulk_add32_int32_array_wraps_like_a_list(self, mem):
+        env, memory = mem
+        start = np.array([0x7FFFFFFF, -1, -2**31], dtype="<i4").tobytes()
+        addends = [1, 1, -1]
+        header = TrioMLHeader(job_id=1, block_id=0, src_id=0, grad_cnt=3)
+        __, decoded = decode_trio_ml(encode_trio_ml(header, addends))
+        results = []
+        for values in (addends, np.array(addends, dtype="<i4"), decoded):
+            addr = memory.alloc(64, region="dram")
+            memory.write_raw(addr, start)
+            run_op(env, memory.bulk_add32(addr, values))
+            results.append(memory.read_raw(addr, 12))
+        assert results[1] == results[0] and results[2] == results[0]
+        assert np.frombuffer(results[0], dtype="<i4").tolist() == [
+            -2**31, 0, 2**31 - 1]
 
     def test_bulk_add32_rate_matches_paper(self, mem):
         env, memory = mem

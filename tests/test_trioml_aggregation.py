@@ -1,10 +1,13 @@
 """Integration tests for Trio-ML aggregation: single level and hierarchical."""
 
+import math
+
 import pytest
 
 from repro.harness import build_hierarchical_testbed, build_single_pfe_testbed
 from repro.sim import Environment
 from repro.trioml import TrioMLJobConfig
+from repro.trioml.aggregator import INSTRUCTIONS_PER_GRADIENT, _tail_loop_cost
 from repro.trioml.protocol import TRIO_ML_UDP_PORT, TrioMLHeader, encode_trio_ml
 
 
@@ -233,3 +236,16 @@ class TestHierarchical:
             setup_hierarchical_job(
                 router, TrioMLJobConfig(), {"pfe1": []}, {}, top_pfe="pfe1"
             )
+
+
+@pytest.mark.parametrize("chunk_grads", [1, 4, 8, 16, 64])
+def test_tail_loop_cost_matches_the_chunk_loop(chunk_grads):
+    for tail_grads in range(0, 1100):
+        remaining, chunks, instructions = tail_grads, 0, 0
+        while remaining > 0:
+            grads = min(remaining, chunk_grads)
+            instructions += math.ceil(grads * INSTRUCTIONS_PER_GRADIENT)
+            chunks += 1
+            remaining -= grads
+        assert _tail_loop_cost(tail_grads, chunk_grads) == (
+            chunks, instructions)

@@ -49,7 +49,7 @@ class TestPayloadCodec:
         header = TrioMLHeader(job_id=1, block_id=2, src_id=3, grad_cnt=5)
         values = [0, 1, -1, 2**31 - 1, -2**31]
         parsed, decoded = decode_trio_ml(encode_trio_ml(header, values))
-        assert decoded == values
+        assert decoded.tolist() == values
         assert parsed.block_id == 2
 
     def test_count_mismatch_rejected(self):

@@ -47,18 +47,18 @@ class TestSplitBlocks:
         __, worker = make_worker()
         blocks = worker.split_blocks(list(range(128)))
         assert len(blocks) == 2
-        assert blocks[0] == list(range(64))
+        assert blocks[0].tolist() == list(range(64))
 
     def test_padding_on_last_block(self):
         __, worker = make_worker()
         blocks = worker.split_blocks([1] * 70)
         assert len(blocks) == 2
-        assert blocks[1] == [1] * 6 + [0] * 58
+        assert blocks[1].tolist() == [1] * 6 + [0] * 58
 
     def test_single_short_vector(self):
         __, worker = make_worker()
         blocks = worker.split_blocks([9, 9])
-        assert blocks == [[9, 9] + [0] * 62]
+        assert [block.tolist() for block in blocks] == [[9, 9] + [0] * 62]
 
     def test_parameter_validation(self):
         env = Environment()
