@@ -8,7 +8,9 @@ events:
 
 * a **re-solve** whenever the flow set changes (arrival or departure),
   coalesced per timestamp so an incast burst of N arrivals pays one
-  solve, not N;
+  solve, not N.  When nothing else is due at that instant the solve
+  would be the next event anyway, so it runs in place and costs no
+  event;
 * a **completion wake-up** at the projected earliest finish.  One live
   wake-up exists at a time: when a re-solve moves the projection
   earlier the pending wake-up is cancelled and replaced, and when it
@@ -18,7 +20,8 @@ events:
 Both run in the flow-level scheduling lane
 (:data:`repro.sim.FLOW_LEVEL_PRIORITY`): at any shared timestamp every
 packet-level event settles first, then the fluid level observes the
-result and re-allocates.
+result and re-allocates.  A solve run in place has no such event to
+wait for.
 
 Rate allocation is **two-level**.  Flows sharing one directed-link
 signature form a *path class*, and the incremental
@@ -49,11 +52,12 @@ Cost model: a re-solve costs what its deltas reach.  The solver
 re-levels the region of classes an arrival or departure can reach along
 the last solve's bottleneck structure (a few of ~50-100 live classes on
 the bench workloads), and the engine then rebases the changed classes
-only.  A delta on a shared bottleneck that reaches a quarter of the
-live classes costs one full solve, O(path classes).  There are ~2
-events per flow in total, independent of flow *size* — which is where
-the simulated-bytes-per-CPU-second advantage over the packet level
-comes from.
+only.  A delta on a shared bottleneck that reaches half of the live
+classes costs one full solve, O(path classes).  There are ~2 heap
+events per flow in total (2.05 on the canonical 10⁴-flow scenario: its
+arrival and about one completion wake-up), independent of flow *size*
+— which is where the simulated-bytes-per-CPU-second advantage over the
+packet level comes from.
 """
 
 from __future__ import annotations
@@ -389,12 +393,22 @@ class FluidEngine:
     # -- the event-driven solve loop ------------------------------------
 
     def _schedule_solve(self) -> None:
-        """Coalesce re-solves: one flow-level event per timestamp."""
+        """Coalesce re-solves: one solve per timestamp.
+
+        When nothing else is due at this instant, a scheduled solve
+        would be the next event anyway, so it runs in place instead.
+        Otherwise it is scheduled in the flow-level lane, and every
+        arrival at this instant shares it.
+        """
         if self._solve_pending:
             return
+        env = self.env
+        if env.peek() > env.now:
+            self._solve_cycle()
+            return
         self._solve_pending = True
-        self.env.call_at(self.env.now, self._solve_cycle,
-                         priority=FLOW_LEVEL_PRIORITY)
+        env.call_at(env.now, self._solve_cycle,
+                    priority=FLOW_LEVEL_PRIORITY)
 
     def _solve_cycle(self) -> None:
         self._solve_pending = False

@@ -46,11 +46,12 @@ __all__ = [
 def reset_reference_caches() -> None:
     """Drop every memoised packet-level reference result.
 
-    Sweep harnesses call this at the start of each independent point so
-    a point's work is a pure function of its arguments in any process
-    layout (the cached values are deterministic, so this is about
-    keeping each point's *cost and side effects* identical too — packet
-    ids drawn, reference simulations run — not its results).
+    The caches live for the whole process: ``run_flows`` does not clear
+    them, so a process runs each distinct reference once, and a serial
+    sweep's later points reuse what earlier points measured.  Each
+    reference is a pure function of its arguments, so reuse changes no
+    result, only which process pays for the run.  This is for tests and
+    for callers that want a cold start.
     """
     packetref.packet_fan_in.cache_clear()
     packetref.packet_pair.cache_clear()

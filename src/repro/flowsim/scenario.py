@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List
 
 from repro.flowsim.engine import FluidEngine
-from repro.flowsim.escalate import (
-    EscalationConfig,
-    EscalationPolicy,
-    reset_reference_caches,
-)
+from repro.flowsim.escalate import EscalationConfig, EscalationPolicy
 from repro.flowsim.fabric import FabricShape, build_leaf_spine, host_name
 from repro.flowsim.flow import FlowRecord, FlowSpec
 from repro.sim import Environment
@@ -135,9 +131,9 @@ def run_flows(fabric: FabricShape, escalation: EscalationConfig,
     ``flows`` receives the run's fresh :class:`Environment`, so
     generation draws from that environment's seed tree.
     """
-    # Fresh reference caches per run: identical cost and side effects
-    # whether this run is serial, in a worker, or after another.
-    reset_reference_caches()
+    # The packet-reference caches live for the whole process: each
+    # reference is a pure function of its arguments, so a run after
+    # another reuses its results and gets the same rates.
     env = Environment()
     topology = build_leaf_spine(env, fabric)
     engine = FluidEngine(env, topology,

@@ -189,16 +189,18 @@ class PathClassSolver:
     **One water-filling loop** (:meth:`_fill`) serves the region and
     the full solve.  A region that holds every live class is the full
     solve, which needs no check; the solver takes it once the region
-    outgrows a quarter of the live classes.  A shared bottleneck that
+    outgrows half of the live classes.  A shared bottleneck that
     reaches most classes from one delta is caught while the region
-    grows, before any region water-filling.  The loop walks a sorted
-    ``(share, link)`` seed list with an index pointer instead of heap
-    pops: water-filling visits links in nondecreasing share order, so
-    the saturated links of a round are the walked prefix at or below
-    the freeze threshold, and a round's refreshed shares re-enter via
-    ``bisect.insort`` at or after the pointer.  Stale entries,
-    superseded by a later insert, are skipped: an entry is current
-    exactly when its share equals the link's live share.
+    grows, before any region water-filling.  An empty region skips the
+    loop, and a one-class region (:meth:`_fill_one`) is filled in
+    closed form.  The loop walks a sorted ``(share, link)`` seed list
+    with an index pointer instead of heap pops: water-filling visits
+    links in nondecreasing share order, so the saturated links of a
+    round are the walked prefix at or below the freeze threshold, and a
+    round's refreshed shares re-enter via ``bisect.insort`` at or after
+    the pointer.  Stale entries, superseded by a later insert, are
+    skipped: an entry is current exactly when its share equals the
+    link's live share.
 
     **Cost.**  A region pass costs O(region classes x path length) plus
     one sweep over the members of each touched link where a region
@@ -377,28 +379,25 @@ class PathClassSolver:
         self._stamp = stamp = self._stamp + 2
         changed: Dict[PathSig, float] = {}
         self.changed = changed
-        limit = len(self._info) >> 2
+        limit = len(self._info) >> 1
         bneck = self._bneck
-        region: Dict[PathSig, list] = {}
-        # Touched links: the changed ones and every region class's.
-        links: Dict[int, None] = {}
-        grow: List[list] = []
-
-        def join(sig: PathSig, info: list) -> None:
+        # The deltas become the region (new classes, whose rate before
+        # this solve is already None) and the touched links: the
+        # changed ones, then every region class's.
+        region = self._new
+        links = self._dirty
+        self._new = {}
+        self._dirty = {}
+        grow = list(region.values())
+        for info in grow:
             info[2] = stamp
-            info[5] = info[3]
-            region[sig] = info
-            grow.append(info)
-
-        for sig, info in self._new.items():
-            join(sig, info)
-        for idx in self._dirty:
-            links[idx] = None
+        for idx in links:
             for sig, info in bneck[idx].items():
                 if info[2] < stamp:
-                    join(sig, info)
-        self._new.clear()
-        self._dirty.clear()
+                    info[2] = stamp
+                    info[5] = info[3]
+                    region[sig] = info
+                    grow.append(info)
         while True:
             # Grow along the bottleneck structure: a region class's
             # links, then the classes frozen there.
@@ -408,16 +407,25 @@ class PathClassSolver:
                         links[idx] = None
                         for sig, info in bneck[idx].items():
                             if info[2] < stamp:
-                                join(sig, info)
+                                info[2] = stamp
+                                info[5] = info[3]
+                                region[sig] = info
+                                grow.append(info)
             if len(region) > limit:
                 break
-            self._fill_region(region, stamp, changed)
+            if len(region) == 1:
+                self._fill_one(region, stamp, changed)
+            elif region:
+                self._fill_region(region, stamp, changed)
             violators = self._violators(links, stamp)
             if not violators:
                 return changed
             changed.clear()
             for sig, info in violators.items():
-                join(sig, info)
+                info[2] = stamp
+                info[5] = info[3]
+                region[sig] = info
+                grow.append(info)
         changed.clear()
         self._fill_all(stamp, changed)
         return changed
@@ -480,6 +488,55 @@ class PathClassSolver:
         seeds.sort()
         self._fill(rows, counts, remaining, seeds, cur, region, stamp,
                    changed)
+
+    def _fill_one(self, region: Dict[PathSig, list], stamp: int,
+                  changed: Dict[PathSig, float]) -> None:
+        """:meth:`_fill_region` of a one-class region, in closed form.
+
+        The class freezes at the smallest ``left / m`` over its links,
+        floored at :data:`MIN_RATE_BPS`, and its bottleneck is the first
+        link at that share in ``(share, index)`` order, as in the loop.
+        A signature that repeats a link goes through the loop.
+        """
+        ((sig, info),) = region.items()
+        m = info[0]
+        idxs = info[1]
+        prev = info[3]
+        if len(set(idxs)) != len(idxs):
+            self._fill_region(region, stamp, changed)
+            return
+        all_counts = self._counts
+        load = self._load
+        remaining0 = self._remaining0
+        carried = m * prev if prev is not None else 0.0
+        share = -1.0
+        bidx = -1
+        for idx in idxs:
+            left = remaining0[idx]
+            if m != all_counts[idx]:
+                left -= load[idx] - carried
+                if left < 0.0:
+                    left = 0.0
+            s = left / m
+            if bidx < 0 or s < share or (s == share and idx < bidx):
+                share, bidx = s, idx
+        if share < MIN_RATE_BPS:
+            share = MIN_RATE_BPS
+        info[2] = stamp + 1
+        if share != prev:
+            info[3] = share
+            moved = m * (share - prev if prev is not None else share)
+            for idx in idxs:
+                load[idx] += moved
+        if share != info[5]:
+            changed[sig] = share
+        if info[4] != bidx:
+            bneck = self._bneck
+            if info[4] >= 0:
+                del bneck[info[4]][sig]
+            if bidx >= 0:
+                bneck[bidx][sig] = info
+            info[4] = bidx
 
     def _fill(self, rows, counts, remaining, seeds, cur,
               classes: Dict[PathSig, list], stamp: int,

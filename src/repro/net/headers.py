@@ -74,7 +74,11 @@ def destination_ip(packet: "Packet") -> Optional[IPv4Address]:
 
     Unlike :func:`flow_key` this never raises: it returns ``None`` when
     the frame is not Ethernet/IPv4, and the caller drops or punts it.
+    A frame that carries its parsed stack answers from it.
     """
+    stack = packet._udp
+    if stack is not None:
+        return stack[1].dst
     try:
         __, rest = packet.parse_ethernet()
         ip, __ = IPv4Header.parse(rest, verify_checksum=False)

@@ -43,6 +43,9 @@ class Topology:
         #: Memoised node adjacency for :meth:`find_path`; rebuilt after
         #: any link or port-ownership change.
         self._adjacency: Optional[Dict[str, List[Tuple[str, Hop]]]] = None
+        #: source -> its breadth-first tree (node -> (parent, hop)),
+        #: built on first use and dropped with the adjacency.
+        self._trees: Dict[str, Dict[str, Tuple[str, Hop]]] = {}
 
     def add_host(self, host: Host) -> Host:
         """Register a host by its name (and its NIC port for routing)."""
@@ -80,6 +83,11 @@ class Topology:
         Each hop is ``(link, tx_port)`` — the transmit port names the
         link *direction* the flow occupies.  Raises ``ValueError`` when
         either node is unknown or no path exists.
+
+        The first search from ``src`` builds its whole breadth-first
+        tree; later searches from it walk that tree.  A search that
+        stops at ``dst`` would have discovered every node up to ``dst``
+        in the same order, so each path is the same hop for hop.
         """
         if src not in self.hosts and src not in self.devices:
             raise ValueError(f"unknown node: {src!r}")
@@ -89,7 +97,7 @@ class Topology:
             return []
         # node -> list of (neighbour node, hop), in link-insertion
         # order; memoised across calls since a topology is static once
-        # built (any mutation clears the cache).
+        # built.  Any mutation clears it, and a rebuild drops the trees.
         adjacency = self._adjacency
         if adjacency is None:
             adjacency = {}
@@ -102,26 +110,19 @@ class Topology:
                 adjacency.setdefault(owner_a, []).append((owner_b, (link, a)))
                 adjacency.setdefault(owner_b, []).append((owner_a, (link, b)))
             self._adjacency = adjacency
-        frontier = [src]
-        came_from: Dict[str, Tuple[str, Hop]] = {src: (src, None)}
-        while frontier:
-            next_frontier: List[str] = []
-            for node in frontier:
-                for neighbour, hop in adjacency.get(node, ()):
-                    if neighbour in came_from:
-                        continue
-                    came_from[neighbour] = (node, hop)
-                    if neighbour == dst:
-                        path: List[Hop] = []
-                        cursor = dst
-                        while cursor != src:
-                            cursor, step = came_from[cursor]
-                            path.append(step)
-                        path.reverse()
-                        return path
-                    next_frontier.append(neighbour)
-            frontier = next_frontier
-        raise ValueError(f"no path from {src!r} to {dst!r}")
+            self._trees = {}
+        tree = self._trees.get(src)
+        if tree is None:
+            tree = self._trees[src] = _search_tree(adjacency, src)
+        if dst not in tree:
+            raise ValueError(f"no path from {src!r} to {dst!r}")
+        path: List[Hop] = []
+        cursor = dst
+        while cursor != src:
+            cursor, step = tree[cursor]
+            path.append(step)
+        path.reverse()
+        return path
 
     def connect(
         self,
@@ -161,3 +162,20 @@ class Topology:
                 if port.name == name:
                     return port
         return None
+
+
+def _search_tree(adjacency: Dict[str, List[Tuple[str, Hop]]],
+                 src: str) -> Dict[str, Tuple[str, Hop]]:
+    """Every node reachable from ``src`` -> (parent node, hop), by a
+    breadth-first search that visits neighbours in adjacency order."""
+    frontier = [src]
+    came_from: Dict[str, Tuple[str, Hop]] = {src: (src, None)}
+    while frontier:
+        next_frontier: List[str] = []
+        for node in frontier:
+            for neighbour, hop in adjacency.get(node, ()):
+                if neighbour not in came_from:
+                    came_from[neighbour] = (node, hop)
+                    next_frontier.append(neighbour)
+        frontier = next_frontier
+    return came_from

@@ -17,6 +17,7 @@ from repro.flowsim import (
     DEFAULT_MTU_PAYLOAD_BYTES,
     EscalationConfig,
     EscalationPolicy,
+    FRAME_OVERHEAD_BYTES,
     FabricShape,
     FlowSpec,
     FluidEngine,
@@ -432,6 +433,85 @@ class TestPathClassSolverEquivalence:
         # the engine builds a fresh class object for it.
         solver.add((0,), 2)
         assert solver.resolve() == {(0,): 5e9}
+
+
+def _one_class_case(monkeypatch, caps, steps):
+    """Apply ``steps`` (``(op, arg, amount)`` deltas) to a solver,
+    resolving after each, and check its rates against the reference
+    and a fresh solver given every delta at once.  Returns the solver,
+    the fills its last resolve ran, its rates, and the fresh solver."""
+    calls = []
+    for name in ("_fill_one", "_fill_region", "_fill_all"):
+        def spy(self, *args, _name=name,
+                _original=getattr(PathClassSolver, name)):
+            calls.append(_name)
+            return _original(self, *args)
+        monkeypatch.setattr(PathClassSolver, name, spy)
+    solver = PathClassSolver(caps)
+    fresh = PathClassSolver(caps)
+    live = {}
+    for op, arg, amount in steps:
+        getattr(solver, op)(arg, amount)
+        getattr(fresh, op)(arg, amount)
+        if op != "pin":
+            live[arg] = live.get(arg, 0) + (amount if op == "add"
+                                            else -amount)
+            if not live[arg]:
+                del live[arg]
+        del calls[:]
+        solver.resolve()
+    last = list(calls)
+    rates = solver.solve()
+    pinned = {key: solver.pinned_demand(key) for key in caps}
+    _assert_rates_close(rates, _reference_by_class(live, caps, pinned))
+    _assert_rates_close(rates, fresh.solve())
+    return solver, last, rates, fresh
+
+
+class TestOneClassRegion:
+    """A region of one class is filled in closed form.  Each branch
+    agrees with the per-flow reference and with a fresh solver given
+    the same deltas."""
+
+    def test_links_shared_with_outside_classes(self, monkeypatch):
+        # Two flows of (1, 2) hold 4e9 of link 2; the new class gets
+        # what they leave of it.
+        solver, calls, rates, __ = _one_class_case(
+            monkeypatch, {0: 100e9, 1: 4e9, 2: 10e9},
+            [("add", (1, 2), 2), ("add", (0, 2), 1)])
+        assert calls == ["_fill_one"]
+        assert rates == {(1, 2): 2e9, (0, 2): 6e9}
+        assert solver._info[(0, 2)][4] == solver._key2idx[2]
+
+    def test_pinned_saturation_gives_the_rate_floor(self, monkeypatch):
+        # The pin leaves the region empty; the overloaded link's check
+        # brings the class in alone.
+        __, calls, rates, __ = _one_class_case(
+            monkeypatch, {0: 10e9, 1: 10e9, 2: 10e9},
+            [("add", (2,), 1), ("add", (0, 1), 1), ("pin", 1, 10e9)])
+        assert calls == ["_fill_one"]
+        assert rates[(0, 1)] == MIN_RATE_BPS
+
+    def test_tie_goes_to_the_lower_dense_index(self, monkeypatch):
+        # Key 3 is interned before key 5, so the second link of (5, 3)
+        # holds the lower dense index.
+        solver, calls, rates, fresh = _one_class_case(
+            monkeypatch, {3: 10e9, 5: 10e9, 7: 10e9},
+            [("add", (7,), 1), ("add", (3,), 1), ("remove", (3,), 1),
+             ("add", (5, 3), 1)])
+        assert calls == ["_fill_one"]
+        assert rates[(5, 3)] == 10e9
+        assert solver._key2idx[3] < solver._key2idx[5]
+        assert solver._info[(5, 3)][4] == solver._key2idx[3]
+        assert fresh._info[(5, 3)][4] == solver._key2idx[3]
+
+    def test_repeated_link_goes_through_the_loop(self, monkeypatch):
+        # One flow crossing link 0 twice counts twice there.
+        __, calls, rates, __ = _one_class_case(
+            monkeypatch, {0: 10e9, 1: 10e9},
+            [("add", (1,), 1), ("add", (0, 0), 1)])
+        assert calls == ["_fill_one", "_fill_region"]
+        assert rates[(0, 0)] == 5e9
 
 
 # ---------------------------------------------------------------------------
@@ -867,6 +947,83 @@ class TestScenario:
         assert len(cross_leaf) == 4      # host -> leaf -> spine -> leaf -> host
         with pytest.raises(ValueError, match="unknown node"):
             topology.find_path("nope", host_name(0, 0))
+
+
+class TestRunFlowsCost:
+    """What ``run_flows`` pays per flow: solves, kernel events and
+    packet-reference runs, counted exactly."""
+
+    def test_same_instant_arrivals_cost_one_solve(self):
+        # Eight 1 MB flows into one host: too large to escalate, so all
+        # share its access link equally and finish together.
+        flows = [FlowSpec(flow_id=fid, src=host_name(0, 1 + fid),
+                          dst=host_name(0, 0), size_bytes=1e6, start_s=0.0)
+                 for fid in range(8)]
+        fabric = FabricShape(leaves=1, hosts_per_leaf=9)
+        result = run_flows(fabric, EscalationConfig(), lambda env: flows)
+        assert result.escalations == {}
+        # One solve for the arrivals, one when all eight finish.
+        assert result.solves == 2
+        # Past what the fabric schedules on its own: the arrivals,
+        # their one solve, and one completion wake-up.
+        idle = run_flows(fabric, EscalationConfig(), lambda env: [])
+        assert result.scheduled_events - idle.scheduled_events == 8 + 1 + 1
+
+    def test_arrival_at_a_projected_finish_shares_its_solve(self):
+        fabric = FabricShape(leaves=1, hosts_per_leaf=4)
+        capacity = fabric.host_bandwidth_bps * wire_efficiency()
+        size_a, size_b = 1e6, 3e5
+        finish_a = size_a * 8.0 / capacity
+        flows = [
+            FlowSpec(flow_id=0, src=host_name(0, 0), dst=host_name(0, 1),
+                     size_bytes=size_a, start_s=0.0),
+            FlowSpec(flow_id=1, src=host_name(0, 2), dst=host_name(0, 3),
+                     size_bytes=size_b, start_s=finish_a),
+        ]
+        result = run_flows(fabric, EscalationConfig(), lambda env: flows)
+        # Flow 0's arrival; the instant flow 0 finishes and flow 1
+        # arrives; flow 1's finish.
+        assert result.solves == 3
+        frame_bits = (DEFAULT_MTU_PAYLOAD_BYTES + FRAME_OVERHEAD_BYTES) * 8
+        hop = fabric.propagation_s + frame_bits / fabric.host_bandwidth_bps
+        latency = 0.0 + hop + hop
+        finish_b = finish_a + size_b * 8.0 / capacity
+        first, second = sorted(result.records, key=lambda r: r.flow_id)
+        assert (first.finish_s, first.fct_s) == (
+            finish_a + latency, finish_a - 0.0 + latency)
+        assert (second.finish_s, second.fct_s) == (
+            finish_b + latency, finish_b - finish_a + latency)
+
+    def test_traffic_point_after_another_matches_a_cold_start(self):
+        from repro.harness.experiments import _traffic_point
+
+        reset_reference_caches()
+        _traffic_point(("microburst", 300, 256))
+        misses = packet_fan_in.cache_info().misses
+        hits = packet_fan_in.cache_info().hits
+        warm = _traffic_point(("ddos", 300, 256))
+        # The second point ran from the first one's references.
+        assert packet_fan_in.cache_info().misses == misses
+        assert packet_fan_in.cache_info().hits > hits
+        reset_reference_caches()
+        assert _traffic_point(("ddos", 300, 256)) == warm
+
+    def test_second_run_adds_no_reference_miss(self):
+        flows = [FlowSpec(flow_id=fid, src=host_name(0, 1 + fid),
+                          dst=host_name(0, 0), size_bytes=4e4, start_s=0.0)
+                 for fid in range(12)]
+        fabric = FabricShape(leaves=1, hosts_per_leaf=13)
+        reset_reference_caches()
+        first = run_flows(fabric, EscalationConfig(), lambda env: flows)
+        assert first.escalations == {"incast": 5}
+        before = packet_fan_in.cache_info()
+        assert before.misses > 0
+        second = run_flows(fabric, EscalationConfig(), lambda env: flows)
+        after = packet_fan_in.cache_info()
+        # The second run repeats the first one's lookups, all as hits.
+        assert after.misses == before.misses
+        assert after.hits - before.hits == before.hits + before.misses
+        assert second.records == first.records
 
 
 class TestCalibration:

@@ -180,3 +180,41 @@ class TestFlowKeyHelpers:
             flow_key(arp)
         with pytest.raises(HeaderError):
             source_key(arp)
+
+
+class TestDestinationIp:
+    """The forwarding lookup key: from the carried header stack when a
+    frame has one, else from a parse that never raises."""
+
+    def test_built_frame_and_its_copy_skip_the_parse(self, monkeypatch):
+        from repro.net import Packet
+        from repro.net.headers import destination_ip
+
+        packet = Packet.udp(
+            src_mac=MACAddress(1), dst_mac=MACAddress(2),
+            src_ip=IPv4Address("10.0.0.1"), dst_ip=IPv4Address("239.1.2.3"),
+            src_port=1, dst_port=2, payload=b"x" * 16,
+        )
+        copy = packet.copy()
+
+        def no_parse(cls, *args, **kwargs):
+            raise AssertionError("IPv4Header.parse called")
+
+        monkeypatch.setattr(IPv4Header, "parse", classmethod(no_parse))
+        assert destination_ip(packet) == IPv4Address("239.1.2.3")
+        assert destination_ip(copy) == IPv4Address("239.1.2.3")
+
+    def test_raw_frames_still_parse(self):
+        from repro.net import Packet
+        from repro.net.headers import destination_ip
+
+        ether = EthernetHeader(src=MACAddress(1), dst=MACAddress(2),
+                               ethertype=ETHERTYPE_IPV4).pack()
+        ip = IPv4Header(src=IPv4Address("10.0.0.1"),
+                        dst=IPv4Address("10.0.0.9")).pack()
+        assert destination_ip(Packet(ether + ip)) == IPv4Address("10.0.0.9")
+        arp = EthernetHeader(src=MACAddress(1), dst=MACAddress(2),
+                             ethertype=0x0806).pack() + bytes(46)
+        assert destination_ip(Packet(arp)) is None
+        assert destination_ip(Packet(ether + ip[:10])) is None
+        assert destination_ip(Packet(bytes(8))) is None
