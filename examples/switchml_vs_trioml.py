@@ -18,11 +18,9 @@ Run:  python examples/switchml_vs_trioml.py
 """
 
 from repro.collectives import get_backend
-from repro.harness import build_single_pfe_testbed
-from repro.net import IPv4Address, MACAddress, Topology
+from repro.harness import build_single_pfe_testbed, build_switchml_testbed
 from repro.sim import Environment
-from repro.switchml import SwitchMLWorker
-from repro.switchml.switch import SwitchMLJob, build_switchml_switch
+from repro.switchml.switch import SwitchMLJob
 from repro.trioml import TrioMLJobConfig
 
 NUM_WORKERS = 4
@@ -42,22 +40,9 @@ def run_switchml() -> float:
     env = Environment()
     job = SwitchMLJob(num_workers=NUM_WORKERS, pool_size=4,
                       grads_per_packet=GRADS_PER_PACKET)
-    switch, __ = build_switchml_switch(env, job)
-    topo = Topology(env)
-    workers = []
-    for index in range(NUM_WORKERS):
-        ip = IPv4Address(f"10.0.0.{index + 1}")
-        mac = MACAddress(index + 1)
-        job.add_worker(index, ip, mac)
-        worker = SwitchMLWorker(
-            env, f"w{index}", index, job, mac, ip,
-            straggle_hook=straggle_hook(index),
-        )
-        topo.connect(worker.nic.port, switch.port(0, index))
-        switch.add_route(ip, switch.port(0, index).name)
-        workers.append(worker)
+    testbed = build_switchml_testbed(env, job, hook_factory=straggle_hook)
     vector = [1] * (GRADS_PER_PACKET * BLOCKS)
-    procs = [env.process(w.allreduce(vector)) for w in workers]
+    procs = testbed.run_allreduce([vector] * NUM_WORKERS)
     finish = {}
 
     def watch(index, proc):

@@ -16,7 +16,7 @@ Two regimes, matching §6.1's framing:
 * **Trio-ML is fabric-limited** in our model: 4 KB (1024-gradient)
   packets keep the DPDK end host off the critical path, so the derived
   goodput is the steady-state per-worker goodput measured on the
-  single-PFE testbed (:func:`repro.harness.testbed.build_single_pfe_testbed`)
+  single-PFE testbed (:func:`repro.harness.testbed.single_pfe_goodput_bps`)
   at a deep window.
 * **SwitchML is client-limited**: its wire path (1 KB packets through
   the four-pipeline Tofino chain) runs near line rate, but the
@@ -47,14 +47,12 @@ from repro.tools.band import band_cell, verdict, within_band
 __all__ = [
     "CALIBRATION_BAND",
     "SWITCHML_CLIENT_OVERHEAD_S",
-    "CalibrationSpec",
     "GoodputCalibration",
     "calibrate",
     "calibrated_backend",
     "client_bound_goodput",
     "main",
     "measure_switchml_wire_goodput",
-    "measure_trioml_wire_goodput",
     "render_calibration",
 ]
 
@@ -71,28 +69,19 @@ CALIBRATION_BAND = 1.8
 #: 256-gradient client at ~24 Gbps against a near-line-rate wire.
 SWITCHML_CLIENT_OVERHEAD_S = 250e-9
 
-
-@dataclass(frozen=True)
-class CalibrationSpec:
-    """Sizing of the packet-level calibration runs.
-
-    Defaults are chosen to reach steady state (deep windows, enough
-    blocks to amortise ramp-up) while keeping the bridge fast enough to
-    run inside the test suite.  The runs are deterministic discrete-event
-    simulations, so the derived numbers are exactly reproducible.
-    """
-
-    num_workers: int = 4
-    #: Trio-ML run: §6.1's 1024-gradient (4 KB) packets.
-    trioml_grads_per_packet: int = 1024
-    trioml_window: int = 1024
-    trioml_blocks: int = 300
-    #: SwitchML run: SwitchML-256 across the four-pipeline chain.
-    switchml_grads_per_packet: int = 256
-    switchml_pool_size: int = 64
-    switchml_blocks: int = 256
-    switchml_client_overhead_s: float = SWITCHML_CLIENT_OVERHEAD_S
-    band: float = CALIBRATION_BAND
+#: Sizing of the packet-level calibration runs: deep windows and enough
+#: blocks to reach steady state, yet fast enough to run inside the test
+#: suite.  The runs are deterministic discrete-event simulations, so the
+#: derived numbers are exactly reproducible.
+NUM_WORKERS = 4
+#: Trio-ML run: §6.1's 1024-gradient (4 KB) packets.
+TRIOML_GRADS_PER_PACKET = 1024
+TRIOML_WINDOW = 1024
+TRIOML_BLOCKS = 300
+#: SwitchML run: SwitchML-256, which needs the four-pipeline chain.
+SWITCHML_GRADS_PER_PACKET = 256
+SWITCHML_POOL_SIZE = 64
+SWITCHML_BLOCKS = 256
 
 
 @dataclass(frozen=True)
@@ -120,31 +109,7 @@ class GoodputCalibration:
         return within_band(self.ratio, self.band)
 
 
-def measure_trioml_wire_goodput(spec: Optional[CalibrationSpec] = None
-                                ) -> float:
-    """Per-worker goodput (bps) of the packet-level Trio-ML testbed.
-
-    Runs the §6.3 single-PFE topology end to end — worker encode, NIC
-    and link transport, PPE dispatch, hash lookup, RMW aggregation,
-    result multicast — and reports model bits sent per worker divided by
-    completion time.
-    """
-    from repro.harness.testbed import run_single_pfe_allreduce
-    from repro.trioml.config import TrioMLJobConfig
-
-    spec = spec or CalibrationSpec()
-    config = TrioMLJobConfig(
-        grads_per_packet=spec.trioml_grads_per_packet,
-        window=spec.trioml_window,
-    )
-    testbed, __ = run_single_pfe_allreduce(config, spec.trioml_blocks,
-                                           num_workers=spec.num_workers)
-    bits_per_worker = spec.trioml_grads_per_packet * spec.trioml_blocks * 32
-    return bits_per_worker / testbed.env.now
-
-
-def measure_switchml_wire_goodput(spec: Optional[CalibrationSpec] = None
-                                  ) -> float:
+def measure_switchml_wire_goodput() -> float:
     """Per-worker goodput (bps) of the packet-level SwitchML baseline.
 
     Runs SwitchML-256 on the PISA/Tofino model (the four-pipeline chain
@@ -152,36 +117,22 @@ def measure_switchml_wire_goodput(spec: Optional[CalibrationSpec] = None
     worker divided by completion time — the *wire* capability, before
     the DPDK client bottleneck.
     """
-    from repro.net import IPv4Address, MACAddress, Topology
+    from repro.harness.testbed import build_switchml_testbed
     from repro.sim import Environment
-    from repro.switchml import SwitchMLWorker
-    from repro.switchml.switch import SwitchMLJob, build_switchml_switch
+    from repro.switchml.switch import SwitchMLJob
 
-    spec = spec or CalibrationSpec()
     env = Environment()
     job = SwitchMLJob(
-        num_workers=spec.num_workers,
-        pool_size=spec.switchml_pool_size,
-        grads_per_packet=spec.switchml_grads_per_packet,
+        num_workers=NUM_WORKERS,
+        pool_size=SWITCHML_POOL_SIZE,
+        grads_per_packet=SWITCHML_GRADS_PER_PACKET,
+        chain=[0, 1, 2, 3],
     )
-    if spec.switchml_grads_per_packet > 64:
-        job.chain = [0, 1, 2, 3]
-    switch, __ = build_switchml_switch(env, job)
-    topology = Topology(env)
-    workers = []
-    for index in range(spec.num_workers):
-        ip = IPv4Address(f"10.0.0.{index + 1}")
-        mac = MACAddress(index + 1)
-        job.add_worker(index, ip, mac)
-        worker = SwitchMLWorker(env, f"w{index}", index, job, mac, ip)
-        topology.connect(worker.nic.port, switch.port(0, index))
-        switch.add_route(ip, switch.port(0, index).name)
-        workers.append(worker)
-    vector = [1] * (spec.switchml_grads_per_packet * spec.switchml_blocks)
-    procs = [env.process(w.allreduce(vector)) for w in workers]
+    testbed = build_switchml_testbed(env, job)
+    vector = [1] * (SWITCHML_GRADS_PER_PACKET * SWITCHML_BLOCKS)
+    procs = testbed.run_allreduce([vector] * NUM_WORKERS)
     env.run(until=env.all_of(procs))
-    bits_per_worker = len(vector) * 32
-    return bits_per_worker / env.now
+    return len(vector) * 32 / env.now
 
 
 def client_bound_goodput(wire_goodput_bps: float, payload_bits: int,
@@ -192,17 +143,18 @@ def client_bound_goodput(wire_goodput_bps: float, payload_bits: int,
     return payload_bits / (wire_time_s + client_overhead_s)
 
 
-def calibrate(spec: Optional[CalibrationSpec] = None
-              ) -> Dict[str, GoodputCalibration]:
+def calibrate() -> Dict[str, GoodputCalibration]:
     """Run both packet-level calibrations; returns one record per
     in-network system, keyed by backend name."""
-    spec = spec or CalibrationSpec()
-    trioml_wire = measure_trioml_wire_goodput(spec)
-    switchml_wire = measure_switchml_wire_goodput(spec)
+    from repro.harness.testbed import single_pfe_goodput_bps
+
+    trioml_wire = single_pfe_goodput_bps(
+        TRIOML_GRADS_PER_PACKET, TRIOML_WINDOW, TRIOML_BLOCKS, NUM_WORKERS)
+    switchml_wire = measure_switchml_wire_goodput()
     switchml_derived = client_bound_goodput(
         switchml_wire,
-        spec.switchml_grads_per_packet * 32,
-        spec.switchml_client_overhead_s,
+        SWITCHML_GRADS_PER_PACKET * 32,
+        SWITCHML_CLIENT_OVERHEAD_S,
     )
     return {
         "trioml": GoodputCalibration(
@@ -210,22 +162,19 @@ def calibrate(spec: Optional[CalibrationSpec] = None
             wire_goodput_bps=trioml_wire,
             derived_goodput_bps=trioml_wire,
             default_goodput_bps=TRIOML_GOODPUT_BPS,
-            band=spec.band,
         ),
         "switchml": GoodputCalibration(
             system="switchml",
             wire_goodput_bps=switchml_wire,
             derived_goodput_bps=switchml_derived,
             default_goodput_bps=SWITCHML_GOODPUT_BPS,
-            band=spec.band,
         ),
     }
 
 
 def calibrated_backend(name: str,
                        calibrations: Optional[
-                           Dict[str, GoodputCalibration]] = None,
-                       spec: Optional[CalibrationSpec] = None
+                           Dict[str, GoodputCalibration]] = None
                        ) -> CollectiveBackend:
     """A backend instance whose goodput is the packet-derived value.
 
@@ -234,7 +183,7 @@ def calibrated_backend(name: str,
     sensitivity can ``register_backend(..., replace=True)`` or register
     it under a new name (e.g. ``trioml-calibrated``) themselves.
     """
-    calibrations = calibrations or calibrate(spec)
+    calibrations = calibrations or calibrate()
     factories = {"trioml": TrioMLBackend, "switchml": SwitchMLBackend}
     if name not in factories:
         raise ValueError(

@@ -62,7 +62,7 @@ packet level comes from.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import inf as _INF
 from typing import Dict, List, Optional, Tuple
 
@@ -86,6 +86,9 @@ __all__ = ["FluidEngine"]
 #: wake-up fires at the exact projected instant, so the residual is pure
 #: float rounding — many orders of magnitude below one bit.
 _COMPLETION_EPS_BITS = 1.0
+#: Stale finish-heap entries tolerated beyond two per live class before
+#: a solve drops them, so short runs never compact.
+_FINISH_HEAP_SLACK = 64
 
 
 class _PathClass:
@@ -104,7 +107,8 @@ class _PathClass:
     regardless of member count.  ``version`` stamps entries the engine
     pushes into its global finish heap: bumping it on any rate or
     membership change invalidates stale projections lazily, with no
-    heap surgery.
+    heap surgery until a solve finds them outnumbering the live
+    classes.
     """
 
     __slots__ = ("links", "flows", "targets", "rate_bps", "bits",
@@ -442,6 +446,8 @@ class FluidEngine:
         if not self.active:
             self._dirty_classes.clear()
             self._dirty_groups.clear()
+            # Every class is gone, so every projection is stale.
+            self._finish_heap.clear()
             self._next_finish_s = _INF
             return
 
@@ -475,8 +481,14 @@ class FluidEngine:
                             self._set_class_rate(cls, cls.rate_bps, now)
         self._dirty_classes.clear()
 
-        # Earliest valid projection across all classes.
+        # Earliest valid projection across all classes.  A superseded
+        # projection stays in the heap until it surfaces; once they
+        # outnumber the live classes, drop them all at once.  Keys are
+        # unique, so the live entries pop in the same order.
         heap = self._finish_heap
+        if len(heap) > 2 * self.path_classes + _FINISH_HEAP_SLACK:
+            heap[:] = [entry for entry in heap if entry[1] == entry[3].version]
+            heapify(heap)
         while heap:
             _finish, version, _seq, cls = heap[0]
             if version == cls.version:

@@ -92,11 +92,7 @@ def packet_pfe_goodput(num_workers: int = 4, grads_per_packet: int = 256,
     completion time.  This is the packet-derived rate an escalated
     ``"aggregation"`` flow is pinned to.
     """
-    from repro.harness.testbed import run_single_pfe_allreduce
-    from repro.trioml.config import TrioMLJobConfig
+    from repro.harness.testbed import single_pfe_goodput_bps
 
-    config = TrioMLJobConfig(grads_per_packet=grads_per_packet,
-                             window=window)
-    testbed, __ = run_single_pfe_allreduce(config, blocks,
-                                           num_workers=num_workers)
-    return grads_per_packet * blocks * 32 / testbed.env.now
+    return single_pfe_goodput_bps(grads_per_packet, window, blocks,
+                                  num_workers)

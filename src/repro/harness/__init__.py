@@ -10,15 +10,19 @@ imported with the package, so importing the drivers alone stays cheap.
 from repro.harness.testbed import (
     HierarchicalTestbed,
     SinglePfeTestbed,
+    SwitchMLTestbed,
     build_hierarchical_testbed,
     build_single_pfe_testbed,
+    build_switchml_testbed,
 )
 from repro.harness import experiments
 
 __all__ = [
     "HierarchicalTestbed",
     "SinglePfeTestbed",
+    "SwitchMLTestbed",
     "build_hierarchical_testbed",
     "build_single_pfe_testbed",
+    "build_switchml_testbed",
     "experiments",
 ]

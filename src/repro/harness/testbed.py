@@ -2,16 +2,21 @@
 
 * :func:`build_single_pfe_testbed` — the §6.3 microbenchmark setup: four
   servers on one PFE, single-level aggregation;
-  :func:`run_single_pfe_allreduce` runs one allreduce on it.
+  :func:`run_single_pfe_allreduce` runs one allreduce on it and
+  :func:`single_pfe_goodput_bps` reports its per-worker goodput.
 * :func:`build_hierarchical_testbed` — the full Figure 11(b) setup: an
   MX480-style chassis with six PFEs, three servers on PFE1 and three on
   PFE2, PFE4 as the top-level aggregator.
+* :func:`build_switchml_testbed` — the §6.1 baseline: SwitchML workers on
+  one Tofino switch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -29,12 +34,19 @@ from repro.trioml.config import (
 )
 from repro.trioml.worker import TrioMLWorker
 
+if TYPE_CHECKING:
+    from repro.pisa.tofino import TofinoSwitch
+    from repro.switchml.switch import SwitchMLJob, SwitchMLProgram
+
 __all__ = [
     "HierarchicalTestbed",
     "SinglePfeTestbed",
+    "SwitchMLTestbed",
     "build_hierarchical_testbed",
     "build_single_pfe_testbed",
+    "build_switchml_testbed",
     "run_single_pfe_allreduce",
+    "single_pfe_goodput_bps",
 ]
 
 #: Optional per-worker straggle hook factory: worker index -> hook or None.
@@ -44,8 +56,7 @@ HookFactory = Callable[[int], Optional[Callable[[int], float]]]
 @dataclass
 class _Testbed:
     env: Environment
-    workers: List[TrioMLWorker]
-    handle: JobHandle
+    workers: list
     topology: Topology
 
     def run_allreduce(self, gradient_vectors: Sequence[Sequence[int]]):
@@ -60,6 +71,7 @@ class _Testbed:
 class SinglePfeTestbed(_Testbed):
     """Four servers on one PFE (the §6.3 benchmark setup)."""
 
+    handle: JobHandle
     pfe: PFE
 
 
@@ -67,7 +79,16 @@ class SinglePfeTestbed(_Testbed):
 class HierarchicalTestbed(_Testbed):
     """Six servers across two line cards with a top-level aggregator PFE."""
 
+    handle: JobHandle
     router: TrioRouter
+
+
+@dataclass
+class SwitchMLTestbed(_Testbed):
+    """SwitchML workers on one Tofino switch (the §6.1 baseline)."""
+
+    switch: TofinoSwitch
+    programs: List[SwitchMLProgram]
 
 
 def _add_worker(env: Environment, topology: Topology, index: int,
@@ -142,6 +163,17 @@ def run_single_pfe_allreduce(config: TrioMLJobConfig, blocks: int,
     return testbed, procs
 
 
+def single_pfe_goodput_bps(grads_per_packet: int, window: int, blocks: int,
+                           num_workers: int = 4) -> float:
+    """Per-worker goodput (bps) of one :func:`run_single_pfe_allreduce`:
+    model bits each worker sends over the allreduce's completion time."""
+    config = TrioMLJobConfig(grads_per_packet=grads_per_packet,
+                             window=window)
+    testbed, __ = run_single_pfe_allreduce(config, blocks,
+                                           num_workers=num_workers)
+    return grads_per_packet * blocks * 32 / testbed.env.now
+
+
 def build_hierarchical_testbed(
     env: Environment,
     config: Optional[TrioMLJobConfig] = None,
@@ -175,3 +207,34 @@ def build_hierarchical_testbed(
         env=env, router=router, workers=workers, handle=handle,
         topology=topology,
     )
+
+
+def build_switchml_testbed(
+    env: Environment,
+    job: SwitchMLJob,
+    hook_factory: Optional[HookFactory] = None,
+) -> SwitchMLTestbed:
+    """``job.num_workers`` SwitchML workers on one Tofino switch.
+
+    Worker ``i`` is at 10.0.0.``i + 1`` with MAC ``i + 1``, on switch
+    port (0, ``i``), and the switch routes its address to that port.
+    """
+    from repro.switchml.switch import build_switchml_switch
+    from repro.switchml.worker import SwitchMLWorker
+
+    switch, programs = build_switchml_switch(env, job)
+    topology = Topology(env)
+    workers = []
+    for index in range(job.num_workers):
+        ip = IPv4Address(f"10.0.0.{index + 1}")
+        mac = MACAddress(index + 1)
+        job.add_worker(index, ip, mac)
+        worker = SwitchMLWorker(
+            env, f"w{index}", index, job, mac, ip,
+            straggle_hook=hook_factory(index) if hook_factory else None,
+        )
+        topology.connect(worker.nic.port, switch.port(0, index))
+        switch.add_route(ip, switch.port(0, index).name)
+        workers.append(worker)
+    return SwitchMLTestbed(env=env, workers=workers, topology=topology,
+                           switch=switch, programs=programs)

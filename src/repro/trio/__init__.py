@@ -4,8 +4,6 @@ This package models the architecture of §2 of the paper:
 
 * :mod:`repro.trio.chipset` — per-generation configuration (clock, PPE
   count, memory sizes and latencies, RMW engine count).
-* :mod:`repro.trio.crossbar` — the XTXN transport between PPEs and the
-  Shared Memory System.
 * :mod:`repro.trio.rmw` — read-modify-write engines and their operations.
 * :mod:`repro.trio.memory` — the Shared Memory System (on-chip SRAM,
   off-chip DRAM with on-chip cache, unified address space, allocator).
@@ -22,7 +20,6 @@ This package models the architecture of §2 of the paper:
 """
 
 from repro.trio.chipset import GENERATIONS, TrioChipsetConfig
-from repro.trio.crossbar import Crossbar
 from repro.trio.memory import MemoryError_, SharedMemorySystem
 from repro.trio.rmw import RMWComplex
 from repro.trio.hashtable import HardwareHashTable, HashRecord
@@ -37,7 +34,6 @@ from repro.trio.vmx import VirtualMX
 
 __all__ = [
     "AFIApplication",
-    "Crossbar",
     "ForwardingGraph",
     "ForwardingNode",
     "Sandbox",

@@ -64,9 +64,6 @@ class TrioChipsetConfig:
     rmw_bytes_per_cycle: int = 8
     #: Cycles per 32-bit add performed by an RMW engine (§6.3: 2).
     rmw_add32_cycles: int = 2
-    #: One-way crossbar transit latency (estimate; §2.3 says the crossbar
-    #: itself never limits memory performance, so this is pure latency).
-    crossbar_latency_s: float = 25e-9
     #: Latency to pull a chunk of packet tail from the Memory and Queueing
     #: Subsystem into LMEM via an XTXN (estimate: DRAM-class access).
     tail_read_latency_s: float = 300e-9

@@ -8,9 +8,11 @@ that differ only in capacity, latency, and bandwidth:
 * **Off-chip DRAM** — several GB at 300–400 ns, fronted by a multi-megabyte
   on-chip cache (modelled as an LRU over 64-byte lines).
 
-All PPE accesses go through XTXNs: request over the crossbar, service at a
-read-modify-write engine, reply back.  Region latency models the full
-PPE-observed round trip; engine queueing adds on top under contention.
+All PPE accesses go through XTXNs: a request to a read-modify-write
+engine, service there, and a reply.  Region latency models the full
+PPE-observed round trip, crossbar transit included (§2.3: the crossbar
+"will never limit the memory performance", so it has no model of its
+own); engine queueing adds on top under contention.
 Storage is sparse (4 KB pages allocated on first touch) so multi-gigabyte
 regions cost nothing until used.
 """
@@ -24,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs import bus as _obs
 from repro.sim import Environment
 from repro.trio.chipset import TrioChipsetConfig
-from repro.trio.crossbar import Crossbar
 from repro.trio.rmw import RMWComplex, RMWOpKind
 
 __all__ = ["MemoryError_", "MemoryRegion", "SharedMemorySystem"]
@@ -245,11 +246,9 @@ class SharedMemorySystem:
     SRAM_BASE = 0x0000_0000
     DRAM_BASE = 0x1_0000_0000
 
-    def __init__(self, env: Environment, config: TrioChipsetConfig,
-                 crossbar: Optional[Crossbar] = None):
+    def __init__(self, env: Environment, config: TrioChipsetConfig):
         self.env = env
         self.config = config
-        self.crossbar = crossbar or Crossbar(env, config.crossbar_latency_s)
         self.sram = MemoryRegion(
             "sram", self.SRAM_BASE, config.sram_bytes, config.sram_latency_s
         )

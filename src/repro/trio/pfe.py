@@ -10,8 +10,8 @@ model wires together every block of Figure 2:
 * hundreds of multi-threaded **PPEs** running the installed application;
 * the **Reorder Engine**, which releases each flow's results in arrival
   order;
-* the **Shared Memory System** (with its RMW engines and crossbar), the
-  **hash block**, and the **timer** hardware.
+* the **Shared Memory System** (with its RMW engines), the **hash
+  block**, and the **timer** hardware.
 
 Applications subclass :class:`TrioApplication` and implement
 ``handle_packet(thread_ctx, packet_ctx)`` as a generator — the moral
@@ -31,7 +31,6 @@ from repro.net.packet import Packet
 from repro.obs import bus as _obs
 from repro.sim import Environment, Process, Resource, Store
 from repro.trio.chipset import GENERATIONS, TrioChipsetConfig
-from repro.trio.crossbar import Crossbar
 from repro.trio.hashtable import HardwareHashTable
 from repro.trio.memory import SharedMemorySystem
 from repro.trio.ppe import (
@@ -89,8 +88,7 @@ class PFE:
         self.config = config or GENERATIONS[5]
         self.router = router
 
-        self.crossbar = Crossbar(env, self.config.crossbar_latency_s)
-        self.memory = SharedMemorySystem(env, self.config, self.crossbar)
+        self.memory = SharedMemorySystem(env, self.config)
         self.hash_table = HardwareHashTable(
             env, op_latency_s=self.config.sram_latency_s
         )

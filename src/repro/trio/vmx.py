@@ -44,7 +44,6 @@ VMX_VFP_CONFIG = TrioChipsetConfig(
     dram_cache_hit_latency_s=40e-9,
     num_rmw_engines=2,             # software atomics serialise hard
     rmw_add32_cycles=12,           # lock-prefixed RMW on a hot line
-    crossbar_latency_s=80e-9,      # inter-core cache-coherence hop
     tail_read_latency_s=200e-9,
     num_hw_timers=32,
 )

@@ -16,10 +16,11 @@ Each aggregation packet is processed by one PPE thread:
    and launch forwarding (multicast to the workers, or unicast up the
    aggregation hierarchy).
 
-Roles: a ``single``/``top`` aggregator multicasts final results to the
-job's group; a ``first_level`` aggregator (hierarchical mode, Figure 11b)
-sends its partial result directly across the fabric to the top-level PFE,
-which sees it as just another source.
+A Result sent to the job's multicast group is final.  Any other Result
+is a partial one for the next level up: a first-level aggregator of a
+chassis (hierarchical mode, Figure 11b) sends it directly across the
+fabric to the top-level PFE, which sees it as just another source, and
+one on another device unicasts it by IP forwarding (§4).
 """
 
 from __future__ import annotations
@@ -82,11 +83,8 @@ class JobRuntime:
     """Per-job data-plane runtime state kept alongside the job record."""
 
     record: JobRecord
-    #: 'single', 'first_level' (same chassis, feeds the top PFE over the
-    #: fabric), 'remote_first_level' (another device, feeds the next
-    #: level by unicast IP forwarding, §4), or 'top'.
-    role: str = "single"
-    #: For first_level: name of the top-level aggregator PFE.
+    #: Set on a first-level aggregator of a chassis: the top-level PFE its
+    #: Results cross the fabric to.
     top_pfe: Optional[str] = None
     #: src_id this aggregator uses when feeding the next level.
     own_src_id: int = 0
@@ -478,7 +476,7 @@ class TrioMLAggregator(TrioApplication):
             grad_cnt=block.grad_cnt,
             gen_id=block.gen_id,
             age_op=max(age_op, block.max_age_op),
-            final=runtime.role in ("single", "top"),
+            final=runtime.result_dst_ip.is_multicast,
             degraded=degraded,
             src_cnt=src_cnt,
         )
@@ -537,7 +535,7 @@ class TrioMLAggregator(TrioApplication):
     def _emit_result(self, runtime: JobRuntime, result: Packet,
                      pctx: Optional[PacketContext]) -> None:
         """Launch forwarding for a Result packet."""
-        if runtime.role == "first_level":
+        if runtime.top_pfe is not None:
             # Feed the top-level aggregator PFE directly over the fabric,
             # without IP forwarding (§4, hierarchical aggregation).
             self.pfe.router.send_to_pfe(result, self.pfe.name, runtime.top_pfe)

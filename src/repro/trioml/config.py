@@ -97,6 +97,50 @@ def _get_aggregator(pfe: PFE) -> TrioMLAggregator:
     return pfe.install_app(TrioMLAggregator())
 
 
+def _configure_level(handle: JobHandle, pfe: PFE, src_ids: Sequence[int],
+                     result_dst_ip: IPv4Address,
+                     detector_timeout_s: Optional[float],
+                     top_pfe: Optional[str] = None,
+                     own_src_id: int = 0) -> None:
+    """Set up one aggregation level of ``handle``'s job on ``pfe``.
+
+    The level waits for ``src_ids`` and sends its Result to
+    ``result_dst_ip`` (the job's multicast group at the last level);
+    ``top_pfe`` names the PFE a first-level Result crosses the fabric
+    to, and ``own_src_id`` is the level's source id there.  A detector
+    with ``detector_timeout_s`` is added unless that is None.
+    """
+    config = handle.config
+    aggregator = _get_aggregator(pfe)
+    record = JobRecord(
+        job_id=config.job_id,
+        src_cnt=len(src_ids),
+        src_mask=_source_mask(src_ids),
+        block_grad_max=config.grads_per_packet,
+        block_exp_ms=config.timeout_ms,
+        out_src_addr=int(config.service_ip),
+        out_dst_addr=int(result_dst_ip),
+    )
+    runtime = JobRuntime(
+        record=record,
+        top_pfe=top_pfe,
+        own_src_id=own_src_id,
+        result_src_ip=config.service_ip,
+        result_dst_ip=result_dst_ip,
+        result_src_mac=config.router_mac,
+        loss_recovery=config.loss_recovery,
+    )
+    aggregator.configure_job(runtime)
+    handle.aggregators[pfe.name] = aggregator
+    handle.runtimes[pfe.name] = runtime
+    if detector_timeout_s is not None:
+        handle.detectors[pfe.name] = StragglerDetector(
+            aggregator,
+            num_threads=config.detector_threads,
+            timeout_s=detector_timeout_s,
+        )
+
+
 def setup_single_level_job(
     pfe: PFE,
     config: TrioMLJobConfig,
@@ -109,38 +153,12 @@ def setup_single_level_job(
     ``worker_ports`` maps worker name -> the PFE port it is attached to;
     result multicast membership is programmed on those ports.
     """
-    aggregator = _get_aggregator(pfe)
-    record = JobRecord(
-        job_id=config.job_id,
-        src_cnt=len(workers),
-        src_mask=_source_mask([w.src_id for w in workers]),
-        block_grad_max=config.grads_per_packet,
-        block_exp_ms=config.timeout_ms,
-        out_src_addr=int(config.service_ip),
-        out_dst_addr=int(config.group_ip),
-    )
-    runtime = JobRuntime(
-        record=record,
-        role="single",
-        result_src_ip=config.service_ip,
-        result_dst_ip=config.group_ip,
-        result_src_mac=config.router_mac,
-        loss_recovery=config.loss_recovery,
-    )
-    aggregator.configure_job(runtime)
+    handle = JobHandle(config=config, aggregators={}, runtimes={})
+    _configure_level(handle, pfe, [w.src_id for w in workers],
+                     config.group_ip,
+                     config.timeout_s if with_detector else None)
     for worker in workers:
         pfe.multicast.join(config.group_ip, worker_ports[worker.name])
-    handle = JobHandle(
-        config=config,
-        aggregators={pfe.name: aggregator},
-        runtimes={pfe.name: runtime},
-    )
-    if with_detector:
-        handle.detectors[pfe.name] = StragglerDetector(
-            aggregator,
-            num_threads=config.detector_threads,
-            timeout_s=config.timeout_s,
-        )
     return handle
 
 
@@ -163,89 +181,26 @@ def setup_hierarchical_job(
     """
     if top_pfe in first_level:
         raise ValueError("the top-level PFE cannot also be first-level")
-    aggregators: Dict[str, TrioMLAggregator] = {}
-    runtimes: Dict[str, JobRuntime] = {}
-    detectors: Dict[str, StragglerDetector] = {}
-
-    # Top level first, so it is ready before any first-level result.
-    top_aggregator = _get_aggregator(router.pfe(top_pfe))
-    level_src_ids = []
-    for index, pfe_name in enumerate(sorted(first_level)):
-        level_src_ids.append(100 + index)
-    top_record = JobRecord(
-        job_id=config.job_id,
-        src_cnt=len(first_level),
-        src_mask=_source_mask(level_src_ids),
-        block_grad_max=config.grads_per_packet,
-        block_exp_ms=config.timeout_ms,
-        out_src_addr=int(config.service_ip),
-        out_dst_addr=int(config.group_ip),
-    )
-    top_runtime = JobRuntime(
-        record=top_record,
-        role="top",
-        result_src_ip=config.service_ip,
-        result_dst_ip=config.group_ip,
-        result_src_mac=config.router_mac,
-        loss_recovery=config.loss_recovery,
-    )
-    top_aggregator.configure_job(top_runtime)
-    aggregators[top_pfe] = top_aggregator
-    runtimes[top_pfe] = top_runtime
-    if with_detector:
-        # The top level waits twice as long as first-level aggregators, so
-        # a first-level mitigation (which completes within 2x its timeout)
-        # reaches the top before the top's own age-out fires.
-        detectors[top_pfe] = StragglerDetector(
-            top_aggregator,
-            num_threads=config.detector_threads,
-            timeout_s=2 * config.timeout_s,
-        )
-
-    for index, pfe_name in enumerate(sorted(first_level)):
-        workers = first_level[pfe_name]
-        pfe = router.pfe(pfe_name)
-        aggregator = _get_aggregator(pfe)
-        record = JobRecord(
-            job_id=config.job_id,
-            src_cnt=len(workers),
-            src_mask=_source_mask([w.src_id for w in workers]),
-            block_grad_max=config.grads_per_packet,
-            block_exp_ms=config.timeout_ms,
-            out_src_addr=int(config.service_ip),
-            out_dst_addr=int(config.service_ip),
-        )
-        runtime = JobRuntime(
-            record=record,
-            role="first_level",
-            top_pfe=top_pfe,
-            own_src_id=100 + index,
-            result_src_ip=config.service_ip,
-            result_dst_ip=config.service_ip,
-            result_src_mac=config.router_mac,
-            loss_recovery=config.loss_recovery,
-        )
-        aggregator.configure_job(runtime)
-        aggregators[pfe_name] = aggregator
-        runtimes[pfe_name] = runtime
-        if with_detector:
-            detectors[pfe_name] = StragglerDetector(
-                aggregator,
-                num_threads=config.detector_threads,
-                timeout_s=config.timeout_s,
-            )
-
+    handle = JobHandle(config=config, aggregators={}, runtimes={})
+    level_names = sorted(first_level)
+    # Top level first, so it is ready before any first-level result.  It
+    # waits twice as long as the first level, so a first-level
+    # mitigation (which completes within 2x its timeout) reaches the top
+    # before the top's own age-out fires.
+    _configure_level(handle, router.pfe(top_pfe),
+                     [100 + index for index in range(len(level_names))],
+                     config.group_ip,
+                     2 * config.timeout_s if with_detector else None)
+    for index, pfe_name in enumerate(level_names):
+        _configure_level(handle, router.pfe(pfe_name),
+                         [w.src_id for w in first_level[pfe_name]],
+                         config.service_ip,
+                         config.timeout_s if with_detector else None,
+                         top_pfe=top_pfe, own_src_id=100 + index)
     # Result multicast membership across the chassis.
-    for worker_name, (pfe_name, port_name) in worker_ports.items():
+    for pfe_name, port_name in worker_ports.values():
         router.join_multicast(config.group_ip, pfe_name, port_name)
-
-    return JobHandle(
-        config=config,
-        aggregators={top_pfe: aggregators[top_pfe],
-                     **{k: v for k, v in aggregators.items() if k != top_pfe}},
-        runtimes=runtimes,
-        detectors=detectors,
-    )
+    return handle
 
 
 def setup_remote_first_level_job(
@@ -266,40 +221,14 @@ def setup_remote_first_level_job(
     re-enters through the uplink and is forwarded to the local workers'
     group membership.
     """
-    aggregator = _get_aggregator(pfe)
-    record = JobRecord(
-        job_id=config.job_id,
-        src_cnt=len(workers),
-        src_mask=_source_mask([w.src_id for w in workers]),
-        block_grad_max=config.grads_per_packet,
-        block_exp_ms=config.timeout_ms,
-        out_src_addr=int(config.service_ip),
-        out_dst_addr=int(upstream_service_ip),
-    )
-    runtime = JobRuntime(
-        record=record,
-        role="remote_first_level",
-        own_src_id=own_src_id,
-        result_src_ip=config.service_ip,
-        result_dst_ip=IPv4Address(upstream_service_ip),
-        result_src_mac=config.router_mac,
-        loss_recovery=config.loss_recovery,
-    )
-    aggregator.configure_job(runtime)
+    upstream = IPv4Address(upstream_service_ip)
+    handle = JobHandle(config=config, aggregators={}, runtimes={})
+    _configure_level(handle, pfe, [w.src_id for w in workers], upstream,
+                     config.timeout_s if with_detector else None,
+                     own_src_id=own_src_id)
     # Partial results ride ordinary unicast routing toward the upstream.
-    pfe.add_route(IPv4Address(upstream_service_ip), uplink_port)
+    pfe.add_route(upstream, uplink_port)
     # Final results arriving from upstream multicast to the local workers.
     for worker in workers:
         pfe.multicast.join(config.group_ip, worker_ports[worker.name])
-    handle = JobHandle(
-        config=config,
-        aggregators={pfe.name: aggregator},
-        runtimes={pfe.name: runtime},
-    )
-    if with_detector:
-        handle.detectors[pfe.name] = StragglerDetector(
-            aggregator,
-            num_threads=config.detector_threads,
-            timeout_s=config.timeout_s,
-        )
     return handle

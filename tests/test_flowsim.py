@@ -648,6 +648,25 @@ class TestFluidEngine:
         assert len(engine.records) == 2
         assert engine.fan_in(dst) == 0
 
+    def test_finish_heap_stays_bounded_under_churn(self, monkeypatch):
+        # A cache draw re-aims class projections thousands of times; the
+        # superseded ones may not pile up past two per live class.
+        from repro.flowsim import engine as engine_module
+        from repro.traffic import get_scenario, run_fluid
+
+        resolve = engine_module.FluidEngine._resolve
+        excess = []
+
+        def checked(self, now):
+            resolve(self, now)
+            excess.append(len(self._finish_heap)
+                          - 2 * self.path_classes - 64)
+
+        monkeypatch.setattr(engine_module.FluidEngine, "_resolve", checked)
+        result = run_fluid(get_scenario("cache"), 3000)
+        assert len(excess) == result.solves > 3000
+        assert max(excess) <= 0
+
 
 # ---------------------------------------------------------------------------
 # Escalation boundary

@@ -25,7 +25,8 @@ class TestTestbeds:
         assert len(testbed.workers) == 6
         assert len(testbed.router.pfes) == 6
         assert set(testbed.handle.aggregators) == {"pfe1", "pfe2", "pfe4"}
-        assert testbed.handle.runtimes["pfe4"].role == "top"
+        top = testbed.handle.runtimes["pfe4"]
+        assert top.result_dst_ip.is_multicast and top.top_pfe is None
 
 
 class TestTable1:

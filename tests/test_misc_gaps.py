@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Environment, PriorityStore, Store
-from repro.trio import Crossbar, GENERATIONS, SharedMemorySystem
+from repro.trio import GENERATIONS, SharedMemorySystem
 from repro.trio.memory import MemoryError_, MemoryRegion
 
 
@@ -38,27 +38,6 @@ class TestStoreBackpressure:
         store = Store(env, capacity=1)
         event = store.put("a")
         assert event.item == "a"
-
-
-class TestCrossbar:
-    def test_transit_latency_and_stats(self):
-        env = Environment()
-        crossbar = Crossbar(env, latency_s=25e-9)
-
-        def proc():
-            yield crossbar.transit(8)
-            yield crossbar.transit(64)
-            return env.now
-
-        p = env.process(proc())
-        assert env.run(until=p) == pytest.approx(50e-9)
-        assert crossbar.xtxn_count == 2
-        assert crossbar.xtxn_bytes == 72
-        assert crossbar.round_trip_s() == pytest.approx(50e-9)
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            Crossbar(Environment(), latency_s=-1e-9)
 
 
 class TestMemoryRegionEdges:

@@ -7,11 +7,9 @@ to every worker — the core correctness invariant of the reproduction.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.harness import build_single_pfe_testbed
-from repro.net import IPv4Address, MACAddress, Topology
+from repro.harness import build_single_pfe_testbed, build_switchml_testbed
 from repro.sim import Environment
-from repro.switchml import SwitchMLWorker
-from repro.switchml.switch import SwitchMLJob, build_switchml_switch
+from repro.switchml.switch import SwitchMLJob
 from repro.trioml import TrioMLJobConfig
 
 _small_int32 = st.integers(min_value=-2**24, max_value=2**24)
@@ -58,25 +56,14 @@ def test_switchml_allreduce_is_exact_summation(num_workers, pool_size,
     env = Environment()
     job = SwitchMLJob(num_workers=num_workers, pool_size=pool_size,
                       grads_per_packet=64)
-    switch, __ = build_switchml_switch(env, job)
-    topo = Topology(env)
-    workers = []
-    for index in range(num_workers):
-        ip = IPv4Address(f"10.0.0.{index + 1}")
-        mac = MACAddress(index + 1)
-        job.add_worker(index, ip, mac)
-        worker = SwitchMLWorker(env, f"w{index}", index, job, mac, ip)
-        topo.connect(worker.nic.port, switch.port(0, index))
-        switch.add_route(ip, switch.port(0, index).name)
-        workers.append(worker)
+    testbed = build_switchml_testbed(env, job)
     vectors = [
         data.draw(st.lists(_small_int32, min_size=num_gradients,
                            max_size=num_gradients))
         for __ in range(num_workers)
     ]
     expected = [sum(v[i] for v in vectors) for i in range(num_gradients)]
-    procs = [env.process(w.allreduce(v))
-             for w, v in zip(workers, vectors)]
+    procs = testbed.run_allreduce(vectors)
     env.run(until=env.all_of(procs))
     for proc in procs:
         assert proc.value == expected

@@ -3,17 +3,13 @@
 import pytest
 
 from repro import obs
-from repro.net import IPv4Address, MACAddress, Topology
+from repro.harness import build_switchml_testbed
+from repro.net import IPv4Address, MACAddress
 from repro.pisa import PipelineError
 from repro.pisa.pipeline import PisaPipeline
 from repro.sim import Environment
-from repro.switchml import (
-    SwitchMLHeader,
-    SwitchMLWorker,
-    decode_switchml,
-    encode_switchml,
-)
-from repro.switchml.switch import SwitchMLJob, SwitchMLProgram, build_switchml_switch
+from repro.switchml import SwitchMLHeader, decode_switchml, encode_switchml
+from repro.switchml.switch import SwitchMLJob, SwitchMLProgram
 
 
 class TestProtocol:
@@ -85,20 +81,9 @@ def build_cluster(env, num_workers=3, pool_size=4, grads_per_packet=64,
                   chain=(0,), hooks=None):
     job = SwitchMLJob(num_workers=num_workers, pool_size=pool_size,
                       grads_per_packet=grads_per_packet, chain=list(chain))
-    switch, programs = build_switchml_switch(env, job)
-    topo = Topology(env)
-    workers = []
-    for index in range(num_workers):
-        ip = IPv4Address(f"10.0.0.{index + 1}")
-        mac = MACAddress(index + 1)
-        job.add_worker(index, ip, mac)
-        hook = hooks.get(index) if hooks else None
-        worker = SwitchMLWorker(env, f"w{index}", index, job, mac, ip,
-                                straggle_hook=hook)
-        topo.connect(worker.nic.port, switch.port(0, index))
-        switch.add_route(ip, switch.port(0, index).name)
-        workers.append(worker)
-    return job, switch, programs, workers
+    testbed = build_switchml_testbed(env, job,
+                                     hook_factory=(hooks or {}).get)
+    return job, testbed.switch, testbed.programs, testbed.workers
 
 
 class TestAggregation:

@@ -222,8 +222,10 @@ class TestHierarchical:
         run_allreduce(testbed, [[1] * 64] * 6)
         first = testbed.handle.runtimes["pfe1"]
         top = testbed.handle.runtimes["pfe4"]
-        assert first.role == "first_level"
-        assert top.role == "top"
+        assert not first.result_dst_ip.is_multicast  # a partial Result
+        assert first.top_pfe == "pfe4"
+        assert top.result_dst_ip.is_multicast        # the final Result
+        assert top.top_pfe is None
         assert first.record.src_cnt == 3  # its local workers
         assert top.record.src_cnt == 2    # the two first-level PFEs
 

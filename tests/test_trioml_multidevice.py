@@ -116,7 +116,8 @@ class TestMultiDeviceHierarchy:
         # Device A produced one (non-final) partial per block...
         runtime_a = handle_a.runtimes["deviceA"]
         assert runtime_a.blocks_completed == 1
-        assert runtime_a.role == "remote_first_level"
+        assert not runtime_a.result_dst_ip.is_multicast
+        assert runtime_a.top_pfe is None  # unicast, not over a fabric
         # ...which device B aggregated as source 100.
         aggregator_b = handle_b.aggregators["deviceB"]
         assert aggregator_b.packets_aggregated == 3  # 2 local + 1 remote
