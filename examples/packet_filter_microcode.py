@@ -9,10 +9,7 @@ the Figure 5 workflow.
 Run:  python examples/packet_filter_microcode.py
 """
 
-from repro.microcode.programs import (
-    FILTER_PROGRAM_SOURCE,
-    build_filter_executor,
-)
+from repro.microcode.programs import build_filter_executor
 from repro.net import Host, IPv4Address, MACAddress, Packet, Topology
 from repro.net.headers import ETHERTYPE_ARP, EthernetHeader
 from repro.sim import Environment

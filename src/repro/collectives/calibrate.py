@@ -27,9 +27,7 @@ Two regimes, matching §6.1's framing:
 
 The hand constants remain the shipped defaults (so all figures stay
 bit-identical run to run); the calibration is a *consistency gate*, run
-from the test suite and ``python -m repro.collectives.calibrate``, and
-:func:`calibrated_backend` builds backend instances that use the derived
-numbers instead for sensitivity studies.
+from the test suite and ``python -m repro.collectives.calibrate``.
 """
 
 from __future__ import annotations
@@ -37,10 +35,8 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.collectives.base import CollectiveBackend
-from repro.collectives.backends import SwitchMLBackend, TrioMLBackend
 from repro.ml.allreduce import SWITCHML_GOODPUT_BPS, TRIOML_GOODPUT_BPS
 from repro.tools.band import band_cell, verdict, within_band
 
@@ -49,7 +45,6 @@ __all__ = [
     "SWITCHML_CLIENT_OVERHEAD_S",
     "GoodputCalibration",
     "calibrate",
-    "calibrated_backend",
     "client_bound_goodput",
     "main",
     "measure_switchml_wire_goodput",
@@ -170,30 +165,6 @@ def calibrate() -> Dict[str, GoodputCalibration]:
             default_goodput_bps=SWITCHML_GOODPUT_BPS,
         ),
     }
-
-
-def calibrated_backend(name: str,
-                       calibrations: Optional[
-                           Dict[str, GoodputCalibration]] = None
-                       ) -> CollectiveBackend:
-    """A backend instance whose goodput is the packet-derived value.
-
-    Pass the result of :func:`calibrate` to avoid re-running the packet
-    simulations.  The instance is *not* registered; callers exploring
-    sensitivity can ``register_backend(..., replace=True)`` or register
-    it under a new name (e.g. ``trioml-calibrated``) themselves.
-    """
-    calibrations = calibrations or calibrate()
-    factories = {"trioml": TrioMLBackend, "switchml": SwitchMLBackend}
-    if name not in factories:
-        raise ValueError(
-            f"no calibrated variant for {name!r}; available: "
-            f"{', '.join(sorted(factories))}"
-        )
-    backend = factories[name](
-        goodput_bps=calibrations[name].derived_goodput_bps
-    )
-    return backend
 
 
 def render_calibration(calibrations: Dict[str, GoodputCalibration]) -> str:

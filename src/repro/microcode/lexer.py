@@ -9,7 +9,7 @@ reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.microcode.errors import LexError
 

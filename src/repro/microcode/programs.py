@@ -28,7 +28,6 @@ __all__ = [
     "TRIO_ML_PARSE_SOURCE",
     "build_filter_executor",
     "compile_filter_program",
-    "compile_trio_ml_parse_program",
 ]
 
 FILTER_PROGRAM_SOURCE = """
@@ -367,6 +366,7 @@ BUILTIN_PROGRAMS: Dict[str, BuiltinProgram] = {
         entry="process_ether",
         extern_labels=("forward_packet", "drop_packet"),
     ),
+    # ``aggregate`` is the ~60-instruction aggregation body of Figure 10.
     "trio_ml_parse": BuiltinProgram(
         name="trio_ml_parse",
         source=TRIO_ML_PARSE_SOURCE,
@@ -386,16 +386,6 @@ BUILTIN_PROGRAMS: Dict[str, BuiltinProgram] = {
         extern_labels=("forward_packet", "account_flow"),
     ),
 }
-
-
-def compile_trio_ml_parse_program() -> CompiledProgram:
-    """Compile the Trio-ML classification/parse front end.
-
-    ``forward_packet`` (non-aggregation traffic continues on the normal
-    path) and ``aggregate`` (the ~60-instruction aggregation body of
-    Figure 10) are extern labels supplied by the surrounding codebase.
-    """
-    return BUILTIN_PROGRAMS["trio_ml_parse"].compile()
 
 
 def compile_filter_program() -> CompiledProgram:

@@ -19,12 +19,7 @@
 from repro.ml.models import DNNModel, MODEL_ZOO
 from repro.ml.gradients import GradientQuantizer
 from repro.ml.stragglers import SlowWorkerPattern
-from repro.ml.allreduce import (
-    ideal_allreduce_time,
-    ring_allreduce_time,
-    switchml_allreduce_time,
-    trioml_allreduce_time,
-)
+from repro.ml.allreduce import ring_allreduce_time
 from repro.ml.training import DataParallelTrainer, IterationRecord, TrainingConfig
 from repro.ml.accuracy import AccuracyCurve
 
@@ -37,8 +32,5 @@ __all__ = [
     "MODEL_ZOO",
     "SlowWorkerPattern",
     "TrainingConfig",
-    "ideal_allreduce_time",
     "ring_allreduce_time",
-    "switchml_allreduce_time",
-    "trioml_allreduce_time",
 ]

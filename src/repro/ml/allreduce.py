@@ -16,10 +16,7 @@ __all__ = [
     "LINK_BANDWIDTH_BPS",
     "SWITCHML_GOODPUT_BPS",
     "TRIOML_GOODPUT_BPS",
-    "ideal_allreduce_time",
     "ring_allreduce_time",
-    "switchml_allreduce_time",
-    "trioml_allreduce_time",
 ]
 
 #: Testbed NICs and router/switch ports (§6.1).
@@ -52,27 +49,9 @@ def ring_allreduce_time(model_bytes: int, num_workers: int,
     return volume_bits / (bandwidth_bps * efficiency)
 
 
-def ideal_allreduce_time(model_bytes: int, num_workers: int) -> float:
-    """The paper's Ideal baseline: NCCL ring over RDMA, no stragglers."""
-    return ring_allreduce_time(model_bytes, num_workers)
-
-
 def in_network_allreduce_time(model_bytes: int,
                               goodput_bps: float) -> float:
     """In-network aggregation: every worker streams the model up once and
     receives the aggregate once; send and receive overlap, so the wire
     time is one model transfer at the achieved goodput."""
     return model_bytes * 8 / goodput_bps
-
-
-def switchml_allreduce_time(model_bytes: int,
-                            goodput_bps: float = SWITCHML_GOODPUT_BPS
-                            ) -> float:
-    """SwitchML-256 with the DPDK backend (§6.1)."""
-    return in_network_allreduce_time(model_bytes, goodput_bps)
-
-
-def trioml_allreduce_time(model_bytes: int,
-                          goodput_bps: float = TRIOML_GOODPUT_BPS) -> float:
-    """Trio-ML with 1024-gradient packets and window 4096 (§6.1)."""
-    return in_network_allreduce_time(model_bytes, goodput_bps)

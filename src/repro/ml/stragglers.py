@@ -10,7 +10,7 @@ time (the model's average iteration time with no stragglers).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = ["SlowWorkerPattern", "StraggleEvent"]

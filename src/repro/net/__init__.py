@@ -26,12 +26,9 @@ from repro.net.nic import NIC
 from repro.net.host import Host
 from repro.net.multicast import MulticastGroupTable
 from repro.net.topology import Topology
-from repro.net.trace import CapturedFrame, PacketTracer
 
 __all__ = [
-    "CapturedFrame",
     "ETHERTYPE_ARP",
-    "PacketTracer",
     "ETHERTYPE_IPV4",
     "EthernetHeader",
     "FlowKey",

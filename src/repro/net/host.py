@@ -1,16 +1,13 @@
 """A generic end host: one NIC plus an inbox of received packets.
 
 Workload models (SwitchML workers, Trio-ML workers, traffic generators)
-subclass or wrap :class:`Host`.  The base class provides UDP send/receive
-convenience so applications deal in payloads, not frames.
+subclass or wrap :class:`Host`.  The base class builds UDP frames from
+payloads and queues received frames in its inbox.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.net.addressing import IPv4Address, MACAddress
-from repro.net.headers import HeaderError
 from repro.net.nic import NIC
 from repro.net.packet import Packet
 from repro.sim import Environment, Store
@@ -77,22 +74,6 @@ class Host:
     def recv(self):
         """Event yielding the next received packet."""
         return self.inbox.get()
-
-    def recv_udp_payload(self, packet: Optional[Packet] = None):
-        """Process helper: receive a frame and return its UDP payload.
-
-        Non-UDP frames are skipped.  Usage::
-
-            payload = yield from host.recv_udp_payload()
-        """
-        while True:
-            frame = packet if packet is not None else (yield self.recv())
-            packet = None
-            try:
-                __, __, __, payload = frame.parse_udp()
-            except HeaderError:
-                continue
-            return payload
 
     def __repr__(self) -> str:
         return f"<Host {self.name} ip={self.ip}>"

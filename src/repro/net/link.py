@@ -114,15 +114,6 @@ class Link:
         env.process(self._serialise(a, b), name=f"link:{a.name}->{b.name}")
         env.process(self._serialise(b, a), name=f"link:{b.name}->{a.name}")
 
-    def other_end(self, port: Port) -> Port:
-        """The port on the far side of ``port``."""
-        a, b = self.ports
-        if port is a:
-            return b
-        if port is b:
-            return a
-        raise ValueError(f"{port!r} is not attached to this link")
-
     def transmit(self, src: Port, packet: Packet) -> None:
         """Queue ``packet`` for serialisation out of ``src``."""
         self._queues[src].put_nowait(packet)

@@ -82,16 +82,6 @@ class NIC:
             return None
         return ring.put(packet)
 
-    def send_nowait(self, packet: Packet) -> bool:
-        """Best-effort enqueue; returns False (dropping) if the ring is full."""
-        if (
-            self._tx_ring.capacity is not None
-            and len(self._tx_ring) >= self._tx_ring.capacity
-        ):
-            return False
-        self._tx_ring.put_nowait(packet)
-        return True
-
     def _tx_loop(self):
         while True:
             packet = yield self._tx_ring.get()

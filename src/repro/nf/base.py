@@ -27,7 +27,7 @@ a dropped packet never reaches later stages of a pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.headers import FlowKey

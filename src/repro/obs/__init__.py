@@ -3,8 +3,7 @@
 Three pieces, one switch:
 
 * :mod:`repro.obs.metrics` — labeled ``Counter``/``Gauge``/``Histogram``
-  registry with deterministic JSON snapshots and a Prometheus-style
-  text dump;
+  registry with deterministic JSON snapshots;
 * :mod:`repro.obs.trace` — span/instant/counter tracer on the simulated
   clock exporting Chrome ``trace_event`` JSON (Perfetto-loadable) plus
   an ASCII timeline renderer;
@@ -20,7 +19,7 @@ Typical use::
     session = obs.enable()
     run_experiment()
     obs.disable()
-    print(session.registry.render_prom())
+    print(session.registry.to_json())
     json.dump(session.tracer.to_chrome(), open("trace.json", "w"))
 
 or from the harness: ``python -m repro.harness profile fig15 --fast

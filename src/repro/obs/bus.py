@@ -215,7 +215,7 @@ class CapturedWorker:
 
     def __call__(self, indexed_point):
         # Deferred import: keeps repro.obs a leaf package (repro.net
-        # itself imports obs for the packet-tracer probes).
+        # imports repro.sim, which imports obs).
         from repro.net.packet import reset_packet_ids
 
         index, point = indexed_point

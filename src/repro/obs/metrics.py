@@ -14,14 +14,13 @@ whole registry snapshots to a plain-dict document that is
   Merging per-point snapshots in sweep order makes a parallel run's
   aggregate bit-identical to a serial run's.
 
-Exports: :meth:`MetricsRegistry.snapshot` (plain dict), ``to_json``,
-and :meth:`MetricsRegistry.render_prom` (Prometheus text exposition).
+Exports: :meth:`MetricsRegistry.snapshot` (plain dict) and ``to_json``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -302,53 +301,3 @@ class MetricsRegistry:
                                              tuple(entry["labels"]))
             for data in entry["series"]:
                 metric._merge_series(tuple(data["labels"]), data)
-
-    def render_prom(self) -> str:
-        """Prometheus text-exposition dump of the registry."""
-        lines: List[str] = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            prom_name = name.replace(".", "_").replace("-", "_")
-            if metric.help:
-                lines.append(f"# HELP {prom_name} {metric.help}")
-            lines.append(f"# TYPE {prom_name} {metric.kind}")
-            for key in sorted(metric._series):
-                label_str = _prom_labels(metric.label_names, key)
-                if isinstance(metric, Histogram):
-                    series = metric._series[key]
-                    cumulative = 0
-                    for bound, count in zip(metric.buckets,
-                                            series.bucket_counts):
-                        cumulative += count
-                        le = _prom_labels(
-                            metric.label_names + ("le",),
-                            key + (_format_number(bound),),
-                        )
-                        lines.append(f"{prom_name}_bucket{le} {cumulative}")
-                    le = _prom_labels(metric.label_names + ("le",),
-                                      key + ("+Inf",))
-                    lines.append(f"{prom_name}_bucket{le} {series.count}")
-                    lines.append(f"{prom_name}_sum{label_str} "
-                                 f"{_format_number(series.sum)}")
-                    lines.append(f"{prom_name}_count{label_str} "
-                                 f"{series.count}")
-                else:
-                    value = metric._series[key]
-                    lines.append(f"{prom_name}{label_str} "
-                                 f"{_format_number(value)}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _format_number(value: float) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value)
-
-
-def _prom_labels(names: Tuple[str, ...], values: Tuple[str, ...]) -> str:
-    if not names:
-        return ""
-    pairs = ",".join(
-        f'{name}="{value}"' for name, value in zip(names, values)
-    )
-    return "{" + pairs + "}"

@@ -13,7 +13,7 @@ behaviour) so hard on PISA devices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.packet import Packet
 from repro.sim import Environment, Store

@@ -26,7 +26,7 @@ from repro.sim.core import (
     default_seed,
     set_default_seed,
 )
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "Environment",
@@ -34,7 +34,6 @@ __all__ = [
     "FLOW_LEVEL_PRIORITY",
     "Interrupt",
     "PACKET_LEVEL_PRIORITY",
-    "PriorityStore",
     "Process",
     "Resource",
     "SimulationError",

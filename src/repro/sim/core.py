@@ -25,7 +25,7 @@ loop for that dominant case:
   a free list; the event loop recycles them (object *and* callback list)
   as soon as their callbacks have run.  A ``delay()`` event is therefore
   only valid for the single ``yield`` that consumes it — model code must
-  not retain it, compose it into ``AnyOf``/``AllOf``, or pass it to
+  not retain it, compose it into ``AllOf``, or pass it to
   ``run(until=...)``.  :meth:`Environment.timeout` keeps the fully general
   (allocating) semantics.
 * :class:`Process` reuses one internal *bounce* event for start-up and for
@@ -269,37 +269,6 @@ class _Callback(Event):
             self.fn = _cancelled_callback
             self.args = ()
             self.env._cancelled += 1
-
-
-class AnyOf(Event):
-    """Fires when the first of several events fires.
-
-    The value is a dict mapping each fired event to its value.
-    """
-
-    __slots__ = ("events", "_fired")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self.events = list(events)
-        self._fired: dict = {}
-        if not self.events:
-            self.succeed(self._fired)
-            return
-        for event in self.events:
-            if event.callbacks is None:
-                self._on_fire(event)
-            else:
-                event.callbacks.append(self._on_fire)
-
-    def _on_fire(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self._fired[event] = event._value
-        self.succeed(self._fired)
 
 
 class AllOf(Event):
@@ -610,10 +579,6 @@ class Environment:
                 name: Optional[str] = None) -> Process:
         """Start a new :class:`Process` from ``generator``."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when the first of ``events`` fires."""
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have fired."""

@@ -4,7 +4,6 @@
   exclusive engines (e.g. a read-modify-write engine port).
 * :class:`Store` — an unbounded-or-bounded FIFO of items, used to model
   queues (dispatch queues, NIC rings, link buffers).
-* :class:`PriorityStore` — a store whose ``get`` returns the smallest item.
 
 All primitives hand out plain :class:`~repro.sim.core.Event` objects so
 model code uses one uniform ``yield`` style.
@@ -12,13 +11,12 @@ model code uses one uniform ``yield`` style.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Deque, List, Optional
 
 from repro.sim.core import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Store", "PriorityStore"]
+__all__ = ["Resource", "Store"]
 
 
 class Resource:
@@ -168,73 +166,4 @@ class Store:
         ):
             putter = self._putters.popleft()
             self._items.append(putter.item)
-            putter.succeed()
-
-
-class PriorityStore(Store):
-    """A :class:`Store` that yields the smallest item first.
-
-    Items must be mutually orderable (tuples work well).
-    """
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None):
-        super().__init__(env, capacity)
-        self._heap: List[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self) -> List[Any]:
-        return sorted(self._heap)
-
-    def put(self, item: Any) -> Event:
-        event = Event(self.env)
-        event.item = item
-        if self._getters:
-            # Even with waiters the heap may hold smaller items; push then pop.
-            heapq.heappush(self._heap, item)
-            getter = self._getters.popleft()
-            getter.succeed(heapq.heappop(self._heap))
-            event.succeed()
-        elif self.capacity is None or len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, item)
-            event.succeed()
-        else:
-            self._putters.append(event)
-        return event
-
-    def put_nowait(self, item: Any) -> None:
-        if self._getters:
-            heapq.heappush(self._heap, item)
-            self._getters.popleft().succeed(heapq.heappop(self._heap))
-        elif self.capacity is None or len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, item)
-        else:
-            event = Event(self.env)
-            event.item = item
-            self._putters.append(event)
-
-    def get(self) -> Event:
-        event = Event(self.env)
-        if self._heap:
-            event.succeed(heapq.heappop(self._heap))
-            self._drain_putters()
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> Any:
-        if not self._heap:
-            return None
-        item = heapq.heappop(self._heap)
-        self._drain_putters()
-        return item
-
-    def _drain_putters(self) -> None:
-        while self._putters and (
-            self.capacity is None or len(self._heap) < self.capacity
-        ):
-            putter = self._putters.popleft()
-            heapq.heappush(self._heap, putter.item)
             putter.succeed()

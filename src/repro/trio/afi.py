@@ -25,8 +25,8 @@ Model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from repro.trio.pfe import PFE, TrioApplication
 from repro.trio.ppe import PacketContext, ThreadContext

@@ -12,7 +12,7 @@ estimates; every model reads them from this config so they can be swept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 __all__ = ["TrioChipsetConfig", "GENERATIONS"]
@@ -120,6 +120,3 @@ GENERATIONS: Dict[int, TrioChipsetConfig] = {
     5: _gen(5, 2019, 400.0, 96, num_rmw_engines=12),
     6: _gen(6, 2022, 1600.0, 160, num_rmw_engines=24),
 }
-
-#: The generation the paper evaluates (MX480 with MPC10E line cards).
-EVALUATED_GENERATION = 5

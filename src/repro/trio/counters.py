@@ -11,7 +11,6 @@ moving the state around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from repro.sim import Environment

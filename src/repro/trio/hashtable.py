@@ -15,7 +15,7 @@ bucket ranges so N timer threads can each walk 1/N of the table (§5,
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.obs import bus as _obs

@@ -20,8 +20,8 @@ regions cost nothing until used.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs import bus as _obs
 from repro.sim import Environment

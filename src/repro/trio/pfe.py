@@ -34,7 +34,6 @@ from repro.trio.chipset import GENERATIONS, TrioChipsetConfig
 from repro.trio.hashtable import HardwareHashTable
 from repro.trio.memory import SharedMemorySystem
 from repro.trio.ppe import (
-    ACTION_CONSUME,
     ACTION_DROP,
     ACTION_FORWARD,
     PPE,

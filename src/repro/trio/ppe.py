@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.net.packet import Packet
 from repro.sim import Environment
 from repro.trio.chipset import TrioChipsetConfig
-from repro.trio.hashtable import HardwareHashTable, HashRecord
+from repro.trio.hashtable import HardwareHashTable
 from repro.trio.memory import SharedMemorySystem
 from repro.trio.rmw import RMWOpKind
 

@@ -10,7 +10,7 @@ to the top-level aggregator PFE directly, without IP forwarding.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.net.addressing import IPv4Address
 from repro.net.headers import destination_ip
@@ -34,15 +34,11 @@ class TrioRouter:
         num_pfes: int = 6,
         ports_per_pfe: int = 4,
         config: Optional[TrioChipsetConfig] = None,
-        fabric_bandwidth_bps: float = 400e9,
-        fabric_latency_s: float = 500e-9,
     ):
         self.env = env
         self.name = name
         self.config = config or GENERATIONS[5]
-        self.fabric = Fabric(
-            env, bandwidth_bps=fabric_bandwidth_bps, latency_s=fabric_latency_s
-        )
+        self.fabric = Fabric(env)
         self.pfes: Dict[str, PFE] = {}
         for i in range(num_pfes):
             pfe_name = f"pfe{i + 1}"

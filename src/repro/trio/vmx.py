@@ -16,8 +16,8 @@ unmodified, just slower — which is exactly vMX's value proposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.net.addressing import IPv4Address
 from repro.sim import Environment

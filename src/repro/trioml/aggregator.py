@@ -43,7 +43,6 @@ from repro.trioml.protocol import (
     TRIO_ML_UDP_PORT,
     TrioMLHeader,
     decode_trio_ml,
-    encode_trio_ml,
 )
 from repro.trioml.records import BlockRecord, JobRecord
 

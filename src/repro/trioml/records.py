@@ -12,7 +12,7 @@ ordinary 8-byte operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.microcode.layout import StructLayout

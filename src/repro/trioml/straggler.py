@@ -17,8 +17,8 @@ that count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.obs import bus as _obs
 from repro.trio.pfe import PFE

@@ -12,9 +12,6 @@ import pytest
 
 from repro.collectives import (
     CollectiveBackend,
-    IdealRingBackend,
-    RingStragglerBackend,
-    SwitchMLBackend,
     TrioMLBackend,
     UnknownBackendError,
     available_backends,
@@ -369,26 +366,6 @@ class TestCalibrationBridge:
         assert cal.client_bound_goodput(80e9, 8192, 0.0) == (
             pytest.approx(80e9)
         )
-
-    def test_calibrated_backend_uses_derived_goodput(self, calibrations):
-        backend = cal.calibrated_backend("trioml", calibrations)
-        assert isinstance(backend, TrioMLBackend)
-        assert backend.goodput_bps == (
-            calibrations["trioml"].derived_goodput_bps
-        )
-        model = MODEL_ZOO["resnet50"]
-        default_time = get_backend("trioml").allreduce_time_s(
-            model.size_bytes, 6
-        )
-        calibrated_time = backend.allreduce_time_s(model.size_bytes, 6)
-        band = calibrations["trioml"].band
-        assert default_time / band <= calibrated_time <= (
-            default_time * band
-        )
-
-    def test_calibrated_backend_unknown_name(self, calibrations):
-        with pytest.raises(ValueError, match="no calibrated variant"):
-            cal.calibrated_backend("ideal", calibrations)
 
     def test_render_reports_every_system(self, calibrations):
         rendered = cal.render_calibration(calibrations)

@@ -9,7 +9,6 @@ from repro.harness import (
 )
 from repro.harness.figures import SWEEPS
 from repro.sim import Environment
-from repro.trioml import TrioMLJobConfig
 
 
 class TestTestbeds:

@@ -4,8 +4,6 @@ These exercise the claims the paper makes about the *architecture* as a
 whole, using multiple subsystems together.
 """
 
-import pytest
-
 from repro.nf import TelemetryMonitor
 from repro.harness import build_single_pfe_testbed
 from repro.ml import GradientQuantizer
@@ -13,7 +11,7 @@ from repro.net import Host, IPv4Address, MACAddress, Topology
 from repro.sim import Environment
 from repro.trio import PFE, TrioApplication
 from repro.trio.chipset import GENERATIONS
-from repro.trioml import TRIO_ML_UDP_PORT, TrioMLJobConfig
+from repro.trioml import TrioMLJobConfig
 
 import numpy as np
 

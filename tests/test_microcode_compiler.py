@@ -14,7 +14,6 @@ from repro.microcode import (
 from repro.microcode.analysis import DEFAULT_LMEM_BYTES, _PointerChecker
 from repro.microcode.compiler import MAX_LEFT_SHIFT
 from repro.microcode.programs import (
-    FILTER_PROGRAM_SOURCE,
     build_filter_executor,
     compile_filter_program,
 )

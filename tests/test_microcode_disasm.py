@@ -1,14 +1,9 @@
 """Tests for the Microcode disassembler: re-compilable round trips."""
 
-import pytest
-
 from repro.microcode import TrioCompiler
 from repro.microcode.disasm import disassemble, format_expr
 from repro.microcode.parser import parse
-from repro.microcode.programs import (
-    compile_filter_program,
-    compile_trio_ml_parse_program,
-)
+from repro.microcode.programs import BUILTIN_PROGRAMS, compile_filter_program
 
 
 class TestDisassembly:
@@ -29,7 +24,7 @@ class TestDisassembly:
         assert "reg ir0;  // GPR r0" in text
 
     def test_disassembly_of_trioml_parse(self):
-        text = disassemble(compile_trio_ml_parse_program())
+        text = disassemble(BUILTIN_PROGRAMS["trio_ml_parse"].compile())
         assert "struct trio_ml_hdr_t" in text
         assert "goto aggregate;" in text
 

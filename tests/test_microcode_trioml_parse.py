@@ -4,7 +4,7 @@ Python protocol implementation."""
 import pytest
 
 from repro.microcode import MicrocodeExecutor
-from repro.microcode.programs import compile_trio_ml_parse_program
+from repro.microcode.programs import BUILTIN_PROGRAMS
 from repro.net import IPv4Address, MACAddress, Packet
 from repro.sim import Environment
 from repro.trio import PFE
@@ -14,7 +14,7 @@ from repro.trioml.protocol import TRIO_ML_UDP_PORT, TrioMLHeader, encode_trio_ml
 
 @pytest.fixture(scope="module")
 def program():
-    return compile_trio_ml_parse_program()
+    return BUILTIN_PROGRAMS["trio_ml_parse"].compile()
 
 
 def run_parse(program, packet):

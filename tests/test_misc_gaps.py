@@ -2,37 +2,12 @@
 
 import pytest
 
-from repro.sim import Environment, PriorityStore, Store
+from repro.sim import Environment, Store
 from repro.trio import GENERATIONS, SharedMemorySystem
 from repro.trio.memory import MemoryError_, MemoryRegion
 
 
 class TestStoreBackpressure:
-    def test_priority_store_capacity_blocks_putters(self):
-        env = Environment()
-        store = PriorityStore(env, capacity=1)
-        accepted = []
-
-        def producer():
-            for value in (3, 1, 2):
-                yield store.put(value)
-                accepted.append((env.now, value))
-
-        def consumer():
-            got = []
-            for __ in range(3):
-                yield env.timeout(1.0)
-                got.append((yield store.get()))
-            return got
-
-        env.process(producer())
-        p = env.process(consumer())
-        got = env.run(until=p)
-        # 3 accepted at t=0; 1 and 2 wait for capacity.
-        assert [v for __, v in accepted] == [3, 1, 2]
-        # Min-heap ordering applies to whatever is resident when popped.
-        assert got[0] == 3
-
     def test_store_put_event_carries_item(self):
         env = Environment()
         store = Store(env, capacity=1)
@@ -95,7 +70,7 @@ class TestMemoryRegionEdges:
 class TestMicrocodeInterpExtras:
     def test_r_work_time_ns_builtin(self):
         from repro.microcode import MicrocodeExecutor, TrioCompiler
-        from repro.net import IPv4Address, MACAddress, Packet
+        from repro.net import Packet
         from repro.trio import PFE
         from repro.trio.ppe import PacketContext, ThreadContext
 

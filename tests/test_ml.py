@@ -1,10 +1,9 @@
 """Tests for the ML workload layer: models, quantiser, stragglers,
 allreduce models, training loop, and accuracy curves."""
 
-import math
-
 import pytest
 
+from repro.collectives import get_backend
 from repro.ml import (
     AccuracyCurve,
     DataParallelTrainer,
@@ -12,10 +11,7 @@ from repro.ml import (
     MODEL_ZOO,
     SlowWorkerPattern,
     TrainingConfig,
-    ideal_allreduce_time,
     ring_allreduce_time,
-    switchml_allreduce_time,
-    trioml_allreduce_time,
 )
 from repro.ml.allreduce import SWITCHML_GOODPUT_BPS, TRIOML_GOODPUT_BPS
 from repro.ml.stragglers import DELAY_POINTS, SLOWDOWN_MAX, SLOWDOWN_MIN
@@ -134,13 +130,13 @@ class TestAllreduceModels:
 
     def test_in_network_faster_than_switchml(self):
         size = MODEL_ZOO["resnet50"].size_bytes
-        assert trioml_allreduce_time(size) < switchml_allreduce_time(size)
+        assert (get_backend("trioml").allreduce_time_s(size, 6)
+                < get_backend("switchml").allreduce_time_s(size, 6))
 
     def test_ideal_uses_ring(self):
         size = MODEL_ZOO["vgg11"].size_bytes
-        assert ideal_allreduce_time(size, 6) == pytest.approx(
-            ring_allreduce_time(size, 6)
-        )
+        ideal = get_backend("ideal").allreduce_time_s(size, 6)
+        assert ideal == pytest.approx(ring_allreduce_time(size, 6))
 
     def test_goodput_ordering(self):
         assert TRIOML_GOODPUT_BPS > SWITCHML_GOODPUT_BPS

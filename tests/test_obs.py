@@ -7,10 +7,7 @@ import pytest
 from repro import obs
 from repro.obs import bus
 from repro.obs.metrics import (
-    Counter,
     DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     SNAPSHOT_SCHEMA,
 )
@@ -113,19 +110,6 @@ class TestMetrics:
     def test_merge_rejects_foreign_schema(self):
         with pytest.raises(ValueError):
             MetricsRegistry().merge({"schema": "something/else"})
-
-    def test_prom_render_cumulative_buckets(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat.s", "latency", ("op",),
-                                  buckets=(1.0, 10.0))
-        hist.observe(0.5, op="r")
-        hist.observe(5.0, op="r")
-        text = registry.render_prom()
-        assert '# TYPE lat_s histogram' in text
-        assert 'lat_s_bucket{op="r",le="1"} 1' in text
-        assert 'lat_s_bucket{op="r",le="10"} 2' in text
-        assert 'lat_s_bucket{op="r",le="+Inf"} 2' in text
-        assert 'lat_s_count{op="r"} 2' in text
 
     def test_default_buckets_cover_decades(self):
         assert DEFAULT_BUCKETS[0] == 1e-9

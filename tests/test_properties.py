@@ -1,13 +1,11 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import math
-
 from hypothesis import given, settings, strategies as st
 
 from repro.microcode.layout import StructLayout, read_bits, write_bits
 from repro.ml.gradients import GradientQuantizer
 from repro.net import IPv4Address, MACAddress, Packet
-from repro.net.headers import IPv4Header, UDPHeader, ipv4_checksum
+from repro.net.headers import IPv4Header, ipv4_checksum
 from repro.sim import Environment
 from repro.trio.chipset import GENERATIONS
 from repro.trio.memory import SharedMemorySystem

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, SimulationError, Timeout
-from repro.sim.core import AllOf, AnyOf
+from repro.sim import Environment, Interrupt, SimulationError, Timeout
 
 
 class TestEnvironment:
@@ -282,18 +281,6 @@ class TestProcess:
 
 
 class TestCombinators:
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-
-        def proc():
-            result = yield env.any_of([env.timeout(5, "slow"),
-                                       env.timeout(1, "fast")])
-            return sorted(result.values())
-
-        p = env.process(proc())
-        assert env.run(until=p) == ["fast"]
-        assert env.now == 1
-
     def test_all_of_waits_for_all(self):
         env = Environment()
 

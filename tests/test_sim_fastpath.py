@@ -13,12 +13,11 @@ import pytest
 from repro.sim import (
     Environment,
     Interrupt,
-    PriorityStore,
     Resource,
     SimulationError,
     Store,
 )
-from repro.sim.core import AllOf, AnyOf
+from repro.sim.core import AllOf
 
 
 class TestDelayPool:
@@ -142,20 +141,6 @@ class TestCompositesWithProcessedEvents:
         assert ev.callbacks is None
         return ev
 
-    def test_any_of_with_already_processed_event(self):
-        env = Environment()
-        done = self._processed_event(env)
-        pending = env.event()
-        log = []
-
-        def proc():
-            fired = yield AnyOf(env, [done, pending])
-            log.append(fired)
-
-        env.process(proc())
-        env.run()
-        assert log == [{done: "done"}]
-
     def test_all_of_with_already_processed_events(self):
         env = Environment()
         done = self._processed_event(env, "a")
@@ -168,25 +153,6 @@ class TestCompositesWithProcessedEvents:
         env.process(proc())
         env.run()
         assert log == [["a", "b"]]
-
-    def test_any_of_propagates_failure(self):
-        env = Environment()
-        log = []
-
-        def failer():
-            yield env.timeout(1.0)
-            raise ValueError("boom")
-
-        def waiter(bad):
-            try:
-                yield AnyOf(env, [bad, env.timeout(5.0)])
-            except ValueError as exc:
-                log.append((env.now, str(exc)))
-
-        bad = env.process(failer())
-        env.process(waiter(bad))
-        env.run()
-        assert log == [(1.0, "boom")]
 
     def test_all_of_propagates_failure_of_processed_event(self):
         env = Environment()
@@ -330,22 +296,6 @@ class TestPutNowait:
         env.process(drain())
         env.run()
         assert log == ["a", "b"]
-
-    def test_priority_store_orders_nowait_items(self):
-        env = Environment()
-        store = PriorityStore(env)
-        for item in (3, 1, 2):
-            store.put_nowait(item)
-        log = []
-
-        def drain():
-            for _ in range(3):
-                item = yield store.get()
-                log.append(item)
-
-        env.process(drain())
-        env.run()
-        assert log == [1, 2, 3]
 
 
 class TestNICTrySend:

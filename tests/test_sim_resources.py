@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store, and PriorityStore."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import Environment, PriorityStore, Resource, SimulationError, Store
+from repro.sim import Environment, Resource, SimulationError, Store
 
 
 class TestResource:
@@ -144,40 +144,3 @@ class TestStore:
         store.put("b")
         assert len(store) == 2
         assert store.items == ["a", "b"]
-
-
-class TestPriorityStore:
-    def test_smallest_first(self):
-        env = Environment()
-        store = PriorityStore(env)
-        for item in (5, 1, 3):
-            store.put(item)
-        got = []
-
-        def getter():
-            for __ in range(3):
-                got.append((yield store.get()))
-
-        env.run(until=env.process(getter()))
-        assert got == [1, 3, 5]
-
-    def test_waiting_getter_gets_minimum(self):
-        env = Environment()
-        store = PriorityStore(env)
-
-        def getter():
-            value = yield store.get()
-            return value
-
-        p = env.process(getter())
-        env.run(until=0.1)
-        store.put(9)
-        assert env.run(until=p) == 9
-
-    def test_try_get(self):
-        env = Environment()
-        store = PriorityStore(env)
-        assert store.try_get() is None
-        store.put(2)
-        store.put(1)
-        assert store.try_get() == 1

@@ -8,7 +8,6 @@ from repro.trio import PFE
 from repro.trio.afi import (
     AFIApplication,
     AFIError,
-    CONSUME,
     DROP,
     FORWARD,
     ForwardingGraph,

@@ -8,7 +8,6 @@ import pytest
 
 from repro.sim import Environment
 from repro.trio import GENERATIONS, SharedMemorySystem, MemoryError_
-from repro.trio.chipset import TrioChipsetConfig
 from repro.trio.memory import _DramCache
 from repro.trio.rmw import RMWOpKind
 from repro.trioml.protocol import TrioMLHeader, decode_trio_ml, encode_trio_ml

@@ -1,10 +1,8 @@
 """Tests for the vMX virtual router (VCP commit model, VFP timing)."""
 
-import pytest
-
 from repro.net import Host, IPv4Address, MACAddress, Topology
 from repro.sim import Environment
-from repro.trio import GENERATIONS, PFE, TrioApplication
+from repro.trio import GENERATIONS, TrioApplication
 from repro.trio.vmx import VMX_VFP_CONFIG, VirtualMX
 
 

@@ -7,8 +7,6 @@ The top-level aggregator will, of course, multicast the final result back
 to the servers."
 """
 
-import pytest
-
 from repro.net import IPv4Address, MACAddress, Topology
 from repro.sim import Environment
 from repro.trio import PFE

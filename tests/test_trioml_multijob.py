@@ -1,8 +1,6 @@
 """Tests: multiple concurrent aggregation jobs on one device (Figure 9),
 per-job memory caps, and wide source bitmasks."""
 
-import pytest
-
 from repro.net import IPv4Address, MACAddress, Topology
 from repro.sim import Environment
 from repro.trio import PFE

@@ -5,7 +5,7 @@ import pytest
 from repro.harness import build_hierarchical_testbed, build_single_pfe_testbed
 from repro.sim import Environment
 from repro.trioml import TrioMLJobConfig
-from repro.trioml.straggler import AGE_OP_TIMED_OUT, StragglerDetector
+from repro.trioml.straggler import StragglerDetector
 
 
 def straggler_hook_factory(straggler_index, delay_s, block_id=0):

@@ -6,7 +6,6 @@ from repro.net import IPv4Address, MACAddress, Packet
 from repro.sim import Environment
 from repro.trioml.protocol import TRIO_ML_UDP_PORT, TrioMLHeader, encode_trio_ml
 from repro.trioml.worker import BlockResult, TrioMLWorker
-from repro.trioml.worker import _AllreduceState
 
 
 def make_worker(env=None, **kwargs):
