@@ -20,6 +20,8 @@ from repro.harness.experiments import (
     _map_points,
     fig15_latency_rate,
 )
+from repro.harness.testbed import run_single_pfe_allreduce
+from repro.trioml import TrioMLJobConfig
 
 #: 3x the seed baseline the issue quotes (~500k events/s).
 MIN_DELAY_EVENTS_PER_S = 1_500_000
@@ -185,6 +187,26 @@ def test_flowsim_event_budget_holds():
         "no completion wake-up was ever reused; the single-live-wake "
         "path is not engaged"
     )
+
+
+def test_packet_path_event_budget_holds():
+    """Figure 16's sweep point ``_fig16_point((1024, 16, 128))`` costs at
+    most 17 kernel events per aggregation packet.
+
+    Links, RMW engines and the bulk server settle each request in closed
+    form, PPE threads fold pure waits into their own clock and start in
+    the packet's arriving instant, so ~15 events remain per packet (26
+    before).  A hop that goes back to a
+    process wake-up per frame or a grant per queued op breaks the budget.
+    A count, so host speed cannot move it.
+    """
+    testbed, __ = run_single_pfe_allreduce(
+        TrioMLJobConfig(grads_per_packet=1024, window=16), 128)
+    packets = testbed.handle.aggregator.packets_aggregated
+    assert packets == 4 * 128
+    per_packet = testbed.env.scheduled_events / packets
+    assert per_packet <= 17, (
+        f"{per_packet:.2f} kernel events per aggregation packet")
 
 
 def test_fig15_serial_parallel_bit_identical():

@@ -351,11 +351,6 @@ class PathClassSolver:
         self._remaining0[idx] = left if left > 0.0 else 0.0
         self._dirty[idx] = None
 
-    def pinned_demand(self, key: int) -> float:
-        """Current pinned demand on link ``key`` (0.0 if never seen)."""
-        idx = self._key2idx.get(key)
-        return 0.0 if idx is None else self._pinned[idx]
-
     @property
     def num_classes(self) -> int:
         """Distinct path classes currently registered."""

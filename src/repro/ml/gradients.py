@@ -56,11 +56,3 @@ class GradientQuantizer:
             raise ValueError(f"contributors must be >= 1, got {contributors}")
         factor = self.scale * contributors
         return [t / factor for t in ticks]
-
-    def roundtrip_error(self, gradients: Sequence[float]) -> float:
-        """Max absolute quantisation error over ``gradients`` (for tests)."""
-        ticks = self.quantize(gradients)
-        restored = self.dequantize(ticks)
-        array = np.asarray(gradients, dtype=np.float64)
-        clipped = np.clip(array, -self.max_magnitude, self.max_magnitude)
-        return float(np.max(np.abs(clipped - np.asarray(restored))))

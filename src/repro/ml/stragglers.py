@@ -69,12 +69,3 @@ class SlowWorkerPattern:
                               duration_s=duration)
             )
         return delays
-
-    @property
-    def expected_delay_per_iteration_s(self) -> float:
-        """Analytic mean of the summed straggle time per iteration."""
-        mean_duration = (SLOWDOWN_MIN + SLOWDOWN_MAX) / 2
-        return (
-            DELAY_POINTS * self.probability * mean_duration
-            * self.typical_iteration_s
-        )

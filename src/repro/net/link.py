@@ -5,7 +5,10 @@ joins two ports and models serialisation delay (frame bits divided by link
 bandwidth) plus fixed propagation delay.  Each direction of the link
 serialises frames one at a time, so offered load beyond the link rate
 queues up -- exactly the behaviour the window-sweep experiment (Fig. 16)
-depends on.
+depends on.  A direction is a FIFO server with a known service time, so
+a frame's delivery is fixed when it is sent: one scheduled event per
+frame, no serialiser process (the way ns-3's point-to-point channel
+schedules a reception when a transmission starts).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from typing import Any, Callable, Optional
 
 from repro.net.packet import Packet
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 __all__ = ["Link", "Port"]
 
@@ -71,8 +74,10 @@ class Port:
 class Link:
     """Full-duplex point-to-point link between two ports.
 
-    Each direction has its own serialiser process and FIFO, so the two
-    directions never contend with each other (as on a real fibre pair).
+    Each direction is its own FIFO server, so the two directions never
+    contend with each other (as on a real fibre pair).  A frame sent at
+    ``now`` starts serialising at ``max(now, free_at)``, the instant the
+    frames ahead of it have left, and finishes ``bits / bandwidth`` later.
     """
 
     def __init__(
@@ -110,22 +115,30 @@ class Link:
         self.ports = (a, b)
         a.link = self
         b.link = self
-        self._queues = {a: Store(env), b: Store(env)}
-        env.process(self._serialise(a, b), name=f"link:{a.name}->{b.name}")
-        env.process(self._serialise(b, a), name=f"link:{b.name}->{a.name}")
+        #: Per direction (keyed by the sending port): when the frames
+        #: already queued there finish serialising.
+        self._free_at = {a: env.now, b: env.now}
+        self._peer = {a: b, b: a}
 
     def transmit(self, src: Port, packet: Packet) -> None:
-        """Queue ``packet`` for serialisation out of ``src``."""
-        self._queues[src].put_nowait(packet)
+        """Serialise ``packet`` out of ``src`` behind the frames queued
+        there, and schedule its delivery at the far end."""
+        env = self.env
+        now = env.now
+        free_at = self._free_at[src]
+        service = packet.bits / self.bandwidth_bps
+        finish = free_at + service if free_at > now else now + service
+        self._free_at[src] = finish
+        if self.loss_rate:
+            # The loss sample is drawn when serialisation finishes, so the
+            # draws of both directions come in finish order.
+            env.call_at(finish, self._finish_lossy, self._peer[src], packet)
+            return
+        env.call_at(finish + self.propagation_delay_s,
+                    self._peer[src].deliver, packet)
 
-    def _serialise(self, src: Port, dst: Port):
-        queue = self._queues[src]
-        while True:
-            packet = yield queue.get()
-            yield self.env.delay(packet.bits / self.bandwidth_bps)
-            if self.loss_rate and self._loss_rng.random() < self.loss_rate:
-                self.frames_lost += 1
-                continue
-            # Propagation happens in parallel with the next serialisation:
-            # one scheduled delivery event, no per-frame process.
-            self.env.call_later(self.propagation_delay_s, dst.deliver, packet)
+    def _finish_lossy(self, dst: Port, packet: Packet) -> None:
+        if self._loss_rng.random() < self.loss_rate:
+            self.frames_lost += 1
+            return
+        self.env.call_later(self.propagation_delay_s, dst.deliver, packet)

@@ -155,14 +155,6 @@ class Topology:
         """Look up a device by name."""
         return self.devices[name]
 
-    def find_port(self, name: str) -> Optional[Port]:
-        """Find any connected port by its name, or None."""
-        for link in self.links:
-            for port in link.ports:
-                if port.name == name:
-                    return port
-        return None
-
 
 def _search_tree(adjacency: Dict[str, List[Tuple[str, Hop]]],
                  src: str) -> Dict[str, Tuple[str, Hop]]:

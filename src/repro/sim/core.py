@@ -27,10 +27,14 @@ loop for that dominant case:
   only valid for the single ``yield`` that consumes it — model code must
   not retain it, compose it into ``AllOf``, or pass it to
   ``run(until=...)``.  :meth:`Environment.timeout` keeps the fully general
-  (allocating) semantics.
+  (allocating) semantics.  :meth:`Environment.delay_until` is the same
+  pooled wait for an absolute instant, such as a closed-form finish time.
 * :class:`Process` reuses one internal *bounce* event for start-up and for
   resuming after a yield on an already-processed event, instead of
-  allocating a fresh event each time.
+  allocating a fresh event each time.  A process nobody waits on finishes
+  in place, with no completion event, and :meth:`Environment.start` runs
+  a new process to its first ``yield`` inside the caller, with no start
+  event.
 * :meth:`Environment.run` is the one event loop: it checks ``until``
   before every pop, except for a check-free copy serving unobserved
   unbounded runs.  Its ``pop`` is ``heappop`` itself unless
@@ -229,6 +233,10 @@ def _cancelled_callback(*_args: Any) -> None:
     """Target of a cancelled :class:`_Callback`: do nothing."""
 
 
+def _run_stops(_event: Event) -> None:
+    """Marks the event ``run(until=...)`` waits on; the loop polls it."""
+
+
 class _Callback(Event):
     """Pre-triggered event that invokes ``fn(*args)`` when processed.
 
@@ -322,7 +330,7 @@ class Process(Event):
     __slots__ = ("name", "_generator", "_waiting_on", "_bounce")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator,
-                 name: Optional[str] = None):
+                 name: Optional[str] = None, *, start_now: bool = False):
         super().__init__(env)
         if not hasattr(generator, "send"):
             raise SimulationError(
@@ -333,8 +341,15 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         self._bounce: Optional[Event] = None
-        # Kick off execution at the current simulation time.
-        self._schedule_resume(True, None)
+        if start_now:
+            # Run to the first yield inside the caller's callback.
+            started = Event(env)
+            started._ok = True
+            started._value = None
+            self._resume(started)
+        else:
+            # Kick off execution at the current simulation time.
+            self._schedule_resume(True, None)
 
     @property
     def is_alive(self) -> bool:
@@ -397,7 +412,15 @@ class Process(Event):
                 event._defused = True
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody waits: the process is processed in place, with
+                # no queue trip.  A later ``yield proc``, ``all_of`` or
+                # ``run(until=proc)`` sees a processed event.
+                self._ok = True
+                self._value = stop.value
+                self.callbacks = None
             return
         except BaseException as exc:
             self.fail(exc)
@@ -534,6 +557,28 @@ class Environment:
         heappush(self._queue, (self._now + delay, 1, seq, ev))
         return ev
 
+    def delay_until(self, when: float, value: Any = None) -> Timeout:
+        """Pooled pure-delay timeout firing at absolute time ``when``.
+
+        For a closed-form finish instant (a FIFO server's ``start +
+        service``, a PPE thread's own clock): ``now + (when - now)`` is
+        not ``when`` in floating point, so the event is pushed at
+        ``when`` itself.  Same single-waiter rules as :meth:`delay`.
+        """
+        if not when >= self._now:
+            raise SimulationError(
+                f"delay_until({when}) is in the past (now={self._now})")
+        pool = self._delay_pool
+        if pool:
+            ev = pool.pop()
+        else:
+            ev = _Delay(self)
+        ev.delay = when - self._now
+        ev._value = value
+        self._scheduled = seq = self._scheduled + 1
+        heappush(self._queue, (when, 1, seq, ev))
+        return ev
+
     def call_later(self, delay: float, fn: Callable[..., Any],
                    *args: Any) -> _Callback:
         """Run ``fn(*args)`` after ``delay`` time units (fire-and-forget).
@@ -580,6 +625,19 @@ class Environment:
         """Start a new :class:`Process` from ``generator``."""
         return Process(self, generator, name=name)
 
+    def start(self, generator: ProcessGenerator,
+              name: Optional[str] = None) -> Process:
+        """Start a :class:`Process` that runs to its first ``yield`` now,
+        inside the running callback, instead of from a start event queued
+        behind the events already due this instant.
+
+        For work that begins the instant something arrives (a packet that
+        finds a free PPE thread): one event fewer per start.  Nothing can
+        wait on the process before this returns, so one that finishes
+        without yielding comes back already processed.
+        """
+        return Process(self, generator, name=name, start_now=True)
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have fired."""
         return AllOf(self, events)
@@ -598,6 +656,10 @@ class Environment:
         stop_time = float("inf")
         if isinstance(until, Event):
             stop_event = until
+            if until.callbacks is not None:
+                # The run waits on the event: a process it names finishes
+                # through the queue, not in place (Process._resume).
+                until.callbacks.append(_run_stops)
         elif until is not None:
             stop_time = float(until)
             if not stop_time >= self._now:

@@ -1,9 +1,9 @@
 """Synchronisation primitives built on the event kernel.
 
 * :class:`Resource` — a counted resource with FIFO waiters, used to model
-  exclusive engines (e.g. a read-modify-write engine port).
+  a pool of slots (e.g. a PFE's PPE threads).
 * :class:`Store` — an unbounded-or-bounded FIFO of items, used to model
-  queues (dispatch queues, NIC rings, link buffers).
+  queues (NIC rings, host inboxes, fabric channels).
 
 All primitives hand out plain :class:`~repro.sim.core.Event` objects so
 model code uses one uniform ``yield`` style.

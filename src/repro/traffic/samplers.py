@@ -261,11 +261,6 @@ class OnOffArrivals:
         self.mean_off_s = mean_off_s
         self._phase_end_s = -1.0  # first next_after() opens an on period
 
-    @property
-    def mean_rate_per_s(self) -> float:
-        duty = self.mean_on_s / (self.mean_on_s + self.mean_off_s)
-        return self.on_rate_per_s * duty
-
     def next_after(self, rng: Random, now_s: float) -> float:
         """Next arrival instant strictly after ``now_s``."""
         t = now_s

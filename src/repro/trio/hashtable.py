@@ -86,24 +86,30 @@ class HardwareHashTable:
     # Latency-charged operations (generators)
     # ------------------------------------------------------------------
 
-    def _xtxn(self, op: str, key: Hashable, pre_delay_s: float, actor):
+    def _xtxn(self, op: str, key: Hashable, pre_delay_s: float, actor,
+              at: Optional[float]):
         """Charge one hash XTXN and record its window on the obs bus.
 
-        ``pre_delay_s`` folds a caller-side deferred charge into the
-        operation's single kernel event (see ThreadContext.execute).
-        ``actor`` attributes the op for the racecheck validator; every
-        hash op is per-key atomic in hardware, so these windows never
-        conflict — they only serve as commit points for the analysis.
+        The op leaves the issuing thread at ``at`` (its clock,
+        ``env.now`` when None) plus ``pre_delay_s`` (its deferred charge)
+        and completes in one kernel event (see ThreadContext.execute);
+        the table is read or changed at completion.  ``actor``
+        attributes the op for the racecheck validator; every hash op is
+        per-key atomic in hardware, so these windows never conflict —
+        they only serve as commit points for the analysis.
         """
+        env = self.env
+        if at is None:
+            at = env.now
+        yield env.delay_until(at + (pre_delay_s + self.op_latency_s))
         obs = _obs.session()
-        start = self.env.now + pre_delay_s if obs is not None else 0.0
-        yield self.env.delay(pre_delay_s + self.op_latency_s)
         if obs is not None:
-            obs.record_hash(actor, op, key, start, self.env.now)
+            obs.record_hash(actor, op, key, at + pre_delay_s, env.now)
 
-    def lookup(self, key: Hashable, pre_delay_s: float = 0.0, actor=None):
+    def lookup(self, key: Hashable, pre_delay_s: float = 0.0, actor=None,
+               at: Optional[float] = None):
         """Hash lookup XTXN; returns the record (REF set) or None."""
-        yield from self._xtxn("read", key, pre_delay_s, actor)
+        yield from self._xtxn("read", key, pre_delay_s, actor, at)
         self.lookups += 1
         record = self._bucket_of(key).get(key)
         if record is not None:
@@ -111,13 +117,13 @@ class HardwareHashTable:
         return record
 
     def insert(self, key: Hashable, value: Any, pre_delay_s: float = 0.0,
-               actor=None):
+               actor=None, at: Optional[float] = None):
         """Hash insert XTXN; returns the new record (REF set).
 
         Inserting an existing key replaces its value, matching
         insert-or-update hash hardware semantics.
         """
-        yield from self._xtxn("write", key, pre_delay_s, actor)
+        yield from self._xtxn("write", key, pre_delay_s, actor, at)
         self.inserts += 1
         count = self._count
         record = self.insert_nowait(key, value)
@@ -126,14 +132,15 @@ class HardwareHashTable:
         return record
 
     def insert_if_absent(self, key: Hashable, value: Any,
-                         pre_delay_s: float = 0.0, actor=None):
+                         pre_delay_s: float = 0.0, actor=None,
+                         at: Optional[float] = None):
         """Atomic insert-or-get XTXN; returns (record, created).
 
         The hash hardware serialises operations on one key, so two threads
         racing to create the same record see a single winner; the loser
         gets the winner's record back.
         """
-        yield from self._xtxn("write", key, pre_delay_s, actor)
+        yield from self._xtxn("write", key, pre_delay_s, actor, at)
         self.inserts += 1
         existing = self._bucket_of(key).get(key)
         if existing is not None:
@@ -143,9 +150,10 @@ class HardwareHashTable:
         self._obs_occupancy()
         return record, True
 
-    def delete(self, key: Hashable, pre_delay_s: float = 0.0, actor=None):
+    def delete(self, key: Hashable, pre_delay_s: float = 0.0, actor=None,
+               at: Optional[float] = None):
         """Hash delete XTXN; returns True if the key existed."""
-        yield from self._xtxn("write", key, pre_delay_s, actor)
+        yield from self._xtxn("write", key, pre_delay_s, actor, at)
         self.deletes += 1
         existed = self.delete_nowait(key)
         if existed:

@@ -19,9 +19,8 @@ regions cost nothing until used.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from collections import OrderedDict, deque
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import bus as _obs
 from repro.sim import Environment
@@ -41,12 +40,6 @@ class MemoryError_(Exception):
     """
 
 
-@dataclass
-class _FreeBlock:
-    addr: int
-    size: int
-
-
 class MemoryRegion:
     """One contiguous latency-homogeneous range of the unified address space."""
 
@@ -54,18 +47,13 @@ class MemoryRegion:
         self.name = name
         self.base = base
         self.size = size
+        self.end = base + size
         self.latency_s = latency_s
         self._pages: Dict[int, bytearray] = {}
         self._bump = base
-        self._free: List[_FreeBlock] = []
+        #: Freed blocks as (addr, size), in the order they were freed.
+        self._free: List[Tuple[int, int]] = []
         self.allocated_bytes = 0
-
-    @property
-    def end(self) -> int:
-        return self.base + self.size
-
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
 
     # -- raw storage ----------------------------------------------------
 
@@ -148,7 +136,7 @@ class MemoryRegion:
     def _check_range(self, addr: int, size: int) -> None:
         if size < 0:
             raise MemoryError_(f"negative access size: {size}")
-        if addr < self.base or addr + size > self.base + self.size:
+        if addr < self.base or addr + size > self.end:
             raise MemoryError_(
                 f"access [{addr:#x}, {addr + size:#x}) outside region "
                 f"{self.name} [{self.base:#x}, {self.end:#x})"
@@ -160,15 +148,16 @@ class MemoryRegion:
         """First-fit allocation, falling back to the bump pointer."""
         if size <= 0:
             raise MemoryError_(f"allocation size must be positive, got {size}")
-        for i, block in enumerate(self._free):
-            aligned = (block.addr + align - 1) // align * align
-            waste = aligned - block.addr
-            if block.size >= size + waste:
-                remaining = block.size - size - waste
+        free = self._free
+        for i, (addr, block_size) in enumerate(free):
+            aligned = (addr + align - 1) // align * align
+            waste = aligned - addr
+            if block_size >= size + waste:
+                remaining = block_size - size - waste
                 if remaining > 0:
-                    self._free[i] = _FreeBlock(aligned + size, remaining)
+                    free[i] = (aligned + size, remaining)
                 else:
-                    del self._free[i]
+                    del free[i]
                 self.allocated_bytes += size
                 return aligned
         aligned = (self._bump + align - 1) // align * align
@@ -184,60 +173,93 @@ class MemoryRegion:
     def free(self, addr: int, size: int) -> None:
         """Return a block to the free list (no coalescing)."""
         self._check_range(addr, size)
-        self._free.append(_FreeBlock(addr, size))
+        self._free.append((addr, size))
         self.allocated_bytes -= size
 
 
+class _LineGroup:
+    """The lines one DRAM-cache access touched (see :class:`_DramCache`)."""
+
+    __slots__ = ("first", "last", "lines", "live")
+
+    def __init__(self, first: int, last: int):
+        self.first = first
+        self.last = last
+        #: Lines in address order; a line that a later access took over
+        #: stays listed until eviction skips it.
+        self.lines: Deque[int] = deque()
+        #: How many of ``lines`` this group still owns.
+        self.live = 0
+
+
 class _DramCache:
-    """LRU tag store over 64-byte lines modelling the on-chip DRAM cache."""
+    """LRU tag store over 64-byte lines modelling the on-chip DRAM cache.
+
+    Exact per-line LRU, kept per access.  The lines one access touches
+    form a group with one stamp (its place in ``_groups``), and the LRU
+    order is (stamp, line): the order a per-line ``move_to_end`` walk in
+    address order leaves.  An access to exactly the lines of an earlier
+    access that still owns them all hits and re-stamps that group in
+    O(1).  Any other access walks its lines one by one into a new group,
+    evicting the least recent line on each miss that overfills the cache.
+    """
 
     def __init__(self, capacity_bytes: int):
         self.capacity_lines = max(1, capacity_bytes // _LINE_SIZE)
-        self._lines: "OrderedDict[int, None]" = OrderedDict()
-        #: Lines of the last access when it spanned several and at most
-        #: ``capacity_lines``: all present, the most recent in address order.
-        self._mru_span: Optional[range] = None
+        #: Present line -> the group of the access that touched it last.
+        self._owner: Dict[int, _LineGroup] = {}
+        #: Groups that own a line, least recently stamped first.
+        self._groups: "OrderedDict[_LineGroup, None]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def access(self, addr: int, size: int) -> bool:
         """Touch the lines covering [addr, addr+size); True if all hit."""
-        lines = self._lines
         first = addr // _LINE_SIZE
         last = (addr + max(size, 1) - 1) // _LINE_SIZE
-        if first == last:
-            # Fast path: the 8-64 B XTXNs live in one line.
-            self._mru_span = None
-            if first in lines:
-                lines.move_to_end(first)
-                self.hits += 1
-                return True
-            self.misses += 1
-            lines[first] = None
-            if len(lines) > self.capacity_lines:
-                lines.popitem(last=False)
-            return False
-        span = range(first, last + 1)
-        if span == self._mru_span:
-            # The same lines again with nothing in between: each one hits,
-            # and moving each to the back in address order keeps the order.
-            self.hits += len(span)
+        owner = self._owner
+        groups = self._groups
+        group = owner.get(first)
+        if (group is not None and group.first == first
+                and group.last == last and group.live == last - first + 1):
+            groups.move_to_end(group)
+            self.hits += group.live
             return True
+        group = _LineGroup(first, last)
+        groups[group] = None
+        lines = group.lines
         all_hit = True
-        for line in span:
-            if line in lines:
-                lines.move_to_end(line)
+        for line in range(first, last + 1):
+            previous = owner.get(line)
+            owner[line] = group
+            lines.append(line)
+            group.live += 1
+            if previous is not None:
                 self.hits += 1
+                previous.live -= 1
+                if not previous.live:
+                    del groups[previous]
             else:
                 all_hit = False
                 self.misses += 1
-                lines[line] = None
-                if len(lines) > self.capacity_lines:
-                    lines.popitem(last=False)
-        # A walk only evicts lines it has not touched yet, so a span that
-        # fits ends it wholly present and most recent, in address order.
-        self._mru_span = span if len(span) <= self.capacity_lines else None
+                if len(owner) > self.capacity_lines:
+                    self._evict()
         return all_hit
+
+    def _evict(self) -> None:
+        """Drop the least recent line: the lowest line still owned by the
+        least recently stamped group."""
+        groups = self._groups
+        group = next(iter(groups))
+        owner = self._owner
+        lines = group.lines
+        line = lines.popleft()
+        while owner.get(line) is not group:
+            line = lines.popleft()
+        del owner[line]
+        group.live -= 1
+        if not group.live:
+            del groups[group]
 
 
 class SharedMemorySystem:
@@ -255,10 +277,6 @@ class SharedMemorySystem:
         self.dram = MemoryRegion(
             "dram", self.DRAM_BASE, config.dram_bytes, config.dram_latency_s
         )
-        self._regions = (self.sram, self.dram)
-        #: Last region hit — repeated same-address RMW traffic (counters,
-        #: aggregation buffers) resolves without rescanning the region list.
-        self._region_cache: MemoryRegion = self.sram
         self._dram_cache = _DramCache(config.dram_cache_bytes)
         self.rmw = RMWComplex(
             env,
@@ -272,13 +290,9 @@ class SharedMemorySystem:
     # -- region plumbing -------------------------------------------------
 
     def region_of(self, addr: int) -> MemoryRegion:
-        region = self._region_cache
+        region = self.dram if addr >= self.DRAM_BASE else self.sram
         if region.base <= addr < region.end:
             return region
-        for region in self._regions:
-            if region.contains(addr):
-                self._region_cache = region
-                return region
         raise MemoryError_(f"address {addr:#x} is outside the unified space")
 
     def read_raw(self, addr: int, size: int) -> bytes:
@@ -337,94 +351,105 @@ class SharedMemorySystem:
             )
 
     def _xtxn(self, service, op: str, addr: int, size: int,
-              pre_delay_s: float, actor, atomic: bool = False):
+              pre_delay_s: float, actor, atomic: bool = False,
+              at: Optional[float] = None):
         """The one path of every XTXN: wait, serve, record the window.
 
-        ``pre_delay_s`` folds a caller-side deferred charge (coalesced
-        ``execute`` time) into the access wait — one kernel event instead
-        of two, identical completion timestamp.  ``service`` is the RMW
-        complex generator that serves the access once the ``size``-byte
-        access latency has elapsed.  ``actor`` attributes the access to a
-        PPE thread for the racecheck validator; the window goes to the
-        obs bus, and recording never adds simulation events, so timing is
-        identical either way.
+        The access leaves the issuing thread at its own time: ``at`` (the
+        thread clock, ``env.now`` when None) plus ``pre_delay_s`` (its
+        deferred ``execute`` charge).  Its access latency ends in one
+        kernel event at ``at + (pre_delay_s + latency)``, the instant
+        eager sleeps would reach.  ``service`` is the RMW complex
+        generator that serves the access from there.  ``actor``
+        attributes the access to a PPE thread for the racecheck
+        validator; the window goes to the obs bus, and recording never
+        adds simulation events, so timing is identical either way.
         """
-        obs = _obs.session()
-        start = self.env.now + pre_delay_s if obs is not None else 0.0
-        yield self.env.delay(pre_delay_s + self.access_latency_s(addr, size))
+        env = self.env
+        if at is None:
+            at = env.now
+        yield env.delay_until(
+            at + (pre_delay_s + self.access_latency_s(addr, size)))
         result = yield from service
+        obs = _obs.session()
         if obs is not None:
-            obs.record(actor, op, addr, size, start, self.env.now,
+            obs.record(actor, op, addr, size, at + pre_delay_s, env.now,
                        atomic=atomic)
         return result
 
     def read(self, addr: int, size: int = 8, pre_delay_s: float = 0.0,
-             actor=None):
+             actor=None, at: Optional[float] = None):
         """Synchronous read XTXN; returns the bytes."""
         self._validate_xtxn_size(size)
         return (yield from self._xtxn(
             self.rmw.execute(RMWOpKind.READ, addr, size),
-            "read", addr, size, pre_delay_s, actor))
+            "read", addr, size, pre_delay_s, actor, at=at))
 
     def write(self, addr: int, data: bytes, pre_delay_s: float = 0.0,
-              actor=None):
+              actor=None, at: Optional[float] = None):
         """Synchronous write XTXN."""
         size = len(data)
         self._validate_xtxn_size(size)
         yield from self._xtxn(
             self.rmw.execute(RMWOpKind.WRITE, addr, size, data=data),
-            "write", addr, size, pre_delay_s, actor)
+            "write", addr, size, pre_delay_s, actor, at=at)
 
     def add32(self, addr: int, operand: int, pre_delay_s: float = 0.0,
-              actor=None):
+              actor=None, at: Optional[float] = None):
         """32-bit add RMW; returns the old value."""
         return (yield from self._xtxn(
             self.rmw.execute(RMWOpKind.ADD32, addr, 4, operand=operand),
-            "write", addr, 4, pre_delay_s, actor, atomic=True))
+            "write", addr, 4, pre_delay_s, actor, atomic=True, at=at))
 
     def fetch_and_op(self, kind: RMWOpKind, addr: int, operand: int,
-                     size: int = 8, pre_delay_s: float = 0.0, actor=None):
+                     size: int = 8, pre_delay_s: float = 0.0, actor=None,
+                     at: Optional[float] = None):
         """Logical fetch-and-op (AND/OR/XOR/CLEAR/SWAP); returns old value."""
         self._validate_xtxn_size(size)
         return (yield from self._xtxn(
             self.rmw.execute(kind, addr, size, operand=operand),
-            "write", addr, size, pre_delay_s, actor, atomic=True))
+            "write", addr, size, pre_delay_s, actor, atomic=True, at=at))
 
     def masked_write(self, addr: int, operand: int, mask: int, size: int = 8,
-                     pre_delay_s: float = 0.0, actor=None):
+                     pre_delay_s: float = 0.0, actor=None,
+                     at: Optional[float] = None):
         """Masked write RMW; returns the old value."""
         self._validate_xtxn_size(size)
         return (yield from self._xtxn(
             self.rmw.execute(RMWOpKind.MASKED_WRITE, addr, size,
                              operand=operand, mask=mask),
-            "write", addr, size, pre_delay_s, actor, atomic=True))
+            "write", addr, size, pre_delay_s, actor, atomic=True, at=at))
 
     def counter_inc(self, addr: int, nbytes: int, pre_delay_s: float = 0.0,
-                    actor=None):
+                    actor=None, at: Optional[float] = None):
         """Packet/Byte Counter increment (the CounterIncPhys XTXN, §3.2)."""
         yield from self._xtxn(
             self.rmw.execute(RMWOpKind.COUNTER_INC, addr, 16, operand=nbytes),
-            "write", addr, 16, pre_delay_s, actor, atomic=True)
+            "write", addr, 16, pre_delay_s, actor, atomic=True,
+            at=at)
 
     # -- bulk paths used by aggregation ----------------------------------
 
     def bulk_add32(self, addr: int, values: Sequence[int],
-                   pre_delay_s: float = 0.0, actor=None):
+                   pre_delay_s: float = 0.0, actor=None,
+                   at: Optional[float] = None):
         """Aggregate a vector of int32 values into memory (fluid model)."""
         yield from self._xtxn(
             self.rmw.bulk_add32(addr, values),
-            "write", addr, 4 * len(values), pre_delay_s, actor, atomic=True)
+            "write", addr, 4 * len(values), pre_delay_s, actor, atomic=True,
+            at=at)
 
     def bulk_read(self, addr: int, size: int, pre_delay_s: float = 0.0,
-                  actor=None):
+                  actor=None, at: Optional[float] = None):
         """Stream ``size`` bytes out of memory; returns the bytes."""
         yield from self._xtxn(self.rmw.bulk_transfer(size),
-                              "read", addr, size, pre_delay_s, actor)
+                              "read", addr, size, pre_delay_s, actor, at=at)
         return self.read_raw(addr, size)
 
     def bulk_write(self, addr: int, data: bytes, pre_delay_s: float = 0.0,
-                   actor=None):
+                   actor=None, at: Optional[float] = None):
         """Stream ``data`` into memory."""
         yield from self._xtxn(self.rmw.bulk_transfer(len(data)),
-                              "write", addr, len(data), pre_delay_s, actor)
+                              "write", addr, len(data), pre_delay_s, actor,
+                              at=at)
         self.write_raw(addr, data)

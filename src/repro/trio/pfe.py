@@ -21,7 +21,8 @@ application performs plain IP forwarding from its route table.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.net.addressing import IPv4Address
 from repro.net.headers import destination_ip
@@ -29,7 +30,7 @@ from repro.net.link import Port
 from repro.net.multicast import MulticastGroupTable
 from repro.net.packet import Packet
 from repro.obs import bus as _obs
-from repro.sim import Environment, Process, Resource, Store
+from repro.sim import Environment, Event, Process, Resource
 from repro.trio.chipset import GENERATIONS, TrioChipsetConfig
 from repro.trio.hashtable import HardwareHashTable
 from repro.trio.memory import SharedMemorySystem
@@ -104,7 +105,8 @@ class PFE:
         ]
         self._ports_by_name: Dict[str, Port] = {p.name: p for p in self.ports}
 
-        self._dispatch_queue: Store = Store(env)
+        #: Packets waiting for a thread slot, oldest first.
+        self._dispatch_queue: Deque[tuple] = deque()
         self.reorder = ReorderEngine(release=self._release_output)
         self.app: Optional[TrioApplication] = None
         #: Free list of recycled ThreadContexts (LMEM + register file reuse).
@@ -124,7 +126,6 @@ class PFE:
             self.memory.rmw.obs_name = f"{name}.rmw"
             self.hash_table.obs_name = f"{name}.hash"
             obs.register_collector(self._obs_collect)
-        env.process(self._dispatch_loop(), name=f"{name}:dispatch")
 
     # ------------------------------------------------------------------
     # Configuration
@@ -157,27 +158,53 @@ class PFE:
         self.accept(packet, ingress_port=port.name)
 
     def accept(self, packet: Packet, ingress_port: Optional[str] = None) -> None:
-        """Enqueue a packet for dispatch (from a port or from the fabric)."""
+        """The Dispatch module: hand the packet's head to a PPE thread
+        (from a port or from the fabric).
+
+        With a free thread slot and nobody queued ahead, the thread
+        starts in the arriving instant; otherwise the packet waits, FIFO,
+        for a slot.
+        """
         self.packets_in += 1
         flow_key = packet.flow_key if packet.flow_key is not None else "_anon"
         seq = self.reorder.arrival(flow_key)
         packet.meta["pfe_arrival"] = self.env.now
-        self._dispatch_queue.put_nowait((packet, ingress_port, flow_key, seq))
+        item = (packet, ingress_port, flow_key, seq)
+        queue = self._dispatch_queue
+        if queue:
+            queue.append(item)
+            return
+        grant = self._thread_slots.acquire()
+        if grant is None:
+            self._spawn(item)
+            return
+        queue.append(item)
+        # The pending grant is fresh from acquire(): this is its only
+        # callback.
+        grant.callbacks = [self._dispatch_next]
 
-    def _dispatch_loop(self):
-        """The Dispatch module: hand heads to PPEs based on availability."""
-        while True:
-            packet, ingress_port, flow_key, seq = yield self._dispatch_queue.get()
-            slot = self._thread_slots.acquire()
-            if slot is not None:
-                yield slot
-            ppe = self.ppes[self._next_ppe]
-            self._next_ppe = (self._next_ppe + 1) % len(self.ppes)
-            ppe.threads_spawned += 1
-            self.env.process(
-                self._run_thread(ppe, packet, ingress_port, flow_key, seq),
-                name=f"{self.name}:thread:{packet.packet_id}",
-            )
+    def _dispatch_next(self, _grant: Event) -> None:
+        """A slot went to the oldest queued packet: start its thread, and
+        ask for a slot for the next one."""
+        queue = self._dispatch_queue
+        self._spawn(queue.popleft())
+        while queue:
+            grant = self._thread_slots.acquire()
+            if grant is not None:
+                grant.callbacks = [self._dispatch_next]
+                return
+            self._spawn(queue.popleft())
+
+    def _spawn(self, item: tuple) -> None:
+        """Start a packet's PPE thread on a slot the caller holds."""
+        packet = item[0]
+        ppe = self.ppes[self._next_ppe]
+        self._next_ppe = (self._next_ppe + 1) % len(self.ppes)
+        ppe.threads_spawned += 1
+        self.env.start(
+            self._run_thread(ppe, *item, self._thread_slots.in_use),
+            name=f"{self.name}:thread:{packet.packet_id}",
+        )
 
     def _checkout_tctx(self, ppe: PPE,
                        pctx: Optional[PacketContext]) -> ThreadContext:
@@ -197,16 +224,11 @@ class PFE:
         )
 
     def _run_thread(self, ppe: PPE, packet: Packet,
-                    ingress_port: Optional[str], flow_key, seq: int):
+                    ingress_port: Optional[str], flow_key, seq: int,
+                    slots_in_use: int):
         head, tail = packet.split(self.config.head_size_bytes)
-        pctx = PacketContext(
-            packet=packet,
-            head=bytearray(head),
-            tail=tail,
-            ingress_port=ingress_port,
-            arrival_seq=seq,
-            arrival_time=packet.meta.get("pfe_arrival", self.env.now),
-        )
+        pctx = PacketContext(packet, bytearray(head), tail, ingress_port, seq,
+                             packet.meta.get("pfe_arrival", self.env.now))
         tctx = self._checkout_tctx(ppe, pctx)
         # The dispatch cost coalesces with the thread's first blocking wait.
         tctx.pending_s += DISPATCH_LATENCY_S
@@ -216,7 +238,7 @@ class PFE:
             obs.observe("pfe.dispatch_latency_s",
                         started - pctx.arrival_time, pfe=self.name)
             obs.sample(f"ppe.threads_in_use/{self.name}",
-                       started, self.threads_in_use)
+                       started, slots_in_use)
         try:
             handler = self.app.handle_packet if self.app else self._plain_forward
             yield from handler(tctx, pctx)

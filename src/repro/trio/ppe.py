@@ -18,7 +18,6 @@ block, and tail reads from the Memory and Queueing Subsystem.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.net.packet import Packet
@@ -37,7 +36,6 @@ ACTION_DROP = "drop"
 ACTION_CONSUME = "consume"
 
 
-@dataclass
 class PacketContext:
     """Per-packet processing state.
 
@@ -45,18 +43,24 @@ class PacketContext:
     thread's LMEM) and a tail (kept in the Packet Buffer, §2.1).
     """
 
-    packet: Packet
-    head: bytearray
-    tail: bytes
-    ingress_port: Optional[str] = None
-    arrival_seq: int = 0
-    arrival_time: float = 0.0
-    #: One of ACTION_FORWARD / ACTION_DROP / ACTION_CONSUME.
-    action: str = ACTION_FORWARD
-    #: Optional egress port name chosen by the application.
-    egress_port: Optional[str] = None
-    #: New packets emitted during processing: (packet, egress_port_or_None).
-    emitted: List[Tuple[Packet, Optional[str]]] = field(default_factory=list)
+    __slots__ = ("packet", "head", "tail", "ingress_port", "arrival_seq",
+                 "arrival_time", "action", "egress_port", "emitted")
+
+    def __init__(self, packet: Packet, head: bytearray, tail: bytes,
+                 ingress_port: Optional[str] = None, arrival_seq: int = 0,
+                 arrival_time: float = 0.0):
+        self.packet = packet
+        self.head = head
+        self.tail = tail
+        self.ingress_port = ingress_port
+        self.arrival_seq = arrival_seq
+        self.arrival_time = arrival_time
+        #: One of ACTION_FORWARD / ACTION_DROP / ACTION_CONSUME.
+        self.action = ACTION_FORWARD
+        #: Optional egress port name chosen by the application.
+        self.egress_port: Optional[str] = None
+        #: New packets emitted during processing: (packet, egress_port_or_None).
+        self.emitted: List[Tuple[Packet, Optional[str]]] = []
 
     @property
     def length(self) -> int:
@@ -105,14 +109,17 @@ class ThreadContext:
     Created by the PFE when a packet (or timer/internal event) spawns a
     thread; recycled into a free pool when processing completes, so the
     1.25 KB LMEM buffer and the register file are reused across packets
-    instead of reallocated.  All methods that consume simulated time are
-    generators used with ``yield from``.
+    instead of reallocated.  Methods that may suspend the thread return
+    generators to use with ``yield from``.
 
-    Back-to-back pure-latency charges are *coalesced*: ``execute`` only
-    accumulates its delay, and the next blocking operation (memory XTXN,
-    hash XTXN, tail read, or the final :meth:`flush`) folds the pending
-    charge into its own wait.  Completion timestamps are identical to
-    issuing one kernel event per charge; only the event count drops.
+    A thread keeps its own time and turns it into a kernel event only
+    where another party can see it.  ``execute`` charges accumulate in
+    :attr:`pending_s`; pure waits with no shared resource (tail reads,
+    the Result loop's chunk latency) move :attr:`clock` instead of
+    sleeping.  The next memory or hash XTXN, or the final :meth:`flush`,
+    schedules one event at ``clock + (pending + latency)``: the same
+    additions in the same order as sleeping each wait eagerly, so every
+    completion timestamp is unchanged and only the event count drops.
     """
 
     _ids = itertools.count()
@@ -139,8 +146,13 @@ class ThreadContext:
         #: 32 private 64-bit general-purpose registers (§2.2).
         self.registers: List[int] = [0] * config.registers_per_thread
         self.instructions = 0
+        #: Latency of one datapath instruction on this thread.
+        self.instr_s = config.single_thread_instr_s
         #: Accumulated pure-delay charge not yet turned into a kernel event.
         self.pending_s = 0.0
+        #: Where folded pure waits have taken the thread, or None while
+        #: it is at ``env.now``.
+        self.clock: Optional[float] = None
         if packet_ctx is not None:
             head = packet_ctx.head[: config.lmem_bytes]
             self.lmem[: len(head)] = head
@@ -157,6 +169,7 @@ class ThreadContext:
         self.thread_id = next(self._ids)
         self.instructions = 0
         self.pending_s = 0.0
+        self.clock = None
         size = config.lmem_bytes
         zeros = _ZERO_BYTES.get(size)
         if zeros is None:
@@ -172,46 +185,65 @@ class ThreadContext:
             self.lmem[: len(head)] = head
 
     # ------------------------------------------------------------------
-    # Compute
+    # Compute and the thread clock
     # ------------------------------------------------------------------
 
-    def execute(self, n_instructions: int):
+    def execute(self, n_instructions: int) -> Tuple[()]:
         """Run ``n_instructions`` datapath instructions on this thread.
 
         Charges single-thread latency: ``n × pipeline_depth / clock``.
         The charge is deferred and folded into the thread's next blocking
         wait (or its final flush), which is timing-equivalent because a
-        pure delay commutes with the delays around it.
+        pure delay commutes with the delays around it.  Returns ``()``,
+        so ``yield from tctx.execute(n)`` works and builds no generator.
         """
         if n_instructions < 0:
             raise ValueError(f"negative instruction count: {n_instructions}")
         self.instructions += n_instructions
-        self.ppe.instructions_executed += n_instructions
-        delay = n_instructions * self.config.single_thread_instr_s
-        self.ppe.busy_s += delay
+        ppe = self.ppe
+        ppe.instructions_executed += n_instructions
+        delay = n_instructions * self.instr_s
+        ppe.busy_s += delay
         self.pending_s += delay
-        return
-        yield  # pragma: no cover - makes this a (zero-event) generator
+        return ()
+
+    def advance(self, delay_s: float) -> None:
+        """Charge a pure wait by moving the thread clock, not sleeping.
+
+        Only for waits on nothing another party changes: the thread's
+        next XTXN or :meth:`flush` turns the clock into a kernel event.
+        """
+        clock = self.clock
+        self.clock = (self.env.now if clock is None else clock) + (
+            self.pending_s + delay_s)
+        self.pending_s = 0.0
+
+    def _issue(self) -> Tuple[Optional[float], float]:
+        """(clock, pending charge) a blocking wait starts from; the
+        thread is back in step with the kernel once it wakes."""
+        clock, pending = self.clock, self.pending_s
+        self.clock = None
+        self.pending_s = 0.0
+        return clock, pending
 
     def flush(self):
-        """Turn any accumulated deferred charge into one kernel event."""
-        if self.pending_s:
-            pending, self.pending_s = self.pending_s, 0.0
+        """Turn the pending charge and folded waits into one kernel event."""
+        clock, pending = self._issue()
+        if clock is not None:
+            yield self.env.delay_until(clock + pending)
+        elif pending:
             yield self.env.delay(pending)
-
-    def _take_pending(self) -> float:
-        pending, self.pending_s = self.pending_s, 0.0
-        return pending
 
     @property
     def now(self) -> float:
         """Thread-local simulated time, including deferred charges.
 
-        Equals what ``env.now`` would read if every ``execute`` charge had
-        been slept eagerly; model code inside handlers must use this (not
-        ``env.now``) when timestamping.
+        Equals what ``env.now`` would read if every ``execute`` charge and
+        pure wait had been slept eagerly; model code inside handlers must
+        use this (not ``env.now``) when timestamping.
         """
-        return self.env.now + self.pending_s
+        clock = self.clock
+        return (self.env.now if clock is None else clock) + self.pending_s
 
     def set_register(self, index: int, value: int) -> None:
         """Write a 64-bit GPR (wraps modulo 2^64)."""
@@ -223,7 +255,10 @@ class ThreadContext:
     # ------------------------------------------------------------------
 
     def read_tail(self, offset: int, size: int):
-        """XTXN pulling ``size`` tail bytes into LMEM; returns the bytes."""
+        """XTXN pulling ``size`` tail bytes into LMEM; returns the bytes.
+
+        A pure latency (no shared resource), so it moves the thread clock.
+        """
         if self.packet_ctx is None:
             raise RuntimeError("no packet bound to this thread")
         tail = self.packet_ctx.tail
@@ -231,90 +266,92 @@ class ThreadContext:
             raise ValueError(
                 f"tail offset {offset} outside 0..{len(tail)}"
             )
-        yield self.env.delay(
-            self._take_pending() + self.config.tail_read_latency_s
-        )
+        self.advance(self.config.tail_read_latency_s)
         chunk = tail[offset:offset + size]
         self.lmem[: len(chunk)] = chunk  # lands in LMEM scratch space
         return chunk
+        yield  # pragma: no cover - makes this a (zero-event) generator
 
-    def read_tail_chunks(self, num_chunks: int):
+    def read_tail_chunks(self, num_chunks: int) -> Tuple[()]:
         """Charge the latency of ``num_chunks`` sequential tail XTXNs.
 
         The per-chunk reads of the Figure 10 loop are pure back-to-back
-        latency (no shared resource between them), so lumping them into
-        one delay is timing-equivalent to issuing them one at a time and
-        keeps the event count linear in packets rather than chunks.
+        latency (no shared resource between them), so they move the
+        thread clock by the lumped latency; no chunks and nothing
+        pending leave it where it is.  Returns ``()`` like
+        :meth:`execute`.
         """
         if num_chunks < 0:
             raise ValueError(f"negative chunk count: {num_chunks}")
-        total = self._take_pending() + (
-            num_chunks * self.config.tail_read_latency_s
-        )
-        if total:
-            yield self.env.delay(total)
+        total = num_chunks * self.config.tail_read_latency_s
+        if total or self.pending_s:
+            self.advance(total)
+        return ()
 
     # ------------------------------------------------------------------
     # Shared Memory System XTXNs (synchronous: thread suspends, §3.1)
     # ------------------------------------------------------------------
 
+    # Each returns the XTXN's generator, issued from the thread's own
+    # time, for the caller to ``yield from``.
+
     def mem_read(self, addr: int, size: int = 8):
-        result = yield from self.memory.read(
-            addr, size, pre_delay_s=self._take_pending(),
-            actor=self.thread_id,
-        )
-        return result
+        at, pending = self._issue()
+        return self.memory.read(addr, size, pending, self.thread_id, at)
 
     def mem_write(self, addr: int, data: bytes):
-        yield from self.memory.write(
-            addr, data, pre_delay_s=self._take_pending(),
-            actor=self.thread_id,
-        )
+        at, pending = self._issue()
+        return self.memory.write(addr, data, pending, self.thread_id, at)
 
     def mem_add32(self, addr: int, operand: int):
-        result = yield from self.memory.add32(
-            addr, operand, pre_delay_s=self._take_pending(),
-            actor=self.thread_id,
-        )
-        return result
+        at, pending = self._issue()
+        return self.memory.add32(addr, operand, pending, self.thread_id, at)
 
     def mem_fetch_and_op(self, kind: RMWOpKind, addr: int, operand: int,
                          size: int = 8):
-        result = yield from self.memory.fetch_and_op(
-            kind, addr, operand, size, pre_delay_s=self._take_pending(),
-            actor=self.thread_id,
-        )
-        return result
+        at, pending = self._issue()
+        return self.memory.fetch_and_op(
+            kind, addr, operand, size, pending, self.thread_id, at)
 
     def counter_inc(self, addr: int, nbytes: int):
         """The CounterIncPhys XTXN (§3.2)."""
-        yield from self.memory.counter_inc(
-            addr, nbytes, pre_delay_s=self._take_pending(),
-            actor=self.thread_id,
-        )
+        at, pending = self._issue()
+        return self.memory.counter_inc(
+            addr, nbytes, pending, self.thread_id, at)
+
+    def mem_bulk_add32(self, addr: int, values):
+        """Aggregate an int32 vector at ``addr`` (the bulk RMW path)."""
+        at, pending = self._issue()
+        return self.memory.bulk_add32(
+            addr, values, pending, self.thread_id, at)
+
+    def mem_bulk_read(self, addr: int, size: int):
+        """Stream ``size`` bytes out of memory; returns the bytes."""
+        at, pending = self._issue()
+        return self.memory.bulk_read(addr, size, pending, self.thread_id, at)
+
+    def mem_bulk_write(self, addr: int, data: bytes):
+        """Stream ``data`` into memory."""
+        at, pending = self._issue()
+        return self.memory.bulk_write(
+            addr, data, pending, self.thread_id, at)
 
     # ------------------------------------------------------------------
     # Hash block XTXNs
     # ------------------------------------------------------------------
 
     def hash_lookup(self, key):
-        record = yield from self.hash_table.lookup(
-            key, pre_delay_s=self._take_pending(), actor=self.thread_id
-        )
-        return record
+        at, pending = self._issue()
+        return self.hash_table.lookup(key, pending, self.thread_id, at)
 
     def hash_insert_if_absent(self, key, value):
-        record, created = yield from self.hash_table.insert_if_absent(
-            key, value, pre_delay_s=self._take_pending(),
-            actor=self.thread_id,
-        )
-        return record, created
+        at, pending = self._issue()
+        return self.hash_table.insert_if_absent(
+            key, value, pending, self.thread_id, at)
 
     def hash_delete(self, key):
-        existed = yield from self.hash_table.delete(
-            key, pre_delay_s=self._take_pending(), actor=self.thread_id
-        )
-        return existed
+        at, pending = self._issue()
+        return self.hash_table.delete(key, pending, self.thread_id, at)
 
     def __repr__(self) -> str:
         return f"<ThreadContext {self.thread_id} on PPE {self.ppe.index}>"

@@ -19,18 +19,24 @@ Two service paths are modelled:
   (6 G adds/s for the evaluated generation, §6.3).  Aggregate-rate
   contention between concurrent aggregations is preserved; per-word
   ordering detail is not (documented deviation).
+
+Every engine and the bulk server is a FIFO server with a known service
+time, so a request's finish is fixed when it arrives: it starts when the
+requests ahead of it finish (``free_at``), or at once on an idle server,
+and its process wakes once, at ``start + service``.  No grant event.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence
 
 import numpy as np
 
 from repro.obs import bus as _obs
-from repro.sim import Environment, Resource
+from repro.sim import Environment
 
 __all__ = ["RMWComplex", "RMWOpKind", "RMWStats"]
 
@@ -59,6 +65,12 @@ class RMWStats:
     busy_s: float = 0.0
 
 
+#: (queue-wait histogram, busy track) of the engines, then of the bulk
+#: server.
+_OBS_SERIES = (("rmw.queue_wait_s", "rmw.engines_busy"),
+               ("rmw.bulk_wait_s", "rmw.bulk_busy"))
+
+
 class RMWComplex:
     """All RMW engines of one PFE plus the fluid bulk-aggregation server."""
 
@@ -85,25 +97,32 @@ class RMWComplex:
         self.storage = storage
         self.num_engines = num_engines
         self.clock_hz = float(clock_hz)
+        #: Duration of one engine clock cycle.
+        self.cycle_s = 1.0 / self.clock_hz
         self.bytes_per_cycle = bytes_per_cycle
         self.add32_cycles = add32_cycles
-        self._engines: List[Resource] = [Resource(env) for __ in range(num_engines)]
-        self._bulk_server = Resource(env)
+        # Per engine, then the bulk server last: requests whose finish
+        # has not fired yet (a server is busy while this is non-zero),
+        # and when the last of them finishes.
+        self._held: List[int] = [0] * (num_engines + 1)
+        self._free_at: List[float] = [0.0] * (num_engines + 1)
+        self._bulk_index = num_engines
         self.engine_stats: List[RMWStats] = [RMWStats() for __ in range(num_engines)]
         self.bulk_stats = RMWStats()
         #: Display name used for obs tracks/labels; the owning PFE
         #: overrides it with a per-PFE name.
         self.obs_name = "rmw"
-        self._obs_busy = 0
-        self._obs_bulk_busy = 0
+        #: Requests in service on the engines and on the bulk server.
+        self._obs_busy = [0, 0]
+        #: Arrival times of the requests queued at each server, kept
+        #: while obs records, so a request's wait and start are recorded
+        #: when the one ahead of it finishes.
+        self._obs_waiting: List[Deque[float]] = [
+            deque() for __ in range(num_engines + 1)]
 
     # ------------------------------------------------------------------
     # Rates
     # ------------------------------------------------------------------
-
-    @property
-    def cycle_s(self) -> float:
-        return 1.0 / self.clock_hz
 
     def engine_for(self, addr: int) -> int:
         """Index of the engine owning ``addr``."""
@@ -152,37 +171,64 @@ class RMWComplex:
           adds 1 to the packet half and ``operand`` to the byte half.
         """
         engine_idx = self.engine_for(addr)
-        engine = self._engines[engine_idx]
-        stats = self.engine_stats[engine_idx]
+        service_s = self._service_cycles(kind, size) * self.cycle_s
         obs = _obs.session()
-        queued_at = self.env.now if obs is not None else 0.0
-        grant = engine.acquire()
-        if grant is not None:
-            yield grant
-        if obs is not None:
-            obs.observe("rmw.queue_wait_s", self.env.now - queued_at,
-                        complex=self.obs_name)
-            self._obs_busy += 1
-            obs.sample(f"rmw.engines_busy/{self.obs_name}",
-                       self.env.now, self._obs_busy)
+        finish = self._serve(engine_idx, service_s, obs)
         try:
-            service_s = self._service_cycles(kind, size) * self.cycle_s
-            yield self.env.delay(service_s)
+            yield finish
+            stats = self.engine_stats[engine_idx]
             stats.ops += 1
             stats.bytes_serviced += size
             stats.busy_s += service_s
             if obs is not None:
-                # Commit point: the engine applies the op while holding
-                # its FCFS grant — the serialization the MC4xx contract
+                # Commit point: the engine applies the op at the end of
+                # its FCFS service — the serialization the MC4xx contract
                 # relies on.  Recorded as evidence, never as a conflict.
                 obs.note_engine_commit(engine_idx)
             return self._apply(kind, addr, size, data, operand, mask)
         finally:
-            engine.release()
+            self._done(engine_idx, obs)
+
+    def _serve(self, server: int, service_s: float, obs):
+        """The event a request arriving now at ``server`` (an engine
+        index, or :attr:`_bulk_index`) waits on: its FIFO finish instant."""
+        env = self.env
+        held = self._held
+        if held[server]:
+            finish = self._free_at[server] + service_s
+            self._free_at[server] = finish
+            held[server] += 1
             if obs is not None:
-                self._obs_busy -= 1
-                obs.sample(f"rmw.engines_busy/{self.obs_name}",
-                           self.env.now, self._obs_busy)
+                self._obs_waiting[server].append(env.now)
+            return env.delay_until(finish)
+        held[server] = 1
+        self._free_at[server] = env.now + service_s
+        if obs is not None:
+            self._obs_busy_step(obs, server, 1, 0.0)
+        return env.delay(service_s)
+
+    def _done(self, server: int, obs) -> None:
+        """A request at ``server`` finished: the next queued one starts."""
+        self._held[server] -= 1
+        if obs is None:
+            return
+        self._obs_busy_step(obs, server, -1)
+        waiting = self._obs_waiting[server]
+        if waiting:
+            self._obs_busy_step(obs, server, 1,
+                                self.env.now - waiting.popleft())
+
+    def _obs_busy_step(self, obs, server: int, step: int,
+                       wait_s: Optional[float] = None) -> None:
+        """Record a request entering (with its queue wait) or leaving
+        service at ``server``."""
+        bulk = server == self._bulk_index
+        wait_name, busy_name = _OBS_SERIES[bulk]
+        if wait_s is not None:
+            obs.observe(wait_name, wait_s, complex=self.obs_name)
+        self._obs_busy[bulk] += step
+        obs.sample(f"{busy_name}/{self.obs_name}", self.env.now,
+                   self._obs_busy[bulk])
 
     def _apply(self, kind: RMWOpKind, addr: int, size: int,
                data: Optional[bytes], operand: int, mask: int):
@@ -263,31 +309,13 @@ class RMWComplex:
         """Serve one bulk job of ``cycles`` engine cycles on the fluid
         server: FCFS wait, service at the complex's aggregate rate, and
         ``ops``/``nbytes`` into :attr:`bulk_stats`."""
+        service_s = cycles / (self.num_engines * self.clock_hz)
         obs = _obs.session()
-        queued_at = self.env.now if obs is not None else 0.0
-        grant = self._bulk_server.acquire()
-        if grant is not None:
-            yield grant
-        if obs is not None:
-            obs.observe("rmw.bulk_wait_s", self.env.now - queued_at,
-                        complex=self.obs_name)
-            self._obs_bulk_busy += 1
-            obs.sample(f"rmw.bulk_busy/{self.obs_name}",
-                       self.env.now, self._obs_bulk_busy)
+        finish = self._serve(self._bulk_index, service_s, obs)
         try:
-            service_s = cycles / (self.num_engines * self.clock_hz)
-            yield self.env.delay(service_s)
+            yield finish
             self.bulk_stats.ops += ops
             self.bulk_stats.bytes_serviced += nbytes
             self.bulk_stats.busy_s += service_s
         finally:
-            self._bulk_server.release()
-            if obs is not None:
-                self._obs_bulk_busy -= 1
-                obs.sample(f"rmw.bulk_busy/{self.obs_name}",
-                           self.env.now, self._obs_bulk_busy)
-
-    @property
-    def total_ops(self) -> int:
-        """Ops serviced across all engines and the bulk server."""
-        return self.bulk_stats.ops + sum(s.ops for s in self.engine_stats)
+            self._done(self._bulk_index, obs)

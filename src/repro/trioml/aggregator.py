@@ -220,21 +220,6 @@ class TrioMLAggregator(TrioApplication):
         self.jobs[record.job_id] = runtime
         return runtime
 
-    def remove_job(self, job_id: int) -> None:
-        """Tear a job down (job completion)."""
-        runtime = self.jobs.pop(job_id, None)
-        if runtime is None:
-            return
-        self.pfe.hash_table.delete_nowait((job_id, -1))
-        self.pfe.memory.free(runtime.record.paddr, JobRecord.SIZE)
-
-    def advance_generation(self, job_id: int, gen_id: int) -> None:
-        """Move a job to a new training iteration's generation."""
-        runtime = self.jobs[job_id]
-        runtime.gen_id = gen_id
-        runtime.completed.clear()
-        runtime.result_cache.clear()
-
     # ------------------------------------------------------------------
     # Data plane (Figure 10 workflow)
     # ------------------------------------------------------------------
@@ -388,10 +373,7 @@ class TrioMLAggregator(TrioApplication):
             return hash_rec.value
         # Init Agg Buffer + write the packed record (Figure 10).
         memory.write_raw(hot_paddr, bytes(BlockRecord.HOT_SIZE))
-        yield from memory.bulk_write(
-            aggr_paddr, bytes(min(buf_bytes, 4096)),
-            pre_delay_s=tctx._take_pending(), actor=tctx.thread_id,
-        )
+        yield from tctx.mem_bulk_write(aggr_paddr, bytes(min(buf_bytes, 4096)))
         if buf_bytes > 4096:
             memory.write_raw(aggr_paddr, bytes(buf_bytes))
         memory.write_raw(block.paddr, block.pack())
@@ -429,10 +411,7 @@ class TrioMLAggregator(TrioApplication):
             yield from tctx.read_tail(0, self.tail_chunk_bytes)
             yield from tctx.read_tail_chunks(num_chunks - 1)
         yield from tctx.execute(instructions)
-        yield from self.pfe.memory.bulk_add32(
-            block.aggr_paddr, gradients, pre_delay_s=tctx._take_pending(),
-            actor=tctx.thread_id,
-        )
+        yield from tctx.mem_bulk_add32(block.aggr_paddr, gradients)
         self.packets_aggregated += 1
         self.gradients_aggregated += n
 
@@ -453,14 +432,12 @@ class TrioMLAggregator(TrioApplication):
         n_bytes = 4 * block.grad_cnt
         # The Figure 10 result loop pulls the buffer 256 bytes at a time;
         # per-chunk access latencies are sequential and unconditioned, so
-        # they are charged lumped (timing-equivalent; see read_tail_chunks).
+        # they are charged lumped on the thread clock (timing-equivalent;
+        # see read_tail_chunks).
         n_chunks = math.ceil(n_bytes / self.result_chunk_bytes)
-        aggregated = yield from memory.bulk_read(
-            block.aggr_paddr, n_bytes, pre_delay_s=tctx._take_pending(),
-            actor=tctx.thread_id,
-        )
+        aggregated = yield from tctx.mem_bulk_read(block.aggr_paddr, n_bytes)
         if n_chunks > 1:
-            yield self.pfe.env.delay(
+            tctx.advance(
                 (n_chunks - 1)
                 * memory.access_latency_s(block.aggr_paddr, n_bytes)
             )

@@ -147,14 +147,18 @@ def setup_single_level_job(
     workers: List[TrioMLWorker],
     worker_ports: Dict[str, str],
     with_detector: bool = False,
+    remote_src_ids: Sequence[int] = (),
 ) -> JobHandle:
     """Configure single-level aggregation on one PFE.
 
     ``worker_ports`` maps worker name -> the PFE port it is attached to;
     result multicast membership is programmed on those ports.
+    ``remote_src_ids`` are the source ids of remote first levels (§4's
+    multi-device hierarchy) that feed this level besides its workers.
     """
     handle = JobHandle(config=config, aggregators={}, runtimes={})
-    _configure_level(handle, pfe, [w.src_id for w in workers],
+    _configure_level(handle, pfe,
+                     [w.src_id for w in workers] + list(remote_src_ids),
                      config.group_ip,
                      config.timeout_s if with_detector else None)
     for worker in workers:

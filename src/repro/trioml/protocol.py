@@ -82,17 +82,18 @@ class TrioMLHeader:
     SIZE = TRIO_ML_HEADER_LAYOUT.size_bytes
 
     def pack(self) -> bytes:
-        return TRIO_ML_HEADER_LAYOUT.pack(
-            job_id=self.job_id,
-            block_id=self.block_id,
-            age_op=self.age_op,
-            final=int(self.final),
-            degraded=int(self.degraded),
-            src_id=self.src_id,
-            src_cnt=self.src_cnt,
-            gen_id=self.gen_id,
-            grad_cnt=self.grad_cnt,
+        word = (
+            ((self.job_id & _JOB_ID[1]) << _JOB_ID[0])
+            | ((self.block_id & _BLOCK_ID[1]) << _BLOCK_ID[0])
+            | ((self.src_id & _SRC_ID[1]) << _SRC_ID[0])
+            | ((self.grad_cnt & _GRAD_CNT[1]) << _GRAD_CNT[0])
+            | ((self.gen_id & _GEN_ID[1]) << _GEN_ID[0])
+            | ((self.age_op & _AGE_OP[1]) << _AGE_OP[0])
+            | ((int(self.final) & _FINAL[1]) << _FINAL[0])
+            | ((int(self.degraded) & _DEGRADED[1]) << _DEGRADED[0])
+            | ((self.src_cnt & _SRC_CNT[1]) << _SRC_CNT[0])
         )
+        return word.to_bytes(self.SIZE, "big")
 
     @classmethod
     def unpack(cls, data: Sequence[int]) -> "TrioMLHeader":
@@ -131,7 +132,10 @@ def encode_trio_ml(header: TrioMLHeader, gradients: Sequence[int]) -> bytes:
             f"{header.grad_cnt} gradients exceeds the {MAX_GRADIENTS_PER_PACKET} "
             "per-packet maximum (Figure 7)"
         )
-    return header.pack() + np.asarray(gradients).astype("<i4").tobytes()
+    # An int32 block (what TrioMLWorker.split_blocks hands out) is not
+    # copied before ``tobytes``.
+    ticks = np.asarray(gradients).astype("<i4", copy=False)
+    return header.pack() + ticks.tobytes()
 
 
 def decode_trio_ml(payload: bytes) -> Tuple[TrioMLHeader, np.ndarray]:

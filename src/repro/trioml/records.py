@@ -64,6 +64,14 @@ BLOCK_RECORD_LAYOUT = StructLayout(
 assert JOB_RECORD_LAYOUT.size_bytes == 58, "Figure 17 says 58 bytes"
 assert BLOCK_RECORD_LAYOUT.size_bytes == 58, "Figure 18 says 58 bytes"
 
+#: (shift, mask) of the fields :meth:`BlockRecord.pack` writes, in its
+#: order, so a pack is one pass with no keyword dict.
+_BLOCK_PACK_FIELDS = tuple(BLOCK_RECORD_LAYOUT.shift_mask(name) for name in (
+    "block_exp", "block_age", "block_start_time", "job_ctx_paddr",
+    "aggr_paddr", "grad_cnt", "rcvd_cnt",
+    "rcvd_mask_0", "rcvd_mask_1", "rcvd_mask_2", "rcvd_mask_3",
+))
+
 
 def _split_mask(mask: int) -> List[int]:
     """Split a wide bitmask into four 64-bit words (word 0 = sources 0-63)."""
@@ -175,20 +183,13 @@ class BlockRecord:
     HOT_SIZE = 40
 
     def pack(self) -> bytes:
-        words = _split_mask(self.rcvd_mask)
-        return BLOCK_RECORD_LAYOUT.pack(
-            block_exp=self.block_exp_ms,
-            block_age=self.block_age,
-            block_start_time=self.block_start_time & (2**64 - 1),
-            job_ctx_paddr=self.job_ctx_paddr,
-            aggr_paddr=self.aggr_paddr,
-            grad_cnt=self.grad_cnt,
-            rcvd_cnt=self.rcvd_cnt,
-            rcvd_mask_0=words[0],
-            rcvd_mask_1=words[1],
-            rcvd_mask_2=words[2],
-            rcvd_mask_3=words[3],
-        )
+        values = (self.block_exp_ms, self.block_age, self.block_start_time,
+                  self.job_ctx_paddr, self.aggr_paddr, self.grad_cnt,
+                  self.rcvd_cnt, *_split_mask(self.rcvd_mask))
+        window = 0
+        for (shift, mask), value in zip(_BLOCK_PACK_FIELDS, values):
+            window |= (value & mask) << shift
+        return window.to_bytes(self.SIZE, "big")
 
     @classmethod
     def unpack(cls, data: Sequence[int], job_id: int = 0,

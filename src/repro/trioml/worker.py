@@ -14,7 +14,7 @@ on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,15 +33,31 @@ from repro.trioml.protocol import (
 __all__ = ["BlockResult", "TrioMLWorker"]
 
 
-@dataclass
 class BlockResult:
-    """One aggregated block as received by a worker."""
+    """One aggregated block as received by a worker.
 
-    block_id: int
-    values: List[int]
-    src_cnt: int
-    degraded: bool
-    gen_id: int
+    ``values`` may be given as a list or as the int32 view of a Result
+    payload; the list is built from the view on first read, so a run
+    that never reads a block's gradients never converts them.
+    """
+
+    __slots__ = ("block_id", "_values", "src_cnt", "degraded", "gen_id")
+
+    def __init__(self, block_id: int, values: Union[List[int], np.ndarray],
+                 src_cnt: int, degraded: bool, gen_id: int):
+        self.block_id = block_id
+        self._values = values
+        self.src_cnt = src_cnt
+        self.degraded = degraded
+        self.gen_id = gen_id
+
+    @property
+    def values(self) -> List[int]:
+        """The aggregated gradients, as Python ints."""
+        values = self._values
+        if isinstance(values, np.ndarray):
+            values = self._values = values.tolist()
+        return values
 
     def mean(self) -> List[float]:
         """Per-gradient mean over the sources that contributed."""
@@ -168,7 +184,7 @@ class TrioMLWorker(Host):
                     # partial result already arrived — abandon the send.
                     self.blocks_skipped += 1
                     continue
-                yield from self._send_block(block_id, gen, blocks[block_id])
+                yield self._send_block(block_id, gen, blocks[block_id])
                 state.sent.add(block_id)
                 state.outstanding += 1
             if len(state.results) >= state.num_blocks:
@@ -202,8 +218,7 @@ class TrioMLWorker(Host):
                 ]
                 for block_id in stale:
                     self.retransmissions += 1
-                    yield from self._send_block(block_id, gen,
-                                                blocks[block_id])
+                    yield self._send_block(block_id, gen, blocks[block_id])
         except Interrupt:
             return
 
@@ -228,6 +243,7 @@ class TrioMLWorker(Host):
             state.outstanding -= 1
 
     def _send_block(self, block_id: int, gen: int, values: np.ndarray):
+        """Queue one block on the NIC; returns the event to wait on."""
         header = TrioMLHeader(
             job_id=self.job_id,
             block_id=block_id,
@@ -238,7 +254,7 @@ class TrioMLWorker(Host):
         payload = encode_trio_ml(header, values)
         self.blocks_sent += 1
         self.send_times[(gen, block_id)] = self.env.now
-        yield self.send_udp(
+        return self.send_udp(
             dst_mac=self.router_mac,
             dst_ip=self.service_ip,
             src_port=TRIO_ML_UDP_PORT,
@@ -264,7 +280,7 @@ class TrioMLWorker(Host):
             return None
         return BlockResult(
             block_id=header.block_id,
-            values=values.tolist(),
+            values=values,
             src_cnt=header.src_cnt,
             degraded=header.degraded,
             gen_id=header.gen_id,

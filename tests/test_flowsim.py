@@ -160,6 +160,13 @@ def _assert_rates_close(got, want):
         assert abs(got[sig] - rate) <= REL_TOL * rate, (sig, got[sig], rate)
 
 
+def _pinned_demand(solver, key):
+    """The pinned demand the solver holds on link ``key`` (0.0 if the
+    solver has never seen the link)."""
+    idx = solver._key2idx.get(key)
+    return 0.0 if idx is None else solver._pinned[idx]
+
+
 def _link_loads(class_flows, rates):
     """Per-link elastic load: sum of multiplicity x rate, counted once
     per occurrence of the link in a signature."""
@@ -244,11 +251,11 @@ class TestMaxMinOptimality:
                     last.pop(sig, None)
             else:
                 solver.pin(arg, caps[arg] * amount
-                           - solver.pinned_demand(arg))
+                           - _pinned_demand(solver, arg))
             changed = solver.resolve()
             rates = solver.solve()
             assert solver.changed == {}
-            pinned = {key: solver.pinned_demand(key) for key in caps}
+            pinned = {key: _pinned_demand(solver, key) for key in caps}
             _assert_max_min_optimal(live, rates, caps, pinned)
             assert changed == {sig: rate for sig, rate in rates.items()
                                if last.get(sig) != rate}
@@ -298,14 +305,14 @@ class TestPathClassSolverEquivalence:
                     i = rng.randrange(nlinks)
                     delta = (rng.choice([1.0, -1.0]) * caps[i]
                              * rng.uniform(0, 0.6))
-                    if solver.pinned_demand(i) + delta < 0:
-                        delta = -solver.pinned_demand(i)
+                    if _pinned_demand(solver, i) + delta < 0:
+                        delta = -_pinned_demand(solver, i)
                     solver.pin(i, delta)
                 if step % 5 != 4:
                     continue
                 changed = solver.resolve()
                 got = solver.solve()
-                pinned = {i: solver.pinned_demand(i)
+                pinned = {i: _pinned_demand(solver, i)
                           for i in range(nlinks)}
                 _assert_rates_close(
                     got, _reference_by_class(live, caps, pinned))
@@ -342,9 +349,9 @@ class TestPathClassSolverEquivalence:
                 else:
                     i = rng.randrange(nlinks)
                     solver.pin(i, caps[i] * rng.choice([0.0, 0.5, 1.0])
-                               - solver.pinned_demand(i))
+                               - _pinned_demand(solver, i))
                 solver.resolve()
-                pinned = {i: solver.pinned_demand(i) for i in range(nlinks)}
+                pinned = {i: _pinned_demand(solver, i) for i in range(nlinks)}
                 _assert_rates_close(solver.solve(),
                                     max_min_class_rates(live, caps, pinned))
 
@@ -462,7 +469,7 @@ def _one_class_case(monkeypatch, caps, steps):
         solver.resolve()
     last = list(calls)
     rates = solver.solve()
-    pinned = {key: solver.pinned_demand(key) for key in caps}
+    pinned = {key: _pinned_demand(solver, key) for key in caps}
     _assert_rates_close(rates, _reference_by_class(live, caps, pinned))
     _assert_rates_close(rates, fresh.solve())
     return solver, last, rates, fresh
@@ -844,8 +851,9 @@ class TestPacketFlows:
         (packet,) = run_packet_flows(fabric, [spec])
         frames = -(-100_000 // DEFAULT_MTU_PAYLOAD_BYTES)
         (topology,) = built
-        spine_in = topology.find_port("spine:leaf0")
-        spine_out = topology.find_port("spine:leaf1")
+        ports = {port.name: port for link in topology.links
+                 for port in link.ports}
+        spine_in, spine_out = ports["spine:leaf0"], ports["spine:leaf1"]
         assert spine_in.rx_packets == spine_out.tx_packets == frames
         assert packet.spec is spec and packet.escalated is None
         fluid = run_flows(fabric, EscalationConfig(),

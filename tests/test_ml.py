@@ -44,7 +44,9 @@ class TestQuantizer:
     def test_roundtrip_error_bounded_by_half_tick(self):
         quantizer = GradientQuantizer(scale=1e6, num_workers=6)
         gradients = [(-1) ** i * i * 1e-5 for i in range(100)]
-        assert quantizer.roundtrip_error(gradients) <= 0.5 / quantizer.scale
+        restored = quantizer.dequantize(quantizer.quantize(gradients))
+        assert max(abs(original - back) for original, back
+                   in zip(gradients, restored)) <= 0.5 / quantizer.scale
 
     def test_overflow_safe_clipping(self):
         quantizer = GradientQuantizer(scale=1e6, num_workers=6)
@@ -95,20 +97,18 @@ class TestSlowWorkerPattern:
         for __ in range(20):
             assert a.sample_iteration() == b.sample_iteration()
 
-    def test_expected_delay_formula(self):
-        pattern = SlowWorkerPattern(0.16, 6, 0.1, seed=0)
-        expected = 3 * 0.16 * 1.25 * 0.1
-        assert pattern.expected_delay_per_iteration_s == pytest.approx(expected)
-
     def test_empirical_mean_close_to_analytic(self):
         pattern = SlowWorkerPattern(0.16, 6, 0.1, seed=3)
         total = 0.0
         n = 3000
         for __ in range(n):
             total += sum(pattern.sample_iteration().values())
-        assert total / n == pytest.approx(
-            pattern.expected_delay_per_iteration_s, rel=0.15
-        )
+        # Each delay point straggles with probability p for a mean of
+        # (SLOWDOWN_MIN + SLOWDOWN_MAX) / 2 typical iterations.
+        analytic = (DELAY_POINTS * 0.16 * (SLOWDOWN_MIN + SLOWDOWN_MAX) / 2
+                    * 0.1)
+        assert analytic == pytest.approx(3 * 0.16 * 1.25 * 0.1)
+        assert total / n == pytest.approx(analytic, rel=0.15)
 
     def test_validation(self):
         with pytest.raises(ValueError):

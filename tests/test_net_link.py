@@ -44,6 +44,29 @@ class TestLink:
         env.run(until=1e-3)
         assert received == pytest.approx([1e-6, 2e-6, 3e-6])
 
+    def test_one_event_per_frame_at_the_eager_instants(self):
+        """A direction is a closed-form FIFO server: each frame costs one
+        scheduled delivery, at the float a serialiser that sleeps each
+        frame in turn reaches, including a frame sent mid-serialisation
+        and one sent after the link went idle."""
+        env = Environment()
+        received = []
+        a = Port(env, "a")
+        b = Port(env, "b", rx_handler=lambda p, port: received.append(env.now))
+        Link(env, a, b, bandwidth_bps=3e9, propagation_delay_s=0.7e-6)
+        ser = 1000 / 3e9  # a 125-byte frame
+        a.send(raw_packet(125))
+        a.send(raw_packet(125))
+        env.call_at(0.1e-6, a.send, raw_packet(125))
+        env.call_at(1e-3, a.send, raw_packet(125))
+        env.run()
+        finish = (0.0 + ser) + ser
+        assert received == [
+            ser + 0.7e-6, finish + 0.7e-6, (finish + ser) + 0.7e-6,
+            (1e-3 + ser) + 0.7e-6]
+        # Four deliveries plus the two scheduled sends.
+        assert env.scheduled_events == 6
+
     def test_full_duplex_directions_independent(self):
         env = Environment()
         times = {}
@@ -191,15 +214,6 @@ class TestTopology:
         with pytest.raises(ValueError):
             topo.add_host(Host(env, "h", MACAddress(2),
                                IPv4Address("10.0.0.2")))
-
-    def test_find_port(self):
-        env = Environment()
-        topo = Topology(env)
-        h1 = Host(env, "h1", MACAddress(1), IPv4Address("10.0.0.1"))
-        h2 = Host(env, "h2", MACAddress(2), IPv4Address("10.0.0.2"))
-        topo.connect(h1.nic.port, h2.nic.port)
-        assert topo.find_port("h1.port") is h1.nic.port
-        assert topo.find_port("nonexistent") is None
 
     def test_device_registry(self):
         env = Environment()

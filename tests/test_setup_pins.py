@@ -16,6 +16,7 @@ from repro.harness.experiments import ablation_hierarchy
 from repro.sim import Environment
 from repro.trioml import TrioMLJobConfig
 from repro.trioml.protocol import decode_trio_ml
+from repro.trioml.records import JobRecord
 from tests.test_trioml_multidevice import build_two_device_hierarchy
 
 
@@ -126,6 +127,27 @@ def test_two_device_setup_is_pinned():
     finals = _watch_finality({**handle_a.aggregators, **handle_b.aggregators})
     _run(env, a_workers + b_workers, 64)
     assert finals == {"deviceA": {False}, "deviceB": {True}}
+
+
+def test_sram_job_records_match_their_runtime_records():
+    """Every set-up helper packs the job record it runs with into SRAM:
+    the control plane's copy and the data plane's agree byte for byte."""
+    env = Environment()
+    config = TrioMLJobConfig(**CONFIG)
+    handles = [
+        build_single_pfe_testbed(env, config, with_detector=True).handle,
+        build_hierarchical_testbed(env, config, with_detector=True).handle,
+        *build_two_device_hierarchy(env)[4:],
+    ]
+    checked = 0
+    for handle in handles:
+        for name, runtime in handle.runtimes.items():
+            memory = handle.aggregators[name].pfe.memory
+            record = runtime.record
+            assert memory.read_raw(record.paddr, JobRecord.SIZE) == (
+                record.pack()), name
+            checked += 1
+    assert checked == 6
 
 
 def test_hierarchy_ablation_is_pinned():

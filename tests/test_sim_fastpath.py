@@ -87,6 +87,177 @@ class TestDelayPool:
                 env.delay(delay)
 
 
+class TestDelayUntil:
+    def test_fires_at_the_given_instant_exactly(self):
+        """``now + (when - now)`` is not ``when`` in floating point
+        (0.2 + (0.9 - 0.2) reads 0.9000000000000001); the event is
+        pushed at ``when`` itself."""
+        env = Environment()
+        log = []
+
+        def proc():
+            yield env.delay(0.2)
+            value = yield env.delay_until(0.9, "payload")
+            log.append((env.now, value))
+
+        env.process(proc())
+        env.run()
+        assert 0.2 + (0.9 - 0.2) != 0.9
+        assert log == [(0.9, "payload")]
+
+    def test_shares_the_delay_pool(self):
+        env = Environment()
+        first = {}
+
+        def proc():
+            first["ev"] = env.delay(1.0)
+            yield first["ev"]
+            # Recycled once the run loop regains control (see above).
+            yield env.timeout(0)
+            again = env.delay_until(3.0)
+            assert again is first["ev"]
+            yield again
+
+        env.process(proc())
+        env.run()
+        assert env.now == 3.0
+
+    def test_past_or_nan_instant_rejected(self):
+        env = Environment(initial_time=5.0)
+        for when in (4.0, 5.0 - 1e-12, float("nan")):
+            with pytest.raises(SimulationError, match="in the past"):
+                env.delay_until(when)
+        assert env.scheduled_events == 0
+        env.delay_until(5.0)
+        assert env.scheduled_events == 1
+
+
+class TestUnwaitedProcessFinishesInPlace:
+    """A process nobody waits on is processed when its generator returns,
+    with no queue trip; every way to wait on it later still works."""
+
+    @staticmethod
+    def _finished():
+        env = Environment()
+
+        def worker():
+            yield env.delay(1.0)
+            return 7
+
+        proc = env.process(worker())
+        env.run()
+        return env, proc
+
+    def test_no_completion_event(self):
+        env, proc = self._finished()
+        # The start bounce and the delay; no event for the completion.
+        assert env.scheduled_events == 2
+        assert proc.processed and proc.ok and proc.value == 7
+        assert not proc.is_alive
+
+    def test_later_yield_receives_the_value(self):
+        env, proc = self._finished()
+        got = []
+
+        def waiter():
+            got.append((yield proc))
+
+        env.process(waiter())
+        env.run()
+        assert got == [7]
+
+    def test_all_of_sees_the_value(self):
+        env, proc = self._finished()
+        both = env.all_of([proc, env.timeout(1.0, "t")])
+        env.run()
+        assert list(both.value.values()) == [7, "t"]
+
+    def test_run_until_finished_process_returns_its_value(self):
+        env, proc = self._finished()
+        assert env.run(until=proc) == 7
+
+    def test_run_until_live_process_returns_its_value(self):
+        env = Environment()
+
+        def worker():
+            yield env.delay(2.0)
+            return "done"
+
+        proc = env.process(worker())
+        assert env.run(until=proc) == "done"
+        assert env.now == 2.0
+
+    def test_unwaited_failure_still_surfaces(self):
+        env = Environment()
+
+        def worker():
+            yield env.delay(1.0)
+            raise RuntimeError("nobody listening")
+
+        env.process(worker())
+        with pytest.raises(RuntimeError, match="nobody listening"):
+            env.run()
+
+
+class TestStartInPlace:
+    """``env.start`` runs a process to its first yield inside the caller,
+    with no start event; from there it is an ordinary process."""
+
+    def test_first_step_runs_before_start_returns(self):
+        env = Environment()
+        log = []
+
+        def worker():
+            log.append(("first", env.now))
+            yield env.delay(1.0)
+            log.append(("second", env.now))
+            return "done"
+
+        proc = env.start(worker())
+        assert log == [("first", 0.0)]
+        # Only the delay: no start event was scheduled.
+        assert env.scheduled_events == 1
+        assert env.run(until=proc) == "done"
+        assert log == [("first", 0.0), ("second", 1.0)]
+
+    def test_runs_ahead_of_events_due_this_instant(self):
+        env = Environment()
+        log = []
+        env.call_later(0.0, log.append, "queued")
+
+        def worker():
+            log.append("started")
+            yield env.delay(0.0)
+
+        env.start(worker())
+        env.process(worker())
+        env.run()
+        assert log == ["started", "queued", "started"]
+
+    def test_process_without_yield_comes_back_processed(self):
+        env = Environment()
+
+        def instant():
+            return 5
+            yield  # pragma: no cover - makes this a generator
+
+        proc = env.start(instant())
+        assert proc.processed and proc.value == 5
+        assert env.scheduled_events == 0
+
+    def test_failure_in_first_step_surfaces(self):
+        env = Environment()
+
+        def broken():
+            raise RuntimeError("at start")
+            yield  # pragma: no cover - makes this a generator
+
+        proc = env.start(broken())
+        with pytest.raises(RuntimeError, match="at start"):
+            env.run()
+        assert not proc.ok
+
+
 class TestCallLater:
     def test_runs_function_with_args_at_time(self):
         env = Environment()

@@ -25,6 +25,33 @@ def run_op(env, generator):
     return env.run(until=proc)
 
 
+def _walk_lines(lines, addr, size, capacity_lines):
+    """The reference DRAM cache: touch each line of the access in
+    address order, move it to the back of ``lines`` (an LRU-first
+    OrderedDict), and evict the front on a miss that overfills it.
+    Returns (all hit, hits, misses)."""
+    all_hit, hits, misses = True, 0, 0
+    for line in range(addr // 64, (addr + max(size, 1) - 1) // 64 + 1):
+        if line in lines:
+            lines.move_to_end(line)
+            hits += 1
+        else:
+            all_hit = False
+            misses += 1
+            lines[line] = None
+            if len(lines) > capacity_lines:
+                lines.popitem(last=False)
+    return all_hit, hits, misses
+
+
+def _lru_order(cache):
+    """The cache's present lines, least recent first: by the stamp of
+    the access that touched each last, then by address."""
+    stamp = {group: i for i, group in enumerate(cache._groups)}
+    return sorted(cache._owner,
+                  key=lambda line: (stamp[cache._owner[line]], line))
+
+
 class TestChipsetTable:
     def test_six_generations(self):
         assert sorted(GENERATIONS) == [1, 2, 3, 4, 5, 6]
@@ -146,20 +173,39 @@ class TestXTXNs:
             addr, size = rng.choice(spans)
             if rng.random() < 0.3:
                 addr, size = rng.randrange(0, 2048, 8), 8
-            all_hit = True
-            for line in range(addr // 64, (addr + size - 1) // 64 + 1):
-                if line in lines:
-                    lines.move_to_end(line)
-                    hits += 1
-                else:
-                    all_hit = False
-                    misses += 1
-                    lines[line] = None
-                    if len(lines) > capacity_lines:
-                        lines.popitem(last=False)
+            all_hit, walk_hits, walk_misses = _walk_lines(
+                lines, addr, size, capacity_lines)
+            hits += walk_hits
+            misses += walk_misses
             assert cache.access(addr, size) == all_hit
             assert (cache.hits, cache.misses) == (hits, misses)
-            assert list(cache._lines) == list(lines)
+            assert _lru_order(cache) == list(lines)
+
+    @pytest.mark.parametrize("capacity_lines", [1, 2, 5, 16, 64])
+    def test_dram_cache_matches_line_walk_on_random_spans(
+            self, capacity_lines):
+        """Random spans that overlap, repeat, split earlier spans and
+        outgrow the cache: every return value, count and the whole LRU
+        order match the per-line walk after each access."""
+        cache = _DramCache(capacity_lines * 64)
+        lines: "OrderedDict[int, None]" = OrderedDict()
+        hits = misses = 0
+        rng = random.Random(1000 + capacity_lines)
+        seen = [(0, 64)]
+        for __ in range(3000):
+            if rng.random() < 0.4:
+                addr, size = rng.choice(seen)
+            else:
+                addr = rng.randrange(0, 40 * 64)
+                size = rng.randrange(0, 12 * 64)
+                seen.append((addr, size))
+            all_hit, walk_hits, walk_misses = _walk_lines(
+                lines, addr, size, capacity_lines)
+            hits += walk_hits
+            misses += walk_misses
+            assert cache.access(addr, size) == all_hit
+            assert (cache.hits, cache.misses) == (hits, misses)
+            assert _lru_order(cache) == list(lines)
 
     def test_dram_cache_hit_is_faster(self, mem):
         env, memory = mem
@@ -360,4 +406,5 @@ class TestRMWEngines:
             yield from memory.bulk_add32(addr, [1, 2])
 
         run_op(env, proc())
-        assert memory.rmw.total_ops >= 3
+        rmw = memory.rmw
+        assert sum(s.ops for s in rmw.engine_stats) + rmw.bulk_stats.ops >= 3

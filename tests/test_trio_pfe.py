@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import Host, IPv4Address, MACAddress, Packet, Topology
-from repro.sim import Environment
+from repro.sim import Environment, SimulationError
 from repro.trio import (
     PFE,
     PacketByteCounter,
@@ -12,6 +12,8 @@ from repro.trio import (
     TrioApplication,
 )
 from repro.trio.chipset import GENERATIONS
+from repro.trio.ppe import PacketContext
+from repro.trio.rmw import RMWOpKind
 
 
 def wire(env, pfe, n=2):
@@ -168,6 +170,34 @@ class TestThreadModel:
         env.run()
         assert peak["value"] <= config.total_threads
 
+    def test_packets_wait_fifo_for_a_slot(self):
+        """With every slot busy, packets queue in the PFE and start, in
+        arrival order, the instant a slot frees; a packet that finds a
+        slot free starts in its arriving instant."""
+        env = Environment()
+        config = GENERATIONS[5].scaled(num_ppes=1, threads_per_ppe=2)
+        pfe = PFE(env, "pfe1", config=config, num_ports=1)
+        started = []
+
+        class Slow(TrioApplication):
+            def handle_packet(self, tctx, pctx):
+                started.append((pctx.packet.meta["n"], env.now))
+                yield from tctx.execute(1000)
+                pctx.drop()
+
+        pfe.install_app(Slow())
+        for n in range(5):
+            pfe.accept(Packet(bytes(64), flow_key=n, meta={"n": n}))
+        env.run()
+        late = Packet(bytes(64), flow_key="late", meta={"n": 5})
+        env.call_at(1.0, pfe.accept, late)
+        env.run()
+        busy = 100e-9 + 1000 * config.single_thread_instr_s
+        assert [n for n, __ in started] == [0, 1, 2, 3, 4, 5]
+        assert [t for __, t in started] == [
+            0.0, 0.0, busy, busy, busy + busy, 1.0]
+        assert pfe.threads_in_use == 0
+
     def test_dispatch_round_robins_ppes(self):
         env = Environment()
         pfe = PFE(env, "pfe1", num_ports=1)
@@ -225,6 +255,121 @@ class TestThreadModel:
         env.run()
         assert seen["chunk"] == tail[:16]
         assert seen["lmem"] == tail[:16]
+
+
+#: Every ThreadContext XTXN, as (thread call, the same access issued
+#: straight to the memory system or hash block with a pre-delay).  Args:
+#: the thread context or the PFE, SRAM and DRAM addresses, pre-delay.
+_THREAD_XTXNS = {
+    "mem_read": (
+        lambda t, s, d: t.mem_read(s, 8),
+        lambda p, s, d, pre: p.memory.read(s, 8, pre)),
+    "mem_write": (
+        lambda t, s, d: t.mem_write(s, bytes(8)),
+        lambda p, s, d, pre: p.memory.write(s, bytes(8), pre)),
+    "mem_add32": (
+        lambda t, s, d: t.mem_add32(s, 1),
+        lambda p, s, d, pre: p.memory.add32(s, 1, pre)),
+    "mem_fetch_and_op": (
+        lambda t, s, d: t.mem_fetch_and_op(RMWOpKind.FETCH_AND_OR, s, 1),
+        lambda p, s, d, pre: p.memory.fetch_and_op(
+            RMWOpKind.FETCH_AND_OR, s, 1, 8, pre)),
+    "counter_inc": (
+        lambda t, s, d: t.counter_inc(s, 64),
+        lambda p, s, d, pre: p.memory.counter_inc(s, 64, pre)),
+    "mem_bulk_add32": (
+        lambda t, s, d: t.mem_bulk_add32(d, [1] * 16),
+        lambda p, s, d, pre: p.memory.bulk_add32(d, [1] * 16, pre)),
+    "mem_bulk_read": (
+        lambda t, s, d: t.mem_bulk_read(d, 64),
+        lambda p, s, d, pre: p.memory.bulk_read(d, 64, pre)),
+    "mem_bulk_write": (
+        lambda t, s, d: t.mem_bulk_write(d, bytes(64)),
+        lambda p, s, d, pre: p.memory.bulk_write(d, bytes(64), pre)),
+    "hash_lookup": (
+        lambda t, s, d: t.hash_lookup("k"),
+        lambda p, s, d, pre: p.hash_table.lookup("k", pre)),
+    "hash_insert_if_absent": (
+        lambda t, s, d: t.hash_insert_if_absent("k", 1),
+        lambda p, s, d, pre: p.hash_table.insert_if_absent("k", 1, pre)),
+    "hash_delete": (
+        lambda t, s, d: t.hash_delete("k"),
+        lambda p, s, d, pre: p.hash_table.delete("k", pre)),
+}
+
+
+class TestThreadClock:
+    """Folded pure waits (tail reads, ``advance``) move the thread clock
+    instead of sleeping; whatever the thread does next must finish at
+    the instant that sleeping each wait eagerly reaches, bit for bit."""
+
+    @staticmethod
+    def _pfe():
+        env = Environment()
+        pfe = PFE(env, "pfe1", num_ports=1)
+        sram = pfe.memory.alloc(64, region="sram")
+        dram = pfe.memory.alloc(64, region="dram")
+        return env, pfe, sram, dram
+
+    @pytest.mark.parametrize("name", sorted(_THREAD_XTXNS) + ["flush"])
+    def test_xtxn_after_folded_waits_matches_eager_sleeps(self, name):
+        instr = GENERATIONS[5].single_thread_instr_s
+        tail = GENERATIONS[5].tail_read_latency_s
+        seen = {}
+
+        env, pfe, sram, dram = self._pfe()
+
+        def threaded(tctx):
+            yield env.delay(0.1)
+            tctx.packet_ctx = PacketContext(
+                Packet(bytes(256)), bytearray(192), bytes(64))
+            yield from tctx.execute(7)
+            yield from tctx.read_tail(0, 16)
+            yield from tctx.execute(3)
+            yield from tctx.read_tail_chunks(2)
+            tctx.advance(1e-7)
+            yield from tctx.execute(5)
+            seen["thread_now"] = tctx.now
+            if name != "flush":
+                yield from _THREAD_XTXNS[name][0](tctx, sram, dram)
+            yield from tctx.flush()
+            tctx.packet_ctx = None
+            seen["thread_done"] = env.now
+
+        env.run(until=pfe.spawn_internal_thread(threaded))
+
+        env, pfe, sram, dram = self._pfe()
+
+        def eager():
+            yield env.delay(0.1)
+            yield env.delay(7 * instr + tail)
+            yield env.delay(3 * instr + 2 * tail)
+            yield env.delay(0.0 + 1e-7)
+            seen["eager_now"] = env.now + 5 * instr
+            if name == "flush":
+                yield env.delay(5 * instr)
+            else:
+                yield from _THREAD_XTXNS[name][1](pfe, sram, dram, 5 * instr)
+            seen["eager_done"] = env.now
+
+        env.run(until=env.process(eager()))
+        assert seen["thread_now"] == seen["eager_now"]
+        assert seen["thread_done"] == seen["eager_done"]
+
+    def test_stale_clock_cannot_move_time_backwards(self):
+        """A thread that folds a wait and then sleeps past its clock
+        outside the thread context has a stale clock: its next XTXN
+        would start in the past, and the kernel refuses it."""
+        env, pfe, sram, __ = self._pfe()
+
+        def stale(tctx):
+            tctx.advance(1e-6)
+            yield env.delay(1e-3)
+            yield from tctx.mem_read(sram, 8)
+
+        proc = pfe.spawn_internal_thread(stale)
+        with pytest.raises(SimulationError, match="in the past"):
+            env.run(until=proc)
 
 
 class TestReorderEngine:

@@ -1,35 +1,8 @@
-"""Tests for job lifecycle operations: generations, detector handles."""
-
-import pytest
+"""Tests for job lifecycle operations: detector handles."""
 
 from repro.harness import build_single_pfe_testbed
 from repro.sim import Environment
 from repro.trioml import TrioMLJobConfig
-
-
-class TestGenerationAdvance:
-    def test_advance_generation_clears_history(self):
-        env = Environment()
-        config = TrioMLJobConfig(grads_per_packet=64, window=2,
-                                 loss_recovery=True,
-                                 retransmit_timeout_s=0.002)
-        testbed = build_single_pfe_testbed(env, config, num_workers=2)
-        procs = testbed.run_allreduce([[1] * 128] * 2)
-        env.run(until=env.all_of(procs))
-        aggregator = testbed.handle.aggregator
-        runtime = next(iter(testbed.handle.runtimes.values()))
-        assert runtime.completed
-        assert runtime.result_cache  # loss recovery caches results
-        aggregator.advance_generation(config.job_id, gen_id=2)
-        assert runtime.gen_id == 2
-        assert not runtime.completed
-        assert not runtime.result_cache
-
-    def test_unknown_job_generation_advance_raises(self):
-        env = Environment()
-        testbed = build_single_pfe_testbed(env, num_workers=2)
-        with pytest.raises(KeyError):
-            testbed.handle.aggregator.advance_generation(99, gen_id=1)
 
 
 class TestDetectorLifecycle:

@@ -66,10 +66,8 @@ def build_two_device_hierarchy(env, grads_per_packet=64, window=4):
     handle_b = setup_single_level_job(
         device_b, config_b, b_workers,
         {w.name: device_b.port(i).name for i, w in enumerate(b_workers)},
+        remote_src_ids=[100],
     )
-    record_b = handle_b.runtimes["deviceB"].record
-    record_b.src_cnt = 3
-    record_b.src_mask |= 1 << 100
     # Final results must also reach device A's workers: the uplink port
     # joins the group on B, and A forwards group traffic to its workers.
     device_b.multicast.join(group_ip, "deviceB.p2")

@@ -74,22 +74,6 @@ class TestMultipleJobs:
         assert handle1.aggregator is handle2.aggregator
         assert set(handle1.aggregator.jobs) == {1, 2}
 
-    def test_job_teardown_frees_state(self):
-        env = Environment()
-        pfe = PFE(env, "pfe1", num_ports=1)
-        topo = Topology(env)
-        config = TrioMLJobConfig(job_id=1, grads_per_packet=64, window=2)
-        worker = make_worker(env, "w", 0, 1, 0, config)
-        topo.connect(worker.nic.port, pfe.port(0))
-        handle = setup_single_level_job(
-            pfe, config, [worker], {"w": pfe.port(0).name})
-        aggregator = handle.aggregator
-        assert len(pfe.hash_table) == 1
-        aggregator.remove_job(1)
-        assert len(pfe.hash_table) == 0
-        assert aggregator.jobs == {}
-        aggregator.remove_job(1)  # idempotent
-
 
 class TestBlockCap:
     def test_block_cnt_max_bounds_concurrent_blocks(self):
