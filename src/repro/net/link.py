@@ -14,7 +14,7 @@ schedules a reception when a transmission starts).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.net.packet import Packet
 from repro.sim import Environment
@@ -22,15 +22,14 @@ from repro.sim import Environment
 __all__ = ["Link", "Port"]
 
 #: Callback type invoked when a frame arrives at a port.
-RxHandler = Callable[[Packet, "Port"], Any]
+RxHandler = Callable[[Packet, "Port"], None]
 
 
 class Port:
     """One attachment point: transmit via :meth:`send`, receive via handler.
 
     A port belongs to a device; the device registers an ``rx_handler`` that
-    the link calls on frame delivery.  The handler may be a plain function
-    or return a generator, in which case it is run as a simulation process.
+    the link calls on frame delivery.
     """
 
     def __init__(self, env: Environment, name: str,
@@ -60,11 +59,8 @@ class Port:
         """Called by the link when a frame arrives at this port."""
         self.rx_packets += 1
         self.rx_bytes += len(packet)
-        if self.rx_handler is None:
-            return
-        result = self.rx_handler(packet, self)
-        if result is not None and hasattr(result, "send"):
-            self.env.process(result, name=f"rx@{self.name}")
+        if self.rx_handler is not None:
+            self.rx_handler(packet, self)
 
     def __repr__(self) -> str:
         state = "up" if self.connected else "down"

@@ -9,7 +9,7 @@ the host side, and an RX callback path with no kernel latency.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.link import Port
@@ -49,15 +49,12 @@ class NIC:
         self.tx_overhead_s = float(tx_overhead_s)
         self.port = Port(env, name=f"{name}.port", rx_handler=self._on_rx)
         self._tx_ring: Store = Store(env, capacity=tx_ring_size)
-        self._rx_callback: Optional[Callable[[Packet], Any]] = None
+        self._rx_callback: Optional[Callable[[Packet], None]] = None
         self.dropped_rx = 0
         env.process(self._tx_loop(), name=f"nic:{name}:tx")
 
-    def set_rx_callback(self, callback: Callable[[Packet], Any]) -> None:
-        """Install the function invoked for every received frame.
-
-        A generator-returning callback is run as a new process per frame.
-        """
+    def set_rx_callback(self, callback: Callable[[Packet], None]) -> None:
+        """Install the function invoked for every received frame."""
         self._rx_callback = callback
 
     def send(self, packet: Packet):
@@ -89,11 +86,11 @@ class NIC:
                 yield self.env.delay(self.tx_overhead_s)
             self.port.send(packet)
 
-    def _on_rx(self, packet: Packet, port: Port) -> Any:
+    def _on_rx(self, packet: Packet, port: Port) -> None:
         if self._rx_callback is None:
             self.dropped_rx += 1
-            return None
-        return self._rx_callback(packet)
+            return
+        self._rx_callback(packet)
 
     def __repr__(self) -> str:
         return f"<NIC {self.name} mac={self.mac} ip={self.ip}>"

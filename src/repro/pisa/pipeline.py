@@ -12,11 +12,12 @@ behaviour) so hard on PISA devices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.packet import Packet
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 __all__ = [
     "ComposedProgram",
@@ -252,6 +253,10 @@ class PisaPipeline:
     deparser) and the pipeline admits packets at ``packet_rate_pps``
     (line-rate packet budget shared by fresh and recirculated packets, so
     recirculation halves usable bandwidth, as on real hardware).
+    Admission is a FIFO server, settled in closed form like a
+    :class:`~repro.net.link.Link` direction: a packet offered at ``now``
+    is admitted at ``max(now, free_at) + 1/packet_rate_pps`` and its pass
+    runs ``pass_latency_s`` later, one scheduled event per pass.
     """
 
     #: Per-stage register SRAM budget in bits (representative of Tofino).
@@ -265,18 +270,25 @@ class PisaPipeline:
         pass_latency_s: float = 600e-9,
         packet_rate_pps: float = 1.0e9,
     ):
+        # Chained bounds: NaN fails them, where it passes `<= 0`.
+        if not 0 < packet_rate_pps < math.inf:
+            raise ValueError(f"packet_rate_pps must be positive and finite, "
+                             f"got {packet_rate_pps}")
+        if not 0 <= pass_latency_s < math.inf:
+            raise ValueError(f"pass_latency_s must be non-negative and "
+                             f"finite, got {pass_latency_s}")
         self.env = env
         self.name = name
         self.num_stages = num_stages
         self.pass_latency_s = pass_latency_s
         self.packet_rate_pps = packet_rate_pps
         self.program: Optional[P4Program] = None
-        self._intake: Store = Store(env)
         self._emit_handler: Optional[Callable[[Packet, Optional[str]], None]] = None
+        #: When the packets already offered have all been admitted.
+        self._free_at = env.now
         self.passes = 0
         self.recirculations = 0
         self.drops = 0
-        env.process(self._pipeline_loop(), name=f"pisa:{name}")
 
     def _validate_registers(self, registers: List[RegisterArray]) -> None:
         """Check stage range and per-stage SRAM for a register set."""
@@ -352,21 +364,23 @@ class PisaPipeline:
         self._emit_handler = handler
 
     def submit(self, packet: Packet) -> None:
-        """Offer a packet to the pipeline (from a port or recirculation)."""
-        self._intake.put_nowait((packet, 0))
+        """Offer a fresh packet to the pipeline (from a port or another
+        pipeline)."""
+        self._admit(packet, 0)
 
-    def _pipeline_loop(self):
-        while True:
-            packet, pass_index = yield self._intake.get()
-            # Line-rate admission: one packet per 1/pps.
-            yield self.env.delay(1.0 / self.packet_rate_pps)
-            self.env.process(
-                self._run_pass(packet, pass_index),
-                name=f"pisa:{self.name}:pass",
-            )
+    def _admit(self, packet: Packet, pass_index: int) -> None:
+        """Queue a pass behind the packets already offered (fresh or
+        recirculated) and schedule its body."""
+        now = self.env.now
+        free_at = self._free_at
+        # Line-rate admission: one packet per 1/pps.
+        admitted = ((free_at if free_at > now else now)
+                    + 1.0 / self.packet_rate_pps)
+        self._free_at = admitted
+        self.env.call_at(admitted + self.pass_latency_s, self._run_pass,
+                         packet, pass_index)
 
-    def _run_pass(self, packet: Packet, pass_index: int):
-        yield self.env.delay(self.pass_latency_s)
+    def _run_pass(self, packet: Packet, pass_index: int) -> None:
         self.passes += 1
         if self.program is None:
             self.drops += 1
@@ -378,6 +392,6 @@ class PisaPipeline:
                 self._emit_handler(out_packet, egress)
         if result.recirculate:
             self.recirculations += 1
-            self._intake.put_nowait((packet, pass_index + 1))
+            self._admit(packet, pass_index + 1)
         elif result.dropped:
             self.drops += 1

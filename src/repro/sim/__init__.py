@@ -5,7 +5,9 @@ network model in the reproduction: a priority-queue event loop
 (:class:`Environment`), generator-based cooperative processes
 (:class:`Process`), one-shot :class:`Event` objects, and the shared
 synchronisation primitives (:class:`Resource`, :class:`Store`) used to model
-contention for engines, links, and queues.
+thread slots and the queues a process drains.  Links, RMW engines and
+PISA admission are FIFO servers settled in closed form, so they use
+neither.
 
 The kernel follows the classic process-interaction style (as popularised by
 SimPy): model code is written as Python generator functions that ``yield``

@@ -1,9 +1,12 @@
 """Synchronisation primitives built on the event kernel.
 
 * :class:`Resource` — a counted resource with FIFO waiters, used to model
-  a pool of slots (e.g. a PFE's PPE threads).
+  a pool of slots (a PFE's PPE threads, a lock).
 * :class:`Store` — an unbounded-or-bounded FIFO of items, used to model
-  queues (NIC rings, host inboxes, fabric channels).
+  queues a process drains (a NIC's TX ring, a host's inbox).
+
+Links, RMW engines and PISA admission are FIFO servers settled in closed
+form (``free_at`` arithmetic), so they need neither primitive.
 
 All primitives hand out plain :class:`~repro.sim.core.Event` objects so
 model code uses one uniform ``yield`` style.
@@ -12,7 +15,7 @@ model code uses one uniform ``yield`` style.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, Optional
 
 from repro.sim.core import Environment, Event, SimulationError
 
@@ -42,11 +45,6 @@ class Resource:
     def in_use(self) -> int:
         """Number of slots currently held."""
         return self._in_use
-
-    @property
-    def queued(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiters)
 
     def request(self) -> Event:
         """Return an event that fires when a slot is granted."""
@@ -103,11 +101,6 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    @property
-    def items(self) -> List[Any]:
-        """Snapshot of queued items (oldest first)."""
-        return list(self._items)
 
     def put(self, item: Any) -> Event:
         """Offer ``item``; fires once the store has accepted it."""

@@ -2,26 +2,35 @@
 
 The router owns the chassis-level state: its PFEs, the interconnection
 fabric, the global unicast route table (destination IP → (PFE, port)),
-and the chassis multicast membership.  Packets arriving at one PFE and
-destined to a port on another PFE cross the fabric; hierarchical
-aggregation (§4) uses :meth:`send_to_pfe` to feed first-level PFE results
-to the top-level aggregator PFE directly, without IP forwarding.
+and the chassis multicast membership.  The fabric is any-to-any (§2.1):
+each PFE pair is one full-duplex :class:`~repro.net.link.Link` between
+two fabric ports, so each direction serialises its frames in order and
+adds a fixed transit latency.  Packets arriving at one PFE and destined
+to a port on another PFE cross the fabric; hierarchical aggregation (§4)
+uses :meth:`send_to_pfe` to feed first-level PFE results to the
+top-level aggregator PFE directly, without IP forwarding.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, Optional, Tuple
 
 from repro.net.addressing import IPv4Address
 from repro.net.headers import destination_ip
+from repro.net.link import Link, Port
 from repro.net.multicast import MulticastGroupTable
 from repro.net.packet import Packet
 from repro.sim import Environment
 from repro.trio.chipset import GENERATIONS, TrioChipsetConfig
-from repro.trio.fabric import Fabric
 from repro.trio.pfe import PFE
 
 __all__ = ["TrioRouter"]
+
+#: Serialisation rate of one fabric direction between two PFEs.
+FABRIC_BANDWIDTH_BPS = 400e9
+#: Transit latency of the fabric, after serialisation.
+FABRIC_LATENCY_S = 500e-9
 
 
 class TrioRouter:
@@ -38,19 +47,27 @@ class TrioRouter:
         self.env = env
         self.name = name
         self.config = config or GENERATIONS[5]
-        self.fabric = Fabric(env)
         self.pfes: Dict[str, PFE] = {}
         for i in range(num_pfes):
             pfe_name = f"pfe{i + 1}"
-            pfe = PFE(
+            self.pfes[pfe_name] = PFE(
                 env,
                 name=pfe_name,
                 config=self.config,
                 num_ports=ports_per_pfe,
                 router=self,
             )
-            self.pfes[pfe_name] = pfe
-            self.fabric.attach(pfe_name, self._fabric_sink(pfe))
+        #: Fabric ports keyed (owner, peer): a frame sent on
+        #: ``fabric[(src, dst)]`` reaches PFE ``dst``.
+        self.fabric: Dict[Tuple[str, str], Port] = {}
+        sinks = {name: self._fabric_sink(pfe) for name, pfe in self.pfes.items()}
+        for a, b in combinations(self.pfes, 2):
+            port_a = Port(env, f"{a}.fabric.{b}", rx_handler=sinks[a])
+            port_b = Port(env, f"{b}.fabric.{a}", rx_handler=sinks[b])
+            Link(env, port_a, port_b, bandwidth_bps=FABRIC_BANDWIDTH_BPS,
+                 propagation_delay_s=FABRIC_LATENCY_S)
+            self.fabric[(a, b)] = port_a
+            self.fabric[(b, a)] = port_b
         #: Global unicast routes: destination IP -> (pfe_name, port_name).
         self.route_table: Dict[IPv4Address, Tuple[str, str]] = {}
         #: Chassis multicast: group -> port names "pfeX.pY".
@@ -82,7 +99,7 @@ class TrioRouter:
     # ------------------------------------------------------------------
 
     def _fabric_sink(self, pfe: PFE):
-        def sink(packet: Packet) -> None:
+        def sink(packet: Packet, port: Port) -> None:
             purpose = packet.meta.pop("fabric_purpose", "egress")
             if purpose == "process":
                 pfe.accept(packet, ingress_port=None)
@@ -97,7 +114,7 @@ class TrioRouter:
         aggregation path: first-level PFEs feed the top-level PFE
         directly, §4)."""
         packet.meta["fabric_purpose"] = "process"
-        self.fabric.send(src_pfe, dst_pfe, packet)
+        self.fabric[(src_pfe, dst_pfe)].send(packet)
 
     def deliver(self, packet: Packet, from_pfe: PFE,
                 egress_hint: Optional[str] = None) -> None:
@@ -133,7 +150,7 @@ class TrioRouter:
             return
         packet.meta["fabric_purpose"] = "egress"
         packet.meta["fabric_egress_port"] = port_name
-        self.fabric.send(from_pfe.name, pfe_name, packet)
+        self.fabric[(from_pfe.name, pfe_name)].send(packet)
 
     def __repr__(self) -> str:
         return f"<TrioRouter {self.name} pfes={list(self.pfes)}>"

@@ -171,6 +171,64 @@ class TestPisaPipeline:
         env.run(until=1e-3)
         assert pipeline.drops == 1
 
+    def test_admission_is_fifo_at_line_rate(self):
+        # One packet per 1/pps (1 ns), shared by fresh and recirculated
+        # packets: A's recirculation at 601 ns queues behind B, C and D,
+        # offered at 600.5 ns and admitted at 601.5, 602.5 and 603.5 ns.
+        env = Environment()
+        pipeline = PisaPipeline(env, "pipe", pass_latency_s=600e-9,
+                                packet_rate_pps=1e9)
+        passes = []
+
+        class Log(P4Program):
+            def process(self, ctx, packet, pass_index):
+                passes.append((packet.meta["name"], pass_index, env.now))
+                return PassResult(recirculate=packet.meta["name"] == "A"
+                                  and pass_index == 0, dropped=True)
+
+        def offer(name):
+            packet = Packet(bytes(64))
+            packet.meta["name"] = name
+            pipeline.submit(packet)
+
+        pipeline.install(Log())
+        for name in ("A", "A2", "A3"):
+            offer(name)
+        for name in "BCD":
+            env.call_at(600.5e-9, offer, name)
+        env.run()
+        assert [(name, index) for name, index, __ in passes] == [
+            ("A", 0), ("A2", 0), ("A3", 0),
+            ("B", 0), ("C", 0), ("D", 0), ("A", 1)]
+        assert [t for __, __, t in passes] == pytest.approx(
+            [601e-9, 602e-9, 603e-9,
+             1201.5e-9, 1202.5e-9, 1203.5e-9, 1204.5e-9], rel=0, abs=1e-18)
+
+    def test_one_event_per_pass(self):
+        env = Environment()
+        pipeline = PisaPipeline(env, "pipe")
+        before = env.scheduled_events
+        for __ in range(5):
+            pipeline.submit(Packet(bytes(64)))
+        env.run()
+        assert pipeline.drops == 5
+        assert env.scheduled_events - before == 5
+
+    @pytest.mark.parametrize("field, value", [
+        ("packet_rate_pps", 0),
+        ("packet_rate_pps", -1e9),
+        ("packet_rate_pps", float("nan")),
+        ("packet_rate_pps", float("inf")),
+        ("pass_latency_s", -600e-9),
+        ("pass_latency_s", float("nan")),
+        ("pass_latency_s", float("inf")),
+    ])
+    def test_malformed_timing_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PisaPipeline(Environment(), "pipe", **{field: value})
+        with pytest.raises(ValueError, match=field):
+            TofinoSwitch(Environment(), **{field: value})
+
 
 class _StageProgram(P4Program):
     """Counts packets in one register, then forwards the original."""

@@ -449,14 +449,15 @@ class TestPutNowait:
         store = Store(env, capacity=2)
         store.put_nowait("a")
         store.put_nowait("b")
-        assert store.items == ["a", "b"]
+        assert len(store) == 2
+        assert [store.try_get(), store.try_get()] == ["a", "b"]
 
     def test_item_survives_capacity_backpressure(self):
         env = Environment()
         store = Store(env, capacity=1)
         store.put_nowait("a")
         store.put_nowait("b")  # over capacity: parked, not dropped
-        assert store.items == ["a"]
+        assert len(store) == 1
         log = []
 
         def drain():

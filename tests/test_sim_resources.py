@@ -20,7 +20,9 @@ class TestResource:
         assert first.triggered and second.triggered
         assert not third.triggered
         assert resource.in_use == 2
-        assert resource.queued == 1
+        resource.release()  # the one queued request takes the freed slot
+        assert third.triggered
+        assert resource.in_use == 2
 
     def test_release_grants_fifo(self):
         env = Environment()
@@ -143,4 +145,5 @@ class TestStore:
         store.put("a")
         store.put("b")
         assert len(store) == 2
-        assert store.items == ["a", "b"]
+        assert [store.try_get(), store.try_get()] == ["a", "b"]
+        assert len(store) == 0

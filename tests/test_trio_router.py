@@ -5,7 +5,6 @@ import pytest
 from repro.net import Host, IPv4Address, MACAddress, Packet, Topology
 from repro.sim import Environment
 from repro.trio import TrioRouter
-from repro.trio.fabric import Fabric
 
 
 def build(env, num_pfes=2):
@@ -25,7 +24,7 @@ def build(env, num_pfes=2):
 class TestUnicast:
     def test_same_pfe_forwarding_stays_local(self):
         env = Environment()
-        router = TrioRouter(env, num_pfes=1, ports_per_pfe=2)
+        router = TrioRouter(env, num_pfes=2, ports_per_pfe=2)
         topo = Topology(env)
         h0 = Host(env, "h0", MACAddress(1), IPv4Address("10.0.0.1"))
         h1 = Host(env, "h1", MACAddress(2), IPv4Address("10.0.0.2"))
@@ -43,7 +42,8 @@ class TestUnicast:
         env.process(send())
         p = env.process(recv())
         assert env.run(until=p) == b"local"
-        assert router.fabric.packets == 0  # never crossed the fabric
+        # Never crossed the fabric.
+        assert sum(port.tx_packets for port in router.fabric.values()) == 0
 
     def test_cross_pfe_forwarding_uses_fabric(self):
         env = Environment()
@@ -59,7 +59,7 @@ class TestUnicast:
         env.process(send())
         p = env.process(recv())
         assert env.run(until=p) == b"cross"
-        assert router.fabric.packets == 1
+        assert router.fabric[("pfe1", "pfe2")].tx_packets == 1
 
     def test_unrouted_counted(self):
         env = Environment()
@@ -142,31 +142,49 @@ class TestFabric:
 
     def test_fabric_latency_applied(self):
         env = Environment()
-        fabric = Fabric(env, bandwidth_bps=400e9, latency_s=500e-9)
-        arrivals = []
-        fabric.attach("dst", lambda p: arrivals.append(env.now))
-        fabric.send("src", "dst", Packet(bytes(1000)))
+        router, __ = build(env)
+        arrivals = _arrivals(router, "pfe2")
+        router.send_to_pfe(Packet(bytes(1000)), "pfe1", "pfe2")
         env.run(until=1e-3)
         expected = 1000 * 8 / 400e9 + 500e-9
         assert arrivals == [pytest.approx(expected)]
 
     def test_fabric_unknown_destination(self):
         env = Environment()
-        fabric = Fabric(env)
+        router, __ = build(env)
         with pytest.raises(KeyError):
-            fabric.send("a", "ghost", Packet(bytes(10)))
+            router.send_to_pfe(Packet(bytes(10)), "pfe1", "ghost")
 
     def test_fabric_serialises_per_channel(self):
         env = Environment()
-        fabric = Fabric(env, bandwidth_bps=1e9, latency_s=0.0)
-        arrivals = []
-        fabric.attach("dst", lambda p: arrivals.append(env.now))
+        router, __ = build(env)
+        to_pfe2 = _arrivals(router, "pfe2")
+        to_pfe1 = _arrivals(router, "pfe1")
         for __ in range(2):
-            fabric.send("src", "dst", Packet(bytes(125)))  # 1 us each
+            router.send_to_pfe(Packet(bytes(1000)), "pfe1", "pfe2")
+        router.send_to_pfe(Packet(bytes(1000)), "pfe2", "pfe1")
         env.run(until=1e-3)
-        assert arrivals == pytest.approx([1e-6, 2e-6])
+        frame_s = 1000 * 8 / 400e9  # 20 ns each
+        # Frames queue behind each other on one direction only.
+        assert to_pfe2 == pytest.approx([frame_s + 500e-9,
+                                         2 * frame_s + 500e-9])
+        assert to_pfe1 == pytest.approx([frame_s + 500e-9])
 
-    def test_bandwidth_validation(self):
+    def test_one_event_per_fabric_frame(self):
         env = Environment()
-        with pytest.raises(ValueError):
-            Fabric(env, bandwidth_bps=0)
+        router, __ = build(env)
+        arrivals = _arrivals(router, "pfe2")
+        before = env.scheduled_events
+        for __ in range(5):
+            router.send_to_pfe(Packet(bytes(1000)), "pfe1", "pfe2")
+        env.run(until=1e-3)
+        assert len(arrivals) == 5
+        assert env.scheduled_events - before == 5
+
+
+def _arrivals(router, pfe_name):
+    """Record when frames from the fabric reach ``pfe_name``'s Dispatch."""
+    arrivals = []
+    router.pfe(pfe_name).accept = (
+        lambda packet, ingress_port: arrivals.append(router.env.now))
+    return arrivals
