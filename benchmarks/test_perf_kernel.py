@@ -13,6 +13,10 @@ file on an otherwise-idle interpreter for trustworthy numbers.
 
 from __future__ import annotations
 
+from repro.flowsim import fabric as fabric_module
+from repro.flowsim.fabric import FabricShape, run_packet_flows
+from repro.flowsim.flow import DEFAULT_MTU_PAYLOAD_BYTES
+from repro.flowsim.packetref import fan_in_flows
 from repro.harness import perfjson
 from repro.harness.experiments import (
     FIG15_GRAD_COUNTS,
@@ -191,12 +195,12 @@ def test_flowsim_event_budget_holds():
 
 def test_packet_path_event_budget_holds():
     """Figure 16's sweep point ``_fig16_point((1024, 16, 128))`` costs at
-    most 17 kernel events per aggregation packet.
+    most 15 kernel events per aggregation packet.
 
-    Links, RMW engines and the bulk server settle each request in closed
-    form, PPE threads fold pure waits into their own clock and start in
-    the packet's arriving instant, so ~15 events remain per packet (26
-    before).  A hop that goes back to a
+    Links, NIC TX rings, RMW engines and the bulk server settle each
+    request in closed form, PPE threads fold pure waits into their own
+    clock and start in the packet's arriving instant, so ~14.3 events
+    remain per packet (26 before any of it).  A hop that goes back to a
     process wake-up per frame or a grant per queued op breaks the budget.
     A count, so host speed cannot move it.
     """
@@ -205,8 +209,37 @@ def test_packet_path_event_budget_holds():
     packets = testbed.handle.aggregator.packets_aggregated
     assert packets == 4 * 128
     per_packet = testbed.env.scheduled_events / packets
-    assert per_packet <= 17, (
+    assert per_packet <= 15, (
         f"{per_packet:.2f} kernel events per aggregation packet")
+
+
+def test_packet_runner_event_budget_holds(monkeypatch):
+    """``run_packet_flows`` on a one-leaf fan-in of eight 1 MB flows
+    spends at most 2 kernel events per frame (its delivery over each of
+    its two links) plus 2 per flow (the start call and the sender's
+    first step).
+
+    The NIC sends a frame in the calling instant and schedules only its
+    delivery, so a TX process or a ring hand-off per frame breaks the
+    budget.  A count, so host speed cannot move it.
+    """
+    envs = []
+    build = fabric_module.build_leaf_spine
+
+    def capture(env, fabric):
+        envs.append(env)
+        return build(env, fabric)
+
+    monkeypatch.setattr(fabric_module, "build_leaf_spine", capture)
+    flows = fan_in_flows(8, 1_000_000)
+    run_packet_flows(FabricShape(leaves=1, hosts_per_leaf=9), flows)
+    (env,) = envs
+    frames = len(flows) * -(-1_000_000 // DEFAULT_MTU_PAYLOAD_BYTES)
+    assert frames == 5_488
+    budget = 2 * frames + 2 * len(flows)
+    assert env.scheduled_events <= budget, (
+        f"{env.scheduled_events:,} kernel events for {frames:,} frames "
+        f"of {len(flows)} flows, over the budget of {budget:,}")
 
 
 def test_fig15_serial_parallel_bit_identical():

@@ -179,6 +179,10 @@ def run_packet_flows(fabric: FabricShape, flows: Iterable[FlowSpec],
     env = Environment()
     hosts = build_leaf_spine(env, fabric).hosts
     for name, overhead in (tx_overhead_s or {}).items():
+        # Chained bounds: NaN fails them, where it passes `< 0`.
+        if not 0 <= overhead < math.inf:
+            raise ValueError(f"host {name!r}: tx_overhead_s must be "
+                             f"non-negative and finite: {overhead}")
         hosts[name].nic.tx_overhead_s = float(overhead)
     specs = list(flows)
     for spec in specs:

@@ -673,7 +673,9 @@ def ablation_rmw_offload(num_threads: int = 64,
         yield from memory.counter_inc(addr, 100)
 
     def locked(memory, addr, lock):
-        yield lock.request()
+        pending = lock.acquire()
+        if pending is not None:
+            yield pending
         try:
             # Move the data to the thread, modify, move it back.
             raw = yield from memory.read(addr, 16)

@@ -24,19 +24,10 @@ class Host:
         name: str,
         mac: MACAddress,
         ip: IPv4Address,
-        tx_ring_size: int = 4096,
-        tx_overhead_s: float = 0.0,
     ):
         self.env = env
         self.name = name
-        self.nic = NIC(
-            env,
-            name=name,
-            mac=mac,
-            ip=ip,
-            tx_ring_size=tx_ring_size,
-            tx_overhead_s=tx_overhead_s,
-        )
+        self.nic = NIC(env, name=name, mac=mac, ip=ip)
         self.inbox: Store = Store(env)
         self.nic.set_rx_callback(self._receive)
 
@@ -49,7 +40,7 @@ class Host:
         return self.nic.ip
 
     def _receive(self, packet: Packet) -> None:
-        self.inbox.put_nowait(packet)
+        self.inbox.put(packet)
 
     def send_udp(
         self,

@@ -5,7 +5,7 @@ network model in the reproduction: a priority-queue event loop
 (:class:`Environment`), generator-based cooperative processes
 (:class:`Process`), one-shot :class:`Event` objects, and the shared
 synchronisation primitives (:class:`Resource`, :class:`Store`) used to model
-thread slots and the queues a process drains.  Links, RMW engines and
+thread slots and a host's inbox.  Links, NIC TX rings, RMW engines and
 PISA admission are FIFO servers settled in closed form, so they use
 neither.
 
@@ -21,7 +21,6 @@ from repro.sim.core import (
     PACKET_LEVEL_PRIORITY,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -34,7 +33,6 @@ __all__ = [
     "Environment",
     "Event",
     "FLOW_LEVEL_PRIORITY",
-    "Interrupt",
     "PACKET_LEVEL_PRIORITY",
     "Process",
     "Resource",

@@ -56,7 +56,6 @@ __all__ = [
     "Environment",
     "Event",
     "FLOW_LEVEL_PRIORITY",
-    "Interrupt",
     "PACKET_LEVEL_PRIORITY",
     "Process",
     "SimulationError",
@@ -69,12 +68,12 @@ __all__ = [
 _PENDING = object()
 
 # Level-aware scheduling priorities.  The queue orders same-timestamp
-# events by (priority, insertion order): interrupts run first (0), the
-# packet level and all ordinary events next (1), and the flow/fluid
-# level last (2).  A flow-level re-solve scheduled for time T therefore
-# observes every packet-level state change that lands at T — arrivals,
-# escalated-segment completions — before it allocates rates, without the
-# two levels needing to know about each other's event order.
+# events by (priority, insertion order): the packet level and all
+# ordinary events first (1), and the flow/fluid level last (2).  A
+# flow-level re-solve scheduled for time T therefore observes every
+# packet-level state change that lands at T — arrivals, escalated-segment
+# completions — before it allocates rates, without the two levels
+# needing to know about each other's event order.
 PACKET_LEVEL_PRIORITY = 1
 FLOW_LEVEL_PRIORITY = 2
 
@@ -104,18 +103,6 @@ class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (e.g. yielding a non-event)."""
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The interrupting party supplies ``cause``, available as
-    ``exc.cause`` in the interrupted process.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence in simulated time.
 
@@ -124,10 +111,7 @@ class Event:
     time.  Processes wait on events by yielding them.
     """
 
-    # ``item`` is used by the Store primitives to carry the pending payload
-    # of a blocked put(); it lives here because __slots__ forbids ad-hoc
-    # attributes on subclass instances.
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "item")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -327,7 +311,7 @@ class Process(Event):
     completion.
     """
 
-    __slots__ = ("name", "_generator", "_waiting_on", "_bounce")
+    __slots__ = ("name", "_generator", "_bounce")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator,
                  name: Optional[str] = None, *, start_now: bool = False):
@@ -339,7 +323,6 @@ class Process(Event):
             )
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         self._bounce: Optional[Event] = None
         if start_now:
             # Run to the first yield inside the caller's callback.
@@ -360,50 +343,23 @@ class Process(Event):
                          defused: bool = False) -> None:
         """Schedule a resume of the generator at the current time.
 
-        Reuses the per-process bounce event when its previous trip through
-        the queue has fully completed (callbacks is None); otherwise (first
-        use, or the bounce is still in flight after an interrupt detached
-        it) a fresh event is allocated.
+        Reuses the per-process bounce event, allocated on first use: a
+        process waits on one event at a time, so its bounce has finished
+        its previous trip through the queue by the time it is needed again.
         """
         bounce = self._bounce
-        if bounce is None or bounce.callbacks is not None:
+        if bounce is None:
             bounce = Event(self.env)
             self._bounce = bounce
         bounce._ok = ok
         bounce._value = value
         bounce._defused = defused
         bounce.callbacks = [self._resume]
-        # Track it as the waited-on event so interrupt() can detach the
-        # pending resume instead of delivering a stale second wake-up.
-        self._waiting_on = bounce
         env = self.env
         env._scheduled = seq = env._scheduled + 1
         heappush(env._queue, (env._now, 1, seq, bounce))
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event.
-        """
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished {self!r}")
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        wakeup = Event(self.env)
-        wakeup._ok = False
-        wakeup._value = Interrupt(cause)
-        wakeup._defused = True  # never counts as an unhandled failure
-        wakeup.callbacks.append(self._resume)
-        self.env.schedule(wakeup, priority=0)
-
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         env = self.env
         try:
             if event._ok:
@@ -429,7 +385,6 @@ class Process(Event):
         if isinstance(next_event, Event) and next_event.env is env:
             callbacks = next_event.callbacks
             if callbacks is not None:
-                self._waiting_on = next_event
                 callbacks.append(self._resume)
             else:
                 # Already fired and processed: resume on the next tick so
@@ -521,10 +476,10 @@ class Environment:
         """Deferred calls cancelled before firing (stale-wake accounting)."""
         return self._cancelled
 
-    def schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
+    def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Enqueue ``event`` to fire ``delay`` time units from now."""
         self._scheduled = seq = self._scheduled + 1
-        heappush(self._queue, (self._now + delay, priority, seq, event))
+        heappush(self._queue, (self._now + delay, 1, seq, event))
 
     def event(self) -> Event:
         """Create a new pending :class:`Event`."""

@@ -12,10 +12,10 @@ This package models the architecture of §2 of the paper:
 * :mod:`repro.trio.counters` — Packet/Byte Counters and policers.
 * :mod:`repro.trio.ppe` — multi-threaded Packet Processing Engines and the
   thread context exposed to applications.
-* :mod:`repro.trio.dispatch` / :mod:`repro.trio.reorder` — the Dispatch
-  module and the Reorder Engine.
+* :mod:`repro.trio.reorder` — the Reorder Engine.
 * :mod:`repro.trio.timers` — timer threads (§5).
-* :mod:`repro.trio.pfe` — the Packet Forwarding Engine tying it together.
+* :mod:`repro.trio.pfe` — the Packet Forwarding Engine tying it together,
+  its Dispatch module included.
 * :mod:`repro.trio.router` — a multi-PFE router with interconnect fabric.
 """
 

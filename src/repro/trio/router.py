@@ -83,16 +83,21 @@ class TrioRouter:
 
     def add_route(self, dst: IPv4Address, pfe_name: str, port_name: str) -> None:
         """Install a host route on the chassis."""
-        if pfe_name not in self.pfes:
-            raise ValueError(f"unknown PFE {pfe_name!r}")
+        self._check_port(pfe_name, port_name)
         self.route_table[IPv4Address(dst)] = (pfe_name, port_name)
 
     def join_multicast(self, group: IPv4Address, pfe_name: str,
                        port_name: str) -> None:
         """Add a port to a multicast group (IGMP join / static config)."""
-        if pfe_name not in self.pfes:
-            raise ValueError(f"unknown PFE {pfe_name!r}")
+        self._check_port(pfe_name, port_name)
         self.multicast.join(group, f"{pfe_name}:{port_name}")
+
+    def _check_port(self, pfe_name: str, port_name: str) -> None:
+        pfe = self.pfes.get(pfe_name)
+        if pfe is None:
+            raise ValueError(f"unknown PFE {pfe_name!r}")
+        if port_name not in pfe._ports_by_name:
+            raise ValueError(f"{port_name!r} is not a port of {pfe_name}")
 
     # ------------------------------------------------------------------
     # Forwarding

@@ -161,9 +161,8 @@ class TrioMLWorker(Host):
         gen = self.gen_id
         blocks = self.split_blocks(gradients)
         state = _AllreduceState(num_blocks=len(blocks), gen=gen)
-        retransmitter = None
         if self.retransmit_timeout_s:
-            retransmitter = self.env.process(
+            self.env.process(
                 self._retransmit_loop(state, blocks, gen),
                 name=f"{self.name}:retx",
             )
@@ -192,8 +191,6 @@ class TrioMLWorker(Host):
             packet = yield self.recv()
             self._record(packet, state)
         state.done = True
-        if retransmitter is not None and retransmitter.is_alive:
-            retransmitter.interrupt("allreduce complete")
         return [state.results[i] for i in range(state.num_blocks)]
 
     def _retransmit_loop(self, state: "_AllreduceState", blocks, gen: int):
@@ -201,26 +198,26 @@ class TrioMLWorker(Host):
 
         The aggregator deduplicates retransmissions via the block's
         received-source bitmask and replays cached Results for blocks
-        that already completed.
+        that already completed.  The loop returns at its first wake-up
+        after the allreduce is done.
         """
-        from repro.sim import Interrupt
-
         timeout = self.retransmit_timeout_s
-        try:
-            while not state.done:
-                yield self.env.delay(timeout)
-                now = self.env.now
-                stale = [
-                    block_id for block_id in state.sent
-                    if block_id not in state.results
-                    and now - self.send_times.get((gen, block_id), now)
-                    >= timeout
-                ]
-                for block_id in stale:
-                    self.retransmissions += 1
-                    yield self._send_block(block_id, gen, blocks[block_id])
-        except Interrupt:
-            return
+        while True:
+            yield self.env.delay(timeout)
+            if state.done:
+                return
+            now = self.env.now
+            stale = [
+                block_id for block_id in state.sent
+                if block_id not in state.results
+                and now - self.send_times.get((gen, block_id), now)
+                >= timeout
+            ]
+            for block_id in stale:
+                self.retransmissions += 1
+                yield self._send_block(block_id, gen, blocks[block_id])
+                if state.done:
+                    return
 
     def _drain_inbox(self, state: "_AllreduceState") -> None:
         """Consume already-queued result packets without blocking."""

@@ -878,6 +878,14 @@ class TestPacketFlows:
         with pytest.raises(ValueError, match="flow 3: unknown host 'h01-00'"):
             run_packet_flows(FabricShape(leaves=1, hosts_per_leaf=2), [spec])
 
+    @pytest.mark.parametrize("overhead", [-1e-9, math.nan, math.inf])
+    def test_malformed_overhead_names_the_host(self, overhead):
+        spec = FlowSpec(flow_id=0, src=host_name(0, 1), dst=host_name(0, 0),
+                        size_bytes=1000.0, start_s=0.0)
+        with pytest.raises(ValueError, match="host 'h00-01': tx_overhead_s"):
+            run_packet_flows(FabricShape(leaves=1, hosts_per_leaf=2), [spec],
+                             {host_name(0, 1): overhead})
+
     def test_straggler_overhead_slows_only_its_host(self):
         fabric = FabricShape(leaves=1, hosts_per_leaf=3)
         flows = [FlowSpec(flow_id=i, src=host_name(0, 1 + i),

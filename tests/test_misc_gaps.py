@@ -2,17 +2,9 @@
 
 import pytest
 
-from repro.sim import Environment, Store
+from repro.sim import Environment
 from repro.trio import GENERATIONS, SharedMemorySystem
 from repro.trio.memory import MemoryError_, MemoryRegion
-
-
-class TestStoreBackpressure:
-    def test_store_put_event_carries_item(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        event = store.put("a")
-        assert event.item == "a"
 
 
 class TestMemoryRegionEdges:

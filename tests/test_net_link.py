@@ -144,6 +144,20 @@ class TestNIC:
         env.run(until=1e-3)
         assert nic.dropped_rx == 1
 
+    @pytest.mark.parametrize("field,value", [
+        ("tx_ring_size", 0),
+        ("tx_ring_size", -1),
+        ("tx_ring_size", 2.0),
+        ("tx_overhead_s", -1e-9),
+        ("tx_overhead_s", math.nan),
+        ("tx_overhead_s", math.inf),
+    ])
+    def test_malformed_parameter_names_the_field(self, field, value):
+        env = Environment()
+        with pytest.raises(ValueError, match=field):
+            NIC(env, "nic0", MACAddress(1), IPv4Address("10.0.0.1"),
+                **{field: value})
+
     def test_tx_overhead_applied(self):
         env = Environment()
         received = []

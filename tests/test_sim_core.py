@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError, Timeout
+from repro.sim import Environment, SimulationError, Timeout
 
 
 class TestEnvironment:
@@ -237,36 +237,6 @@ class TestProcess:
         env.process(bad())
         with pytest.raises(RuntimeError, match="exploded"):
             env.run()
-
-    def test_interrupt_wakes_sleeping_process(self):
-        env = Environment()
-
-        def sleeper():
-            try:
-                yield env.timeout(100)
-                return "overslept"
-            except Interrupt as exc:
-                return ("woken", exc.cause, env.now)
-
-        p = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(2)
-            p.interrupt(cause="alarm")
-
-        env.process(interrupter())
-        assert env.run(until=p) == ("woken", "alarm", 2.0)
-
-    def test_interrupt_finished_process_rejected(self):
-        env = Environment()
-
-        def quick():
-            yield env.timeout(1)
-
-        p = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
 
     def test_is_alive_transitions(self):
         env = Environment()

@@ -14,10 +14,9 @@ class TestResource:
     def test_grants_up_to_capacity_immediately(self):
         env = Environment()
         resource = Resource(env, capacity=2)
-        first = resource.request()
-        second = resource.request()
-        third = resource.request()
-        assert first.triggered and second.triggered
+        assert resource.acquire() is None
+        assert resource.acquire() is None
+        third = resource.acquire()
         assert not third.triggered
         assert resource.in_use == 2
         resource.release()  # the one queued request takes the freed slot
@@ -30,8 +29,9 @@ class TestResource:
         order = []
 
         def user(tag, hold):
-            req = resource.request()
-            yield req
+            pending = resource.acquire()
+            if pending is not None:
+                yield pending
             order.append((tag, env.now))
             yield env.timeout(hold)
             resource.release()
@@ -52,8 +52,9 @@ class TestResource:
         resource = Resource(env, capacity=1)
 
         def worker():
-            req = resource.request()
-            yield req
+            pending = resource.acquire()
+            if pending is not None:
+                yield pending
             yield env.timeout(1.0)
             resource.release()
 
@@ -68,7 +69,7 @@ class TestStore:
         store = Store(env)
 
         def proc():
-            yield store.put("item")
+            store.put("item")
             value = yield store.get()
             return value
 
@@ -104,32 +105,6 @@ class TestStore:
 
         env.run(until=env.process(getter()))
         assert got == [1, 2, 3]
-
-    def test_capacity_blocks_putter(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        times = []
-
-        def producer():
-            for i in range(3):
-                yield store.put(i)
-                times.append(env.now)
-
-        def consumer():
-            while True:
-                yield env.timeout(1.0)
-                yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
-        env.run(until=10)
-        # First put immediate; each subsequent put waits for a get.
-        assert times == [0.0, 1.0, 2.0]
-
-    def test_capacity_validation(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
 
     def test_try_get_nonblocking(self):
         env = Environment()

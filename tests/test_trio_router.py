@@ -78,6 +78,9 @@ class TestUnicast:
         router, __ = build(env)
         with pytest.raises(ValueError):
             router.add_route(IPv4Address("1.1.1.1"), "pfe99", "pfe99.p0")
+        with pytest.raises(ValueError, match="'pfe2.p9' is not a port of pfe2"):
+            router.add_route(IPv4Address("1.1.1.1"), "pfe2", "pfe2.p9")
+        assert IPv4Address("1.1.1.1") not in router.route_table
 
 
 class TestMulticast:
@@ -119,6 +122,9 @@ class TestMulticast:
         router, __ = build(env)
         with pytest.raises(ValueError):
             router.join_multicast(IPv4Address("239.0.0.1"), "pfe9", "p0")
+        with pytest.raises(ValueError, match="'pfe1.p9' is not a port of pfe1"):
+            router.join_multicast(IPv4Address("239.0.0.1"), "pfe1", "pfe1.p9")
+        assert not router.multicast.members(IPv4Address("239.0.0.1"))
 
 
 class TestFabric:

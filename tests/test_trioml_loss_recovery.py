@@ -118,6 +118,23 @@ class TestLossRecovery:
         for proc in procs:
             assert all(block.values == [20] * 64 for block in proc.value)
 
+    def test_no_frames_after_completion(self):
+        """The retransmit loop outlives its allreduce only until its next
+        wake-up, and sends nothing more."""
+        env = Environment()
+        testbed = self.make_testbed(env, loss_rate=0.05)
+        procs = testbed.run_allreduce([[(w + 1)] * 256 for w in range(4)])
+        env.run(until=env.all_of(procs))
+        assert sum(w.retransmissions for w in testbed.workers) > 0
+
+        def sent():
+            return [(w.blocks_sent, w.retransmissions, w.nic.port.tx_packets)
+                    for w in testbed.workers]
+
+        at_completion = sent()
+        env.run(until=env.now + 10 * 0.002)
+        assert sent() == at_completion
+
     def test_no_retransmission_when_disabled(self):
         env = Environment()
         config = TrioMLJobConfig(grads_per_packet=64, window=4)

@@ -15,7 +15,7 @@ PINS = [
     pytest.param(
         exp._fig15_point, (256, 5),
         "(Fig15Row(grads_per_packet=256, latency_us=11.886366666666667, "
-        "rate_grads_per_us=21.53727940413527), 318)",
+        "rate_grads_per_us=21.53727940413527), 294)",
         id="fig15-256",
     ),
     pytest.param(
